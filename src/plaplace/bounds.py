@@ -15,8 +15,6 @@ never exceed c_p built from sample-set extrema.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,6 +24,7 @@ from .errors import EstimationError
 from .estimators import EstimatorConfig
 from .fields import EPS_GRAD, ScoreField
 from .geometry import BallSpec, ball_volume, sample_sphere_uniform, sphere_area, split_rng
+from .tables import write_table
 
 __all__ = [
     "AssumptionConstants",
@@ -80,33 +79,26 @@ def bound_constant(p: float, delta: float, m: float, M: float, dim: int, radius:
     return factor * delta * m ** (p - 2.0) * (3.0 - p)
 
 
-def _segment_minima(sv: np.ndarray, hv: np.ndarray, n_segment: int) -> tuple[np.ndarray, np.ndarray]:
+def _segment_minima(sv: np.ndarray, hv: np.ndarray) -> np.ndarray:
     """Per-pair minimum of |t*s + (1-t)*s_hat| over t in [0, 1].
 
-    The squared norm is quadratic in t, so the exact minimizer is closed-form;
-    an n_segment-point grid minimum is returned alongside as a bracketing
-    cross-check (it can only overestimate the true minimum).
+    The squared norm is quadratic in t, so the exact minimizer is closed-form.
     """
     dvec = sv - hv
     dsq = np.sum(dvec * dvec, axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         t_star = np.where(dsq > 0, -np.sum(hv * dvec, axis=1) / np.maximum(dsq, 1e-300), 0.0)
     t_star = np.clip(t_star, 0.0, 1.0)
-    exact = np.linalg.norm(hv + t_star[:, None] * dvec, axis=1)
-    ts = np.linspace(0.0, 1.0, n_segment)
-    grid = np.linalg.norm(hv[None, :, :] + ts[:, None, None] * dvec[None, :, :], axis=2).min(axis=0)
-    return exact, grid
+    return np.linalg.norm(hv + t_star[:, None] * dvec, axis=1)
 
 
-def _constants_from_values(sv: np.ndarray, hv: np.ndarray, n_segment: int) -> AssumptionConstants:
+def _constants_from_values(sv: np.ndarray, hv: np.ndarray) -> AssumptionConstants:
     sn = np.linalg.norm(sv, axis=1)
     hn = np.linalg.norm(hv, axis=1)
     # 1% inflation keeps the strict inequality of the closeness assumption.
     delta = 1.01 * float(np.max(np.linalg.norm(sv - hv, axis=1)))
     M = float(max(sn.max(), hn.max()))
-    exact, grid = _segment_minima(sv, hv, n_segment)
-    assert np.all(grid >= exact - 1e-12)
-    segment_min = float(exact.min())
+    segment_min = float(_segment_minima(sv, hv).min())
     m = float(min(sn.min(), hn.min(), segment_min))
     return AssumptionConstants(delta=delta, m=m, M=M, segment_min=segment_min, assumptions_ok=m > 0.0)
 
@@ -117,18 +109,16 @@ def estimate_assumption_constants(
     anchor,
     radius: float,
     n_samples: int,
-    n_segment: int,
     rng: np.random.Generator,
 ) -> AssumptionConstants:
     """Measure (delta, m, M) for two fields over shared sphere samples.
 
-    m is taken from the exact per-pair segment minimum rather than the
-    n_segment grid, so it is a true lower bound for the mean-value argument;
-    the grid value only cross-checks it.
+    m is taken from the exact per-pair segment minimum, so it is a true lower
+    bound for the mean-value argument.
     """
     anchor = np.asarray(anchor, dtype=float)
     ys, _ = sample_sphere_uniform(BallSpec.around(anchor, radius), n_samples, rng)
-    return _constants_from_values(s(ys), s_hat(ys), n_segment)
+    return _constants_from_values(s(ys), s_hat(ys))
 
 
 def validate_bound(
@@ -137,7 +127,6 @@ def validate_bound(
     anchors,
     cfg: EstimatorConfig,
     rng: np.random.Generator,
-    n_segment: int = 11,
 ) -> list[BoundReport]:
     """One BoundReport per anchor, both flux averages on the same sample set.
 
@@ -162,7 +151,7 @@ def validate_bound(
             if not np.any(keep):
                 raise EstimationError("every shared sphere sample was singular")
             ys, normals, sv, hv = ys[keep], normals[keep], sv[keep], hv[keep]
-        consts = _constants_from_values(sv, hv, n_segment)
+        consts = _constants_from_values(sv, hv)
         flux_s = np.linalg.norm(sv, axis=1) ** (cfg.p - 2.0) * np.sum(sv * normals, axis=1)
         flux_h = np.linalg.norm(hv, axis=1) ** (cfg.p - 2.0) * np.sum(hv * normals, axis=1)
         empirical_error = abs(factor * float(np.mean(flux_s - flux_h)))
@@ -225,19 +214,8 @@ def write_bound_reports_csv(path, reports: list[BoundReport], header_comment: st
     cols = [f"anchor_{i}" for i in range(dim)] + [
         "p", "delta", "m", "M", "segment_min", "c_p", "empirical_error", "assumptions_ok",
     ]
-    with open(path, "w", newline="") as f:
-        if header_comment is not None:
-            f.write(f"# {header_comment}\n")
-        writer = csv.writer(f)
-        writer.writerow(cols)
-        for r in reports:
-            writer.writerow(
-                [repr(float(c)) for c in r.anchor]
-                + [r.p, repr(r.delta), repr(r.m), repr(r.M), repr(r.segment_min),
-                   repr(float(r.c_p)), repr(r.empirical_error), int(r.assumptions_ok)]
-            )
-
-
-def write_bound_summary_json(path, summary: dict) -> None:
-    with open(path, "w") as f:
-        json.dump({"schema_version": 1, **summary}, f, indent=2, sort_keys=True)
+    rows = (
+        [*r.anchor, r.p, r.delta, r.m, r.M, r.segment_min, r.c_p, r.empirical_error, r.assumptions_ok]
+        for r in reports
+    )
+    write_table(path, cols, rows, header_comment)

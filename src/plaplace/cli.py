@@ -3,27 +3,34 @@
 Subcommands: ``fidelity``, ``memorize``, ``bounds``, ``train``, ``sample``.
 Each accepts ``--config <path>`` (JSON; defaults apply when omitted),
 ``--seed <int>`` to override the configured seed list, and ``--out <dir>``
-to override the output directory.  Exit code 0 means every requested run
-completed; partial failures are enumerated in ``errors.json``.
+to override the output directory.  A config's optional ``experiment`` key
+must name the study of the subcommand it is run with.  Exit code 0 means
+every requested run completed; partial failures are enumerated in
+``errors.json``; a bad config exits with 2 before any run starts.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import logging
 import sys
 
-from .config import DEFAULT_CONFIG, load_config
+from .config import build_gmm, load_config, resolve_config
 from .errors import ConfigError
 from .experiments import run_bounds, run_fidelity, run_memorization, sample_artifact, train_model_artifact
 
+# Study subcommand -> the config's optional ``experiment`` value.
+_STUDIES = {"fidelity": "fidelity", "memorize": "memorization", "bounds": "bounds"}
+
 
 def _load(args) -> dict:
-    if args.config is not None:
-        cfg = load_config(args.config)
-    else:
-        cfg = copy.deepcopy(DEFAULT_CONFIG)
+    cfg = resolve_config({}) if args.config is None else load_config(args.config)
+    study = _STUDIES.get(args.command)
+    if study is not None:
+        if cfg.setdefault("experiment", study) != study:
+            raise ConfigError(f"config experiment {cfg['experiment']!r} does not match subcommand {args.command!r}")
+        if study == "memorization" and build_gmm(cfg).dim != 2:
+            raise ConfigError("memorize evaluates a 2-d grid; the mixture must be 2-d")
     if args.seed is not None:
         cfg["seeds"] = [args.seed]
     if args.out is not None:

@@ -15,13 +15,12 @@ import jsonschema
 from .errors import ConfigError
 from .estimators import EstimatorConfig
 from .gmm import GmmParams, draw_gmm, gmm_from_dict
-from .score_model import NoiseSchedule, TrainConfig
+from .score_model import NoiseSchedule
 
 __all__ = ["DEFAULT_CONFIG", "load_config", "resolve_config", "validate_config",
-           "build_gmm", "build_schedule", "build_train_config", "build_estimator_config"]
+           "build_gmm", "build_schedule", "build_estimator_config"]
 
 DEFAULT_CONFIG = {
-    "experiment": "fidelity",
     "gmm": {
         "means": None,
         "weights": None,
@@ -56,7 +55,7 @@ DEFAULT_CONFIG = {
         "pad_sigma": 2.0,
         "n_background": 50,
     },
-    "bounds": {"n_anchors": 50, "n_segment": 11, "p_values": [1.0, 2.0, 3.0]},
+    "bounds": {"n_anchors": 50, "p_values": [1.0, 2.0, 3.0]},
     "seeds": [0, 1, 2, 3, 4],
     "output_dir": "out",
 }
@@ -64,14 +63,17 @@ DEFAULT_CONFIG = {
 _SCHEMA = {
     "type": "object",
     "additionalProperties": False,
-    "required": ["experiment"],
     "properties": {
         "experiment": {"enum": ["fidelity", "memorization", "bounds"]},
         "gmm": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "means": {"type": ["array", "null"], "items": {"type": "array", "items": {"type": "number"}}},
+                "means": {
+                    "type": ["array", "null"],
+                    "items": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+                    "minItems": 1,
+                },
                 "weights": {"type": ["array", "null"], "items": {"type": "number"}},
                 "sigma2": {"type": "number", "exclusiveMinimum": 0},
                 "n_components": {"type": "integer", "minimum": 1},
@@ -99,7 +101,7 @@ _SCHEMA = {
                 "batch_size": {"type": ["integer", "null"], "minimum": 1},
                 "n_train": {"type": "integer", "minimum": 1},
                 "hidden_width": {"type": "integer", "minimum": 1},
-                "embed_dim": {"type": "integer", "minimum": 2},
+                "embed_dim": {"type": "integer", "minimum": 2, "multipleOf": 2},
             },
         },
         "estimator": {
@@ -117,7 +119,7 @@ _SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "n_repeats": {"type": "integer", "minimum": 1},
+                "n_repeats": {"type": "integer", "minimum": 2},
                 "n_dense": {"type": "integer", "minimum": 100},
             },
         },
@@ -137,7 +139,6 @@ _SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "n_anchors": {"type": "integer", "minimum": 1},
-                "n_segment": {"type": "integer", "minimum": 2},
                 "p_values": {"type": "array", "items": {"type": "number", "minimum": 1}, "minItems": 1},
             },
         },
@@ -157,7 +158,7 @@ def validate_config(raw: dict) -> None:
 
 
 def resolve_config(raw: dict) -> dict:
-    """Validate and fill in defaults for all missing keys."""
+    """Validate, fill in defaults for all missing keys, and check the mixture builds."""
     validate_config(raw)
     resolved = copy.deepcopy(DEFAULT_CONFIG)
     for key, value in raw.items():
@@ -165,6 +166,10 @@ def resolve_config(raw: dict) -> dict:
             resolved[key].update(value)
         else:
             resolved[key] = copy.deepcopy(value)
+    try:
+        build_gmm(resolved)
+    except ValueError as exc:
+        raise ConfigError(f"config invalid at gmm: {exc}") from exc
     return resolved
 
 
@@ -200,16 +205,6 @@ def build_gmm(cfg: dict) -> GmmParams:
 def build_schedule(cfg: dict) -> NoiseSchedule:
     block = cfg["schedule"]
     return NoiseSchedule.linear(block["t_steps"], block["beta_min"], block["beta_max"])
-
-
-def build_train_config(cfg: dict, seed: int) -> TrainConfig:
-    block = cfg["training"]
-    return TrainConfig(
-        epochs=block["epochs"],
-        learning_rate=block["learning_rate"],
-        batch_size=block["batch_size"],
-        seed=seed,
-    )
 
 
 def build_estimator_config(cfg: dict, p: float, formulation: str) -> EstimatorConfig:

@@ -15,7 +15,6 @@ than interpolated (they carry negligible mass).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ import numpy as np
 from .errors import EstimationError, SingularGradientError
 from .fields import EPS_GRAD, ScoreField
 from .geometry import BallSpec, ball_volume, sample_ball_uniform, sample_sphere_uniform, sphere_area
+from .tables import write_table
 
 __all__ = [
     "EstimatorConfig",
@@ -200,23 +200,12 @@ def write_estimates_csv(path, records: list[dict], header_comment: str | None = 
     if not records:
         raise ValueError("no records to write")
     dim = len(records[0]["x0"])
-    coord_cols = [f"x0_{i}" for i in range(dim)]
-    cols = coord_cols + ["p", "formulation", "n_samples", "radius", "seed", "value", "std_error", "singular_hits"]
-    with open(path, "w", newline="") as f:
-        if header_comment is not None:
-            f.write(f"# {header_comment}\n")
-        writer = csv.writer(f)
-        writer.writerow(cols)
-        for rec in records:
-            row = [repr(float(c)) for c in rec["x0"]]
-            row += [
-                rec["p"],
-                rec["formulation"],
-                rec["n_samples"],
-                rec["radius"],
-                rec["seed"],
-                repr(float(rec["value"])),
-                repr(float(rec["std_error"])),
-                rec["singular_hits"],
-            ]
-            writer.writerow(row)
+    cols = [f"x0_{i}" for i in range(dim)] + [
+        "p", "formulation", "n_samples", "radius", "seed", "value", "std_error", "singular_hits",
+    ]
+    rows = (
+        [*rec["x0"], rec["p"], rec["formulation"], rec["n_samples"], rec["radius"], rec["seed"],
+         rec["value"], rec["std_error"], rec["singular_hits"]]
+        for rec in records
+    )
+    write_table(path, cols, rows, header_comment)

@@ -7,7 +7,6 @@ rerun with the same config and seed reproduces files byte for byte.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import os
@@ -17,7 +16,7 @@ import numpy as np
 from . import bounds as B
 from . import memorization as M
 from . import svgplot
-from .config import build_estimator_config, build_gmm, build_schedule, build_train_config, config_header
+from .config import build_estimator_config, build_gmm, build_schedule, config_header
 from .estimators import estimate, estimate_boundary, write_estimates_csv
 from .geometry import make_rng, split_rng
 from .gmm import PerturbedGmm, averaged_p_laplace_dense, log_density, sample_gmm
@@ -31,8 +30,9 @@ from .memorization import (
     percentile_rank,
     score_norm_criterion,
 )
-from .score_model import learned_score, load_checkpoint, reverse_sample, save_checkpoint, train
+from .score_model import TrainConfig, learned_score, load_checkpoint, reverse_sample, save_checkpoint, train
 from .score_model import score_field as model_score_field
+from .tables import write_table
 
 logger = logging.getLogger(__name__)
 
@@ -66,11 +66,20 @@ def _per_seed(cfg: dict, fn) -> dict:
     return result
 
 
+def _train(cfg: dict, data: np.ndarray, schedule, seed: int):
+    """Score model trained on data with the config's training recipe and this seed."""
+    block = cfg["training"]
+    train_cfg = TrainConfig(
+        epochs=block["epochs"], learning_rate=block["learning_rate"], batch_size=block["batch_size"], seed=seed
+    )
+    return train(data, schedule, train_cfg, hidden_width=block["hidden_width"], embed_dim=block["embed_dim"])
+
+
 def fidelity_anchors(gmm) -> tuple[np.ndarray, list[str]]:
     """Six anchor neighborhoods: the mixture means and the pairwise midpoints."""
     means = gmm.means
     k = means.shape[0]
-    mids = np.array([(means[i] + means[j]) / 2.0 for i in range(k) for j in range(i + 1, k)])
+    mids = np.array([(means[i] + means[j]) / 2.0 for i in range(k) for j in range(i + 1, k)]).reshape(-1, gmm.dim)
     anchors = np.vstack([means, mids])
     labels = ["maximum"] * k + ["midpoint"] * mids.shape[0]
     return anchors, labels
@@ -101,26 +110,26 @@ def run_fidelity(cfg: dict) -> dict:
     # Dense reference values are seed-independent: one per (anchor, p).
     dense_rng = make_rng(990_001)
     exact: dict[tuple[int, float], tuple[float, float]] = {}
-    with open(os.path.join(out, "exact.csv"), "w", newline="") as f:
-        f.write(f"# {config_header(cfg)}\n")
-        writer = csv.writer(f)
-        coord_cols = [f"x0_{i}" for i in range(gmm.dim)]
-        writer.writerow(["anchor_idx", "anchor_kind", *coord_cols, "p", "exact_mean", "exact_std_error", "n_dense"])
-        for i, (anchor, label) in enumerate(zip(anchors, labels)):
-            for p in p_values:
-                mean, se, n_used, _ = averaged_p_laplace_dense(
-                    gmm, anchor, p, cfg["estimator"]["radius"], cfg["fidelity"]["n_dense"], dense_rng
-                )
-                exact[(i, p)] = (mean, se)
-                writer.writerow(
-                    [i, label] + [repr(float(c)) for c in anchor] + [p, repr(mean), repr(se), n_used]
-                )
-
-    extent = (
-        float(gmm.means[:, 0].min() - 2), float(gmm.means[:, 0].max() + 2),
-        float(gmm.means[:, 1].min() - 2), float(gmm.means[:, 1].max() + 2),
+    exact_rows = []
+    for i, (anchor, label) in enumerate(zip(anchors, labels)):
+        for p in p_values:
+            mean, se, n_used, _ = averaged_p_laplace_dense(
+                gmm, anchor, p, cfg["estimator"]["radius"], cfg["fidelity"]["n_dense"], dense_rng
+            )
+            exact[(i, p)] = (mean, se)
+            exact_rows.append([i, label, *anchor, p, mean, se, n_used])
+    write_table(
+        os.path.join(out, "exact.csv"),
+        ["anchor_idx", "anchor_kind", *(f"x0_{i}" for i in range(gmm.dim)), "p", "exact_mean", "exact_std_error",
+         "n_dense"],
+        exact_rows, config_header(cfg),
     )
+
     if gmm.dim == 2:
+        extent = (
+            float(gmm.means[:, 0].min() - 2), float(gmm.means[:, 0].max() + 2),
+            float(gmm.means[:, 1].min() - 2), float(gmm.means[:, 1].max() + 2),
+        )
         gx = np.linspace(extent[0], extent[1], 60)
         gy = np.linspace(extent[2], extent[3], 60)
         mx, my = np.meshgrid(gx, gy)
@@ -133,21 +142,14 @@ def run_fidelity(cfg: dict) -> dict:
 
     def one_seed(seed: int) -> None:
         seed_out = _outdir(cfg, "fidelity", f"seed_{seed}")
-        rng = make_rng(seed)
-        data = sample_gmm(gmm, cfg["training"]["n_train"], rng)
-        model = train(
-            data, schedule, build_train_config(cfg, seed),
-            hidden_width=cfg["training"]["hidden_width"], embed_dim=cfg["training"]["embed_dim"],
-        )
+        model = _train(cfg, sample_gmm(gmm, cfg["training"]["n_train"], make_rng(seed)), schedule, seed)
         fields = {"oracle": gmm_score_field(gmm), "learned": model_score_field(model, schedule, 0)}
 
         cos, ratio = _field_error_stats(gmm, model, schedule, seed)
-        with open(os.path.join(seed_out, "field_errors.csv"), "w", newline="") as f:
-            f.write(f"# {config_header(cfg, seed)}\n")
-            writer = csv.writer(f)
-            writer.writerow(["cosine", "magnitude_ratio"])
-            for c, r in zip(cos, ratio):
-                writer.writerow([repr(float(c)), repr(float(r))])
+        write_table(
+            os.path.join(seed_out, "field_errors.csv"), ["cosine", "magnitude_ratio"], zip(cos, ratio),
+            config_header(cfg, seed),
+        )
         svgplot.histogram(
             os.path.join(seed_out, "direction_error.svg"), cos,
             title=f"score direction agreement (median {np.median(cos):.3f})", comment=config_header(cfg, seed),
@@ -182,21 +184,17 @@ def run_fidelity(cfg: dict) -> dict:
                         se_mean = float(values.std(ddof=1) / np.sqrt(n_repeats))
                         q = np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0])
                         summary_rows.append(
-                            [field_name, i, labels[i], p, formulation, repr(mean),
-                             repr(float(values.std(ddof=1))), repr(float(q[0])), repr(float(q[1])),
-                             repr(float(q[2])), repr(float(q[3])), repr(float(q[4])),
-                             repr(exact_mean), repr(abs(mean - exact_mean)),
-                             repr(abs(mean - exact_mean) / max(np.hypot(se_mean, exact_se), 1e-300))]
+                            [field_name, i, labels[i], p, formulation, mean, values.std(ddof=1), *q,
+                             exact_mean, abs(mean - exact_mean),
+                             abs(mean - exact_mean) / max(np.hypot(se_mean, exact_se), 1e-300)]
                         )
         write_estimates_csv(os.path.join(seed_out, "estimates.csv"), records, header_comment=config_header(cfg, seed))
-        with open(os.path.join(seed_out, "summary.csv"), "w", newline="") as f:
-            f.write(f"# {config_header(cfg, seed)}\n")
-            writer = csv.writer(f)
-            writer.writerow(
-                ["field", "anchor_idx", "anchor_kind", "p", "formulation", "mean", "std",
-                 "min", "q25", "median", "q75", "max", "exact_mean", "abs_error", "z_score"]
-            )
-            writer.writerows(summary_rows)
+        write_table(
+            os.path.join(seed_out, "summary.csv"),
+            ["field", "anchor_idx", "anchor_kind", "p", "formulation", "mean", "std",
+             "min", "q25", "median", "q75", "max", "exact_mean", "abs_error", "z_score"],
+            summary_rows, config_header(cfg, seed),
+        )
 
     result = _per_seed(cfg, one_seed)
     _write_json(os.path.join(out, "result.json"), {**result, "config": cfg})
@@ -219,10 +217,7 @@ def run_memorization(cfg: dict) -> dict:
         grid = make_grid(gmm, mem_cfg["grid_size"], mem_cfg["pad_sigma"])
         scenario = build_scenario(gmm, mem_cfg["n_base"], mem_cfg["n_replicas"], seed)
         _write_json(os.path.join(seed_out, "scenario.json"), {"config": cfg, "scenario": scenario.to_dict()})
-        model = train(
-            scenario.training_set(), schedule, build_train_config(cfg, seed),
-            hidden_width=cfg["training"]["hidden_width"], embed_dim=cfg["training"]["embed_dim"],
-        )
+        model = _train(cfg, scenario.training_set(), schedule, seed)
         field = model_score_field(model, schedule, 0)
         mem_pt = scenario.memorized_point
 
@@ -237,7 +232,7 @@ def run_memorization(cfg: dict) -> dict:
             matrix = grid_p_laplace(field, grid, ecfg, make_rng(seed + 100_000))
             mem_val = estimate_boundary(field, mem_pt, ecfg, make_rng(seed + 200_000)).value
             pct = percentile_rank(matrix, mem_val)
-            percentile_rows.append([seed, "p_laplace", p, repr(mem_val), repr(pct)])
+            percentile_rows.append([seed, "p_laplace", p, mem_val, pct])
             M.write_grid_csv(
                 os.path.join(seed_out, f"grid_p{p:g}.csv"), grid, matrix, header_comment=config_header(cfg, seed)
             )
@@ -271,14 +266,13 @@ def run_memorization(cfg: dict) -> dict:
                     percentile=pct_norm,
                     auc=auc([mem_norm], bg_norms, "higher_is_positive"),
                 )))
-                percentile_rows.append([seed, "score_norm", p, repr(float(mem_norm)), repr(pct_norm)])
+                percentile_rows.append([seed, "score_norm", p, mem_norm, pct_norm])
 
     result = _per_seed(cfg, one_seed)
-    with open(os.path.join(out, "percentiles.csv"), "w", newline="") as f:
-        f.write(f"# {config_header(cfg)}\n")
-        writer = csv.writer(f)
-        writer.writerow(["seed", "criterion", "p", "value_at_memorized", "percentile"])
-        writer.writerows(percentile_rows)
+    write_table(
+        os.path.join(out, "percentiles.csv"), ["seed", "criterion", "p", "value_at_memorized", "percentile"],
+        percentile_rows, config_header(cfg),
+    )
     auc_summary = {}
     for name in ("p_laplace", "score_norm"):
         vals = [d.auc for s, d in detections if d.criterion_name == name]
@@ -309,21 +303,14 @@ def run_bounds(cfg: dict) -> dict:
 
     def one_seed(seed: int) -> None:
         seed_out = _outdir(cfg, "bounds", f"seed_{seed}")
-        rng = make_rng(seed)
-        data = sample_gmm(gmm, cfg["training"]["n_train"], rng)
-        model = train(
-            data, schedule, build_train_config(cfg, seed),
-            hidden_width=cfg["training"]["hidden_width"], embed_dim=cfg["training"]["embed_dim"],
-        )
+        model = _train(cfg, sample_gmm(gmm, cfg["training"]["n_train"], make_rng(seed)), schedule, seed)
         anchors = reverse_sample(model, schedule, cfg["bounds"]["n_anchors"], make_rng(seed + 700_000))
         oracle = gmm_score_field(gmm)
         learned = model_score_field(model, schedule, 0)
         seed_summaries = {}
         for p in p_values:
             ecfg = build_estimator_config(cfg, p, "boundary")
-            reports = B.validate_bound(
-                oracle, learned, anchors, ecfg, make_rng(seed + 800_000), cfg["bounds"]["n_segment"]
-            )
+            reports = B.validate_bound(oracle, learned, anchors, ecfg, make_rng(seed + 800_000))
             B.write_bound_reports_csv(
                 os.path.join(seed_out, f"bound_reports_p{p:g}.csv"), reports, header_comment=config_header(cfg, seed)
             )
@@ -338,13 +325,11 @@ def run_bounds(cfg: dict) -> dict:
                 ms_rng = (max(float(ms.min()) * 0.9, 1e-6), float(ms.max()) * 1.1)
                 dg, mg, surface = B.bound_surface(p, gmm.dim, ecfg.radius, deltas_rng, ms_rng,
                                                   M=float(max(r.M for r in ok)))
-                with open(os.path.join(seed_out, f"bound_surface_p{p:g}.csv"), "w", newline="") as f:
-                    f.write(f"# {config_header(cfg, seed)}\n")
-                    writer = csv.writer(f)
-                    writer.writerow(["delta", "m", "c_p"])
-                    for i, m in enumerate(mg):
-                        for j, d in enumerate(dg):
-                            writer.writerow([repr(float(d)), repr(float(m)), repr(float(surface[i, j]))])
+                write_table(
+                    os.path.join(seed_out, f"bound_surface_p{p:g}.csv"), ["delta", "m", "c_p"],
+                    ([d, m, surface[i, j]] for i, m in enumerate(mg) for j, d in enumerate(dg)),
+                    config_header(cfg, seed),
+                )
                 svgplot.heatmap(
                     os.path.join(seed_out, f"bound_surface_p{p:g}.svg"), np.log10(np.maximum(surface, 1e-12)),
                     (deltas_rng[0], deltas_rng[1], ms_rng[0], ms_rng[1]),
@@ -373,11 +358,7 @@ def train_model_artifact(cfg: dict) -> dict:
     schedule = build_schedule(cfg)
     seed = cfg["seeds"][0]
     out = _outdir(cfg, "model")
-    data = sample_gmm(gmm, cfg["training"]["n_train"], make_rng(seed))
-    model = train(
-        data, schedule, build_train_config(cfg, seed),
-        hidden_width=cfg["training"]["hidden_width"], embed_dim=cfg["training"]["embed_dim"],
-    )
+    model = _train(cfg, sample_gmm(gmm, cfg["training"]["n_train"], make_rng(seed)), schedule, seed)
     path = os.path.join(out, "checkpoint.json")
     save_checkpoint(model, schedule, path)
     _write_json(os.path.join(out, "train_meta.json"), {"config": cfg, "seed": seed, "checkpoint": path})
@@ -394,12 +375,7 @@ def sample_artifact(cfg: dict, checkpoint: str | None = None, n: int = 1000) -> 
     model, schedule = load_checkpoint(checkpoint)
     samples = reverse_sample(model, schedule, n, make_rng(seed))
     path = os.path.join(out, "samples.csv")
-    with open(path, "w", newline="") as f:
-        f.write(f"# {config_header(cfg, seed)}\n")
-        writer = csv.writer(f)
-        writer.writerow([f"x_{i}" for i in range(samples.shape[1])])
-        for row in samples:
-            writer.writerow([repr(float(v)) for v in row])
+    write_table(path, [f"x_{i}" for i in range(samples.shape[1])], samples, config_header(cfg, seed))
     if samples.shape[1] == 2:
         svgplot.scatter(
             os.path.join(out, "samples.svg"), [("model samples", samples, "#4878a8")],

@@ -57,7 +57,7 @@ class GmmParams:
         if np.any(weights <= 0):
             raise ValueError("weights must be positive")
         if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
+            raise ValueError(f"weights must sum to 1, got {float(weights.sum())!r}")
 
     @property
     def dim(self) -> int:

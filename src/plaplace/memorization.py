@@ -9,7 +9,6 @@ kept as the promptless baseline.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -19,6 +18,7 @@ from .estimators import EstimatorConfig, estimate_boundary
 from .fields import ScoreField
 from .geometry import make_rng, split_rng
 from .gmm import GmmParams, sample_gmm
+from .tables import write_table
 
 __all__ = [
     "MemorizationScenario",
@@ -165,11 +165,5 @@ def score_norm_criterion(field: ScoreField, x) -> float | np.ndarray:
 
 def write_grid_csv(path, grid: Grid, matrix: np.ndarray, header_comment: str | None = None) -> None:
     """Grid values as (x, y, value) rows, colormap-ready."""
-    with open(path, "w", newline="") as f:
-        if header_comment is not None:
-            f.write(f"# {header_comment}\n")
-        writer = csv.writer(f)
-        writer.writerow(["x", "y", "value"])
-        for iy, y in enumerate(grid.ys):
-            for ix, x in enumerate(grid.xs):
-                writer.writerow([repr(float(x)), repr(float(y)), repr(float(matrix[iy, ix]))])
+    rows = ([x, y, matrix[iy, ix]] for iy, y in enumerate(grid.ys) for ix, x in enumerate(grid.xs))
+    write_table(path, ["x", "y", "value"], rows, header_comment)

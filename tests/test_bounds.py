@@ -60,7 +60,7 @@ class TestBoundConstant:
 class TestAssumptionConstants:
     def test_identical_fields(self):
         field = constant_field(np.array([0.6, 0.8]))
-        consts = estimate_assumption_constants(field, field, np.zeros(2), 1.0, 50, 11, make_rng(0))
+        consts = estimate_assumption_constants(field, field, np.zeros(2), 1.0, 50, make_rng(0))
         assert consts.delta == 0.0
         assert consts.m == pytest.approx(1.0, rel=1e-12)
         assert consts.M == pytest.approx(1.0, rel=1e-12)
@@ -70,7 +70,7 @@ class TestAssumptionConstants:
     def test_colinear_double(self):
         s = constant_field(np.array([1.0, 0.0]))
         s_hat = scale_field(s, 2.0)
-        consts = estimate_assumption_constants(s, s_hat, np.zeros(2), 1.0, 50, 11, make_rng(1))
+        consts = estimate_assumption_constants(s, s_hat, np.zeros(2), 1.0, 50, make_rng(1))
         assert consts.delta == pytest.approx(1.01, rel=1e-12)  # max gap 1, then 1% inflation
         assert consts.m == pytest.approx(1.0, rel=1e-12)
         assert consts.M == pytest.approx(2.0, rel=1e-12)
@@ -79,7 +79,7 @@ class TestAssumptionConstants:
     def test_antipodal_fields_violate(self):
         s = constant_field(np.array([1.0, 0.0]))
         s_hat = scale_field(s, -1.0)
-        consts = estimate_assumption_constants(s, s_hat, np.zeros(2), 1.0, 50, 11, make_rng(2))
+        consts = estimate_assumption_constants(s, s_hat, np.zeros(2), 1.0, 50, make_rng(2))
         assert consts.segment_min == pytest.approx(0.0, abs=1e-12)
         assert not consts.assumptions_ok
 
@@ -87,8 +87,7 @@ class TestAssumptionConstants:
         rng = make_rng(3)
         sv = rng.standard_normal((200, 2))
         hv = rng.standard_normal((200, 2))
-        exact, grid = _segment_minima(sv, hv, 11)
-        assert np.all(grid >= exact - 1e-12)
+        exact = _segment_minima(sv, hv)
         # endpoints are on the segment, so the exact minimum can't exceed them
         assert np.all(exact <= np.linalg.norm(sv, axis=1) + 1e-12)
         assert np.all(exact <= np.linalg.norm(hv, axis=1) + 1e-12)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -80,7 +81,6 @@ class TestBuilders:
 @pytest.fixture
 def small_config(tmp_path):
     cfg = {
-        "experiment": "memorization",
         "training": {"epochs": 30, "n_train": 120},
         "estimator": {"n_samples": 16, "p_values": [1.0]},
         "fidelity": {"n_repeats": 3, "n_dense": 1000},
@@ -114,6 +114,9 @@ class TestCli:
         path, cfg = small_config
         assert main([command, "--config", str(path)]) == 0
         assert (tmp_path / "out" / artifact).exists()
+        study = artifact.split("/")[0]  # the config names no study; the subcommand sets it
+        result = json.loads((tmp_path / "out" / study / "result.json").read_text())
+        assert result["config"]["experiment"] == study
 
     def test_fidelity_repetition_count(self, small_config, tmp_path):
         """One estimate row per field, anchor, p, formulation, and repetition."""
@@ -147,11 +150,9 @@ class TestCli:
         assert result["completed_seeds"] == [5]
 
     def test_failing_seed_reports_error_json(self, tmp_path):
-        # 3-d mixture makes the 2-d grid diagnostic fail for every seed
+        # an absurd learning rate makes training diverge for every seed
         cfg = {
-            "experiment": "memorization",
-            "gmm": {"dim": 3},
-            "training": {"epochs": 5, "n_train": 30},
+            "training": {"epochs": 5, "n_train": 30, "learning_rate": 1e50},
             "memorization": {"n_base": 30, "n_replicas": 5, "grid_size": 4, "n_background": 3},
             "seeds": [0, 1],
             "output_dir": str(tmp_path / "out"),
@@ -169,3 +170,40 @@ class TestCli:
         first = target.read_bytes()
         assert main(["memorize", "--config", str(path)]) == 0
         assert target.read_bytes() == first
+
+    @pytest.mark.parametrize("command,override", [
+        ("fidelity", {"gmm": {"means": [[0.0, 0.0], [1.0]]}}),
+        ("fidelity", {"gmm": {"means": [[0.0, 0.0], [1.0, 1.0]], "weights": [0.6, 0.5]}}),
+        ("fidelity", {"training": {"embed_dim": 7}}),
+        ("memorize", {"gmm": {"dim": 3}}),
+        ("fidelity", {"fidelity": {"n_repeats": 1}}),
+        ("memorize", {"experiment": "bounds"}),
+    ], ids=["ragged_means", "weights_sum", "odd_embed_dim", "memorize_3d", "one_repeat", "experiment_mismatch"])
+    def test_bad_config_rejected_at_load(self, small_config, tmp_path, command, override):
+        path, cfg = small_config
+        path.write_text(json.dumps({**cfg, **override}))
+        assert main([command, "--config", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("gmm", [{"dim": 1}, {"n_components": 1}], ids=["dim_1", "one_component"])
+    def test_fidelity_degenerate_mixture(self, small_config, gmm):
+        path, cfg = small_config
+        path.write_text(json.dumps({**cfg, "gmm": gmm}))
+        assert main(["fidelity", "--config", str(path)]) == 0
+
+    def test_every_numeric_csv_cell_parses(self, small_config, tmp_path):
+        """Every CSV cell outside the label columns reads back with float()."""
+        path, _ = small_config
+        for command in ("fidelity", "memorize", "bounds", "sample"):
+            assert main([command, "--config", str(path)]) == 0
+        labels = {"field", "anchor_kind", "formulation", "criterion"}
+        tables = sorted((tmp_path / "out").rglob("*.csv"))
+        assert len(tables) >= 9
+        for table in tables:
+            with open(table, newline="") as f:
+                rows = list(csv.DictReader(line for line in f if not line.startswith("#")))
+            assert rows, table
+            for row in rows:
+                for column, cell in row.items():
+                    if column not in labels:
+                        float(cell)
