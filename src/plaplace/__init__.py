@@ -4,81 +4,14 @@ Estimates ball-averaged p-Laplace operators of a log-density from any
 score field (an analytic Gaussian-mixture oracle or a small trained
 diffusion model), provides provable error bounds for the boundary
 estimator, and uses the 1-Laplace to flag memorized training points.
+
+The package namespace holds the quick-start names only; everything else
+is imported from its own module (``plaplace.gmm``, ``plaplace.bounds``, ...).
 """
 
-from .errors import (
-    ConfigError,
-    EstimationError,
-    PlaplaceError,
-    SamplingError,
-    SingularGradientError,
-    TrainingDivergedError,
-)
-from .estimators import (
-    EstimatorConfig,
-    PLaplaceEstimate,
-    dirichlet_energy_mc,
-    divergence_fd,
-    estimate,
-    estimate_boundary,
-    estimate_volume,
-    flux_density,
-)
-from .fields import EPS_GRAD, ScoreField, constant_field, scale_field, shift_field
-from .geometry import (
-    BallSpec,
-    ball_volume,
-    make_rng,
-    sample_ball_uniform,
-    sample_sphere_uniform,
-    sphere_area,
-    split_rng,
-)
-from .gmm import (
-    GmmParams,
-    PerturbedGmm,
-    averaged_p_laplace_dense,
-    draw_gmm,
-    gmm_from_dict,
-    gmm_to_dict,
-    hessian,
-    laplacian,
-    log_density,
-    pointwise_p_laplace_exact,
-    sample_gmm,
-    score,
-)
-from .bounds import (
-    AssumptionConstants,
-    BoundReport,
-    bound_constant,
-    bound_summary,
-    estimate_assumption_constants,
-    validate_bound,
-)
-from .memorization import (
-    DetectionResult,
-    Grid,
-    MemorizationScenario,
-    auc,
-    build_scenario,
-    grid_p_laplace,
-    make_grid,
-    percentile_rank,
-    score_norm_criterion,
-)
-from .score_model import (
-    MlpScoreModel,
-    NoiseSchedule,
-    TrainConfig,
-    denoising_loss,
-    forward_perturb,
-    learned_score,
-    load_checkpoint,
-    reverse_sample,
-    save_checkpoint,
-    sinusoidal_embed,
-    train,
-)
+from .estimators import EstimatorConfig, estimate_boundary
+from .geometry import make_rng
+from .gmm import draw_gmm, sample_gmm
+from .score_model import NoiseSchedule, TrainConfig, train
 
 __version__ = "0.1.0"

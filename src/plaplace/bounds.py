@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EstimationError
-from .estimators import EstimatorConfig
-from .fields import EPS_GRAD, ScoreField
+from .estimators import EstimatorConfig, _flux_values
+from .fields import ScoreField
 from .geometry import BallSpec, ball_volume, sample_sphere_uniform, sphere_area, split_rng
 from .tables import write_table
 
@@ -61,22 +61,27 @@ class BoundReport:
     segment_min: float
 
 
-def bound_constant(p: float, delta: float, m: float, M: float, dim: int, radius: float) -> float:
+def bound_constant(
+    p: float, delta: float | np.ndarray, m: float | np.ndarray, M: float | np.ndarray, dim: int, radius: float
+) -> float | np.ndarray:
     """The flux-difference bound, surface/volume factor included.
 
-    Continuous in p at p = 2, where both branches reduce to
+    ``delta``, ``m`` and ``M`` broadcast against each other; scalar inputs
+    give a float.  Continuous in p at p = 2, where both branches reduce to
     (dim/radius) * delta.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if delta < 0:
+    if np.any(np.less(delta, 0)):
         raise ValueError(f"delta must be nonnegative, got {delta}")
-    if not 0 < m <= M:
+    if not np.all(np.less(0, m) & np.less_equal(m, M)):
         raise ValueError(f"need 0 < m <= M, got m={m}, M={M}")
     factor = sphere_area(dim, radius) / ball_volume(dim, radius)
     if p >= 2:
-        return factor * delta * M ** (p - 2.0) * (p - 1.0)
-    return factor * delta * m ** (p - 2.0) * (3.0 - p)
+        c_p = factor * delta * M ** (p - 2.0) * (p - 1.0)
+    else:
+        c_p = factor * delta * m ** (p - 2.0) * (3.0 - p)
+    return float(c_p) if np.ndim(c_p) == 0 else c_p
 
 
 def _segment_minima(sv: np.ndarray, hv: np.ndarray) -> np.ndarray:
@@ -144,17 +149,14 @@ def validate_bound(
     reports = []
     for anchor, sub in zip(anchors, split_rng(rng, anchors.shape[0])):
         ys, normals = sample_sphere_uniform(BallSpec.around(anchor, cfg.radius), cfg.n_samples, sub)
-        sv = s(ys)
-        hv = s_hat(ys)
-        if cfg.p < 2:
-            keep = (np.linalg.norm(sv, axis=1) >= EPS_GRAD) & (np.linalg.norm(hv, axis=1) >= EPS_GRAD)
-            if not np.any(keep):
-                raise EstimationError("every shared sphere sample was singular")
-            ys, normals, sv, hv = ys[keep], normals[keep], sv[keep], hv[keep]
-        consts = _constants_from_values(sv, hv)
-        flux_s = np.linalg.norm(sv, axis=1) ** (cfg.p - 2.0) * np.sum(sv * normals, axis=1)
-        flux_h = np.linalg.norm(hv, axis=1) ** (cfg.p - 2.0) * np.sum(hv * normals, axis=1)
-        empirical_error = abs(factor * float(np.mean(flux_s - flux_h)))
+        sv, hv = s(ys), s_hat(ys)
+        flux_s, sing_s = _flux_values(sv, normals, cfg.p)
+        flux_h, sing_h = _flux_values(hv, normals, cfg.p)
+        keep = ~(sing_s | sing_h)
+        if not np.any(keep):
+            raise EstimationError("every shared sphere sample was singular")
+        consts = _constants_from_values(sv[keep], hv[keep])
+        empirical_error = abs(factor * float(np.mean(flux_s[keep] - flux_h[keep])))
         if consts.assumptions_ok:
             c_p = bound_constant(cfg.p, consts.delta, consts.m, consts.M, dim, cfg.radius)
         else:
@@ -199,10 +201,7 @@ def bound_surface(
     """c_p on a (delta, m) grid; rows index m, columns index delta."""
     deltas = np.linspace(delta_range[0], delta_range[1], n)
     ms = np.linspace(m_range[0], m_range[1], n)
-    grid = np.empty((n, n))
-    for i, m in enumerate(ms):
-        for j, d in enumerate(deltas):
-            grid[i, j] = bound_constant(p, d, m, max(M, m), dim, radius)
+    grid = bound_constant(p, deltas[None, :], ms[:, None], np.maximum(M, ms)[:, None], dim, radius)
     return deltas, ms, grid
 
 

@@ -38,6 +38,12 @@ def _load(args) -> dict:
     return cfg
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; defaults used when omitted")
     parser.add_argument("--seed", type=int, help="override: run this single seed")
@@ -60,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         if name == "sample":
             p.add_argument("--checkpoint", help="model checkpoint to sample from (trains one if omitted)")
-            p.add_argument("--n", type=int, default=1000, help="number of samples")
+            p.add_argument("--n", type=_positive_int, default=1000, help="number of samples")
     return parser
 
 

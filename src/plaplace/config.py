@@ -186,6 +186,8 @@ def load_config(path) -> dict:
 def build_gmm(cfg: dict) -> GmmParams:
     """Mixture from the gmm block: explicit parameters, or seed-drawn means."""
     block = cfg["gmm"]
+    if block["means"] is None and block["weights"] is not None:
+        raise ValueError("weights apply to explicit means; set gmm.means as well")
     if block["means"] is not None:
         weights = block["weights"]
         if weights is None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError, SingularGradientError
-from .fields import EPS_GRAD, ScoreField
+from .fields import EPS_GRAD, ScoreField, p_weight
 from .geometry import BallSpec, ball_volume, sample_ball_uniform, sample_sphere_uniform, sphere_area
 from .tables import write_table
 
@@ -76,24 +76,18 @@ class PLaplaceEstimate:
     singular_hits: int
 
 
-def _flux_values(field: ScoreField, ys: np.ndarray, normals: np.ndarray, p: float):
-    """Flux integrand |s|^(p-2) (s . n) at each sample; returns (values, singular mask)."""
-    s = field(ys)
-    norms = np.linalg.norm(s, axis=1)
-    dots = np.sum(s * normals, axis=1)
-    singular = (norms < EPS_GRAD) if p < 2 else np.zeros(ys.shape[0], dtype=bool)
-    safe = np.maximum(norms, 1e-300)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = safe ** (p - 2.0) * dots
-    vals = np.where(singular, np.nan, vals)
-    return vals, singular
+def _flux_values(s: np.ndarray, normals: np.ndarray, p: float):
+    """Flux integrand |s|^(p-2) (s . n) of score values s; returns (values, singular mask)."""
+    _, weight, singular = p_weight(s, p)
+    vals = weight * np.sum(s * normals, axis=1)
+    return np.where(singular, np.nan, vals), singular
 
 
 def flux_density(field: ScoreField, y, normal, p: float) -> float:
     """|s(y)|^(p-2) * (s(y) . normal); for p = 1 this is the score/normal cosine."""
     y = np.asarray(y, dtype=float)
     normal = np.asarray(normal, dtype=float)
-    vals, singular = _flux_values(field, y[None, :], normal[None, :], p)
+    vals, singular = _flux_values(field(y[None, :]), normal[None, :], p)
     if singular[0]:
         raise SingularGradientError(f"score norm below {EPS_GRAD} at flux sample with p={p}")
     return float(vals[0])
@@ -110,11 +104,8 @@ def _divergence_values(field: ScoreField, xs: np.ndarray, p: float, h: float):
     offsets = np.concatenate([np.eye(d) * h, -np.eye(d) * h])  # (2d, d): +e_j then -e_j
     stencil = (xs[:, None, :] + offsets[None, :, :]).reshape(n * 2 * d, d)
     s = field(stencil)
-    norms = np.linalg.norm(s, axis=1)
-    singular_pts = (norms < EPS_GRAD) if p < 2 else np.zeros(n * 2 * d, dtype=bool)
-    safe = np.maximum(norms, 1e-300)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = (safe ** (p - 2.0))[:, None] * s
+    _, weight, singular_pts = p_weight(s, p)
+    v = weight[:, None] * s
     v = v.reshape(n, 2, d, d)  # (row, +/-, coordinate axis j, vector component)
     jj = np.arange(d)
     div = np.sum(v[:, 0, jj, jj] - v[:, 1, jj, jj], axis=1) / (2.0 * h)
@@ -167,7 +158,7 @@ def estimate_boundary(
     x0 = np.asarray(x0, dtype=float)
     spec = BallSpec.around(x0, cfg.radius)
     ys, normals = sample_sphere_uniform(spec, cfg.n_samples, rng)
-    vals, singular = _flux_values(field, ys, normals, cfg.p)
+    vals, singular = _flux_values(field(ys), normals, cfg.p)
     factor = 1.0
     if cfg.normalize_by_volume:
         factor = sphere_area(spec.dim, cfg.radius) / ball_volume(spec.dim, cfg.radius)

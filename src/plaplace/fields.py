@@ -18,6 +18,23 @@ ScoreField = Callable[[np.ndarray], np.ndarray]
 EPS_GRAD = 1e-8
 
 
+def p_weight(s: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The p-Laplace integrand weight of score values, one entry per row.
+
+    Returns ``(norm, weight, singular)``: the score norm floored at 1e-300,
+    the weight |s|^(p-2) taken from that norm, and the mask of rows where a
+    p < 2 integrand is undefined (norm below ``EPS_GRAD``).  For p >= 2 no
+    row is singular.  Every estimator, reference and bound skips and counts
+    exactly the rows this mask marks.
+    """
+    norm = np.linalg.norm(s, axis=-1)
+    singular = norm < EPS_GRAD if p < 2 else np.zeros(norm.shape, dtype=bool)
+    norm = np.maximum(norm, 1e-300)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weight = norm ** (p - 2.0)
+    return norm, weight, singular
+
+
 def scale_field(field: ScoreField, a: float) -> ScoreField:
     """Score field of the scaled potential a*u, i.e. x -> a * field(x)."""
 

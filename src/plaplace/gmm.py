@@ -16,7 +16,8 @@ import numpy as np
 from scipy.special import logsumexp, softmax
 
 from .errors import SingularGradientError
-from .fields import EPS_GRAD, ScoreField
+from .estimators import _reduce
+from .fields import EPS_GRAD, ScoreField, p_weight
 from .geometry import BallSpec, sample_ball_uniform
 
 __all__ = [
@@ -45,8 +46,11 @@ class GmmParams:
     weights: np.ndarray
 
     def __post_init__(self):
-        means = np.atleast_2d(np.asarray(self.means, dtype=float))
-        weights = np.asarray(self.weights, dtype=float)
+        # Frozen copies: the caller's arrays stay writable, these never are.
+        means = np.atleast_2d(np.array(self.means, dtype=float))
+        weights = np.array(self.weights, dtype=float)
+        means.setflags(write=False)
+        weights.setflags(write=False)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "sigma2", float(self.sigma2))
@@ -142,6 +146,14 @@ def score(g: GmmParams | PerturbedGmm, x) -> np.ndarray:
     return np.einsum("...k,...kd->...d", resp, diffs) / g.sigma2
 
 
+def _moments(g: GmmParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Responsibilities r_k, pulls g_k = (mean_k - x)/sigma2, and the score s = sum_k r_k g_k."""
+    diffs, log_resp = _log_resp_unnormalized(g, x)
+    resp = softmax(log_resp, axis=-1)
+    gk = diffs / g.sigma2
+    return resp, gk, np.einsum("...k,...kd->...d", resp, gk)
+
+
 def hessian(g: GmmParams | PerturbedGmm, x) -> np.ndarray:
     """Hessian of the log-density, shape (..., d, d).
 
@@ -149,11 +161,7 @@ def hessian(g: GmmParams | PerturbedGmm, x) -> np.ndarray:
     H = sum_k r_k (g_k g_k^T - I/sigma2) - s s^T with g_k = (mean_k - x)/sigma2.
     """
     g = _as_gmm(g)
-    x = np.asarray(x, dtype=float)
-    diffs, log_resp = _log_resp_unnormalized(g, x)
-    resp = softmax(log_resp, axis=-1)
-    gk = diffs / g.sigma2
-    s = np.einsum("...k,...kd->...d", resp, gk)
+    resp, gk, s = _moments(g, np.asarray(x, dtype=float))
     outer = np.einsum("...k,...ki,...kj->...ij", resp, gk, gk)
     eye = np.eye(g.dim) / g.sigma2
     return outer - eye - np.einsum("...i,...j->...ij", s, s)
@@ -161,23 +169,13 @@ def hessian(g: GmmParams | PerturbedGmm, x) -> np.ndarray:
 
 def laplacian(g: GmmParams | PerturbedGmm, x) -> np.ndarray | float:
     """Trace of the Hessian of the log-density."""
-    g = _as_gmm(g)
-    x = np.asarray(x, dtype=float)
-    diffs, log_resp = _log_resp_unnormalized(g, x)
-    resp = softmax(log_resp, axis=-1)
-    gk = diffs / g.sigma2
-    gk_sq = np.sum(gk * gk, axis=-1)
-    s = np.einsum("...k,...kd->...d", resp, gk)
-    out = np.sum(resp * gk_sq, axis=-1) - g.dim / g.sigma2 - np.sum(s * s, axis=-1)
+    out = _p_laplace_parts(_as_gmm(g), np.asarray(x, dtype=float))[1]
     return float(out) if out.ndim == 0 else out
 
 
 def _p_laplace_parts(g: GmmParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Score s, Laplacian, and quadratic form s^T H s, all batched."""
-    diffs, log_resp = _log_resp_unnormalized(g, x)
-    resp = softmax(log_resp, axis=-1)
-    gk = diffs / g.sigma2
-    s = np.einsum("...k,...kd->...d", resp, gk)
+    resp, gk, s = _moments(g, x)
     gk_sq = np.sum(gk * gk, axis=-1)
     s_sq = np.sum(s * s, axis=-1)
     lap = np.sum(resp * gk_sq, axis=-1) - g.dim / g.sigma2 - s_sq
@@ -190,6 +188,19 @@ def _p_laplace_parts(g: GmmParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     )
     quad = np.sum(s * hs, axis=-1)
     return s, lap, quad
+
+
+def _p_laplace_values(s: np.ndarray, lap: np.ndarray, quad: np.ndarray, p: float):
+    """|s|^(p-2) * (lap + (p-2) * s^T H s / |s|^2) from the parts; NaN where singular.
+
+    quad = s^T H s vanishes quadratically with |s|, so the floored norm is
+    safe for p >= 2 as well: the ratio quad / |s|^2 stays bounded.  Returns
+    (values, singular mask).
+    """
+    norm, weight, singular = p_weight(s, p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = weight * (lap + (p - 2.0) * quad / norm**2)
+    return np.where(singular, np.nan, vals), singular
 
 
 def pointwise_p_laplace_exact(
@@ -211,17 +222,10 @@ def pointwise_p_laplace_exact(
         s = scale * s
         lap = scale * lap
         quad = scale**3 * quad
-    s_norm = np.linalg.norm(s, axis=-1)
-    if p < 2:
-        n_singular = int(np.count_nonzero(s_norm < EPS_GRAD))
-        if n_singular:
-            raise SingularGradientError(
-                f"gradient norm below {EPS_GRAD} at {n_singular} point(s) with p={p}"
-            )
-    # quad = s^T H s vanishes quadratically with |s|, so the floored norm is
-    # safe for p >= 2 as well: the ratio quad / |s|^2 stays bounded.
-    safe = np.maximum(s_norm, 1e-300)
-    out = safe ** (p - 2.0) * (lap + (p - 2.0) * quad / safe**2)
+    out, singular = _p_laplace_values(s, lap, quad, p)
+    n_singular = int(np.count_nonzero(singular))
+    if n_singular:
+        raise SingularGradientError(f"gradient norm below {EPS_GRAD} at {n_singular} point(s) with p={p}")
     return float(out) if out.ndim == 0 else out
 
 
@@ -237,28 +241,13 @@ def averaged_p_laplace_dense(
 
     The reference value for the ball-averaged p-Laplace: uniform ball samples,
     exact pointwise values, sample mean.  Points where a p < 2 evaluation is
-    singular are skipped and counted.  Returns
-    ``(mean, std_error, n_used, singular_hits)``.
+    singular are skipped and counted; :class:`EstimationError` if every one
+    is.  Returns ``(mean, std_error, n_used, singular_hits)``.
     """
     g = _as_gmm(g)
-    x0 = np.asarray(x0, dtype=float)
-    spec = BallSpec.around(x0, radius)
-    xs = sample_ball_uniform(spec, n, rng)
-    s, lap, quad = _p_laplace_parts(g, xs)
-    s_norm = np.linalg.norm(s, axis=-1)
-    keep = np.ones(n, dtype=bool)
-    if p < 2:
-        keep = s_norm >= EPS_GRAD
-    s_norm_kept = s_norm[keep]
-    vals = s_norm_kept ** (p - 2.0) * (
-        lap[keep] + (p - 2.0) * quad[keep] / s_norm_kept**2
-    )
-    n_used = int(keep.sum())
-    if n_used == 0:
-        raise SingularGradientError("every dense sample was singular")
-    mean = float(vals.mean())
-    std_error = float(vals.std(ddof=1) / np.sqrt(n_used)) if n_used > 1 else np.inf
-    return mean, std_error, n_used, n - n_used
+    xs = sample_ball_uniform(BallSpec.around(np.asarray(x0, dtype=float), radius), n, rng)
+    est = _reduce(*_p_laplace_values(*_p_laplace_parts(g, xs), p), 1.0, "dense")
+    return est.value, est.std_error, est.n_used, est.singular_hits
 
 
 def sample_gmm(g: GmmParams | PerturbedGmm, n: int, rng: np.random.Generator) -> np.ndarray:

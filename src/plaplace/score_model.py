@@ -119,6 +119,13 @@ class MlpScoreModel:
     w2: np.ndarray
     b2: np.ndarray
 
+    def __post_init__(self):
+        # Frozen copies: the caller's arrays stay writable, these never are.
+        for name in ("w1", "b1", "w2", "b2"):
+            frozen = np.array(getattr(self, name), dtype=float)
+            frozen.setflags(write=False)
+            object.__setattr__(self, name, frozen)
+
     def embed(self, t) -> np.ndarray:
         return sinusoidal_embed(t, self.embed_dim, self.freq_base)
 

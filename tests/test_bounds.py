@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plaplace.bounds import (
     _segment_minima,
@@ -10,6 +12,7 @@ from plaplace.bounds import (
     validate_bound,
     write_bound_reports_csv,
 )
+from plaplace.errors import EstimationError
 from plaplace.estimators import EstimatorConfig
 from plaplace.fields import constant_field, scale_field, shift_field
 from plaplace.geometry import make_rng
@@ -48,6 +51,17 @@ class TestBoundConstant:
         vals = [bound_constant(1.0, 0.1, m, 5.0, 2, 1.0) for m in np.linspace(0.05, 2.0, 20)]
         assert np.all(np.diff(vals) <= 0)
 
+    def test_broadcasts_over_constants(self):
+        deltas = np.array([[0.1, 0.2, 0.4]])
+        ms = np.array([[0.3], [0.5]])
+        Ms = np.array([[2.0], [4.0]])
+        for p in (1.0, 1.5, 3.0):
+            grid = bound_constant(p, deltas, ms, Ms, 2, 1.0)
+            assert grid.shape == (2, 3)
+            for (i, j), value in np.ndenumerate(grid):
+                assert value == bound_constant(p, float(deltas[0, j]), float(ms[i, 0]), float(Ms[i, 0]), 2, 1.0)
+        assert isinstance(bound_constant(1.0, 0.1, 0.5, 2.0, 2, 1.0), float)
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             bound_constant(0.5, 0.1, 0.5, 2.0, 2, 1.0)
@@ -55,6 +69,10 @@ class TestBoundConstant:
             bound_constant(2.0, 0.1, 2.0, 0.5, 2, 1.0)
         with pytest.raises(ValueError):
             bound_constant(2.0, -0.1, 0.5, 2.0, 2, 1.0)
+        with pytest.raises(ValueError):
+            bound_constant(2.0, np.array([0.1, -0.1]), 0.5, 2.0, 2, 1.0)
+        with pytest.raises(ValueError):
+            bound_constant(2.0, 0.1, np.array([0.5, 0.0]), 2.0, 2, 1.0)
 
 
 class TestAssumptionConstants:
@@ -152,6 +170,42 @@ class TestValidateBound:
         ]
 
 
+def _lattice(lo, hi, step):
+    # lattice entries keep a nonzero perturbation well above rounding error
+    return st.integers(lo, hi).map(lambda k: k * step)
+
+
+def _affine(entries):
+    """Field x -> A x + b with A and b read row-major from six lattice entries."""
+    a = np.array(entries[:4]).reshape(2, 2)
+    b = np.array(entries[4:])
+    return lambda x: x @ a.T + b
+
+
+class TestDominanceProperty:
+    @given(
+        base=st.lists(_lattice(-8, 8, 0.25), min_size=6, max_size=6),
+        perturbation=st.lists(_lattice(-4, 4, 0.125), min_size=6, max_size=6),
+        anchors=st.lists(_lattice(-8, 8, 0.25), min_size=4, max_size=4),
+        p=st.floats(1.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_affine_pairs(self, base, perturbation, anchors, p, seed):
+        """Zero tolerance: every report whose assumptions hold has error <= c_p."""
+        s = _affine(base)
+        s_hat = _affine([u + v for u, v in zip(base, perturbation)])
+        cfg = EstimatorConfig(p=p, n_samples=32)
+        try:
+            reports = validate_bound(s, s_hat, np.reshape(anchors, (2, 2)), cfg, make_rng(seed))
+        except EstimationError:
+            assert p < 2  # a field vanishing on every shared sample leaves nothing to bound
+            return
+        for r in reports:
+            if r.assumptions_ok:
+                assert r.empirical_error <= r.c_p
+
+
 class TestReportsAndSurface:
     def test_summary_and_csv(self, default_gmm, tmp_path):
         s = score_field(default_gmm)
@@ -171,6 +225,10 @@ class TestReportsAndSurface:
         deltas, ms, grid = bound_surface(1.0, 2, 1.0, (0.0, 1.0), (0.1, 1.0), M=2.0, n=8)
         assert grid.shape == (8, 8)
         assert grid[0, 0] == pytest.approx(bound_constant(1.0, deltas[0], ms[0], 2.0, 2, 1.0), rel=1e-12)
+        for p in (1.0, 3.0):  # the per-node loop is the reference, exactly
+            _, _, surface = bound_surface(p, 2, 1.0, (0.0, 1.0), (0.1, 3.0), M=2.0, n=8)
+            loop = [[bound_constant(p, d, m, max(2.0, m), 2, 1.0) for d in deltas] for m in np.linspace(0.1, 3.0, 8)]
+            np.testing.assert_array_equal(surface, loop)
         # nondecreasing along delta, nonincreasing along m for p < 2
         assert np.all(np.diff(grid, axis=1) >= 0)
         assert np.all(np.diff(grid, axis=0) <= 0)

@@ -149,6 +149,7 @@ class TestCli:
         result = json.loads((alt / "memorization" / "result.json").read_text())
         assert result["completed_seeds"] == [5]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failing_seed_reports_error_json(self, tmp_path):
         # an absurd learning rate makes training diverge for every seed
         cfg = {
@@ -178,11 +179,22 @@ class TestCli:
         ("memorize", {"gmm": {"dim": 3}}),
         ("fidelity", {"fidelity": {"n_repeats": 1}}),
         ("memorize", {"experiment": "bounds"}),
-    ], ids=["ragged_means", "weights_sum", "odd_embed_dim", "memorize_3d", "one_repeat", "experiment_mismatch"])
+        ("fidelity", {"gmm": {"weights": [0.9, 0.05, 0.05]}}),
+    ], ids=["ragged_means", "weights_sum", "odd_embed_dim", "memorize_3d", "one_repeat", "experiment_mismatch",
+            "weights_without_means"])
     def test_bad_config_rejected_at_load(self, small_config, tmp_path, command, override):
         path, cfg = small_config
         path.write_text(json.dumps({**cfg, **override}))
         assert main([command, "--config", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_sample_rejects_non_positive_n(self, small_config, tmp_path, capsys, n):
+        path, _ = small_config
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--config", str(path), "--n", n])
+        assert exc.value.code == 2
+        assert "argument --n" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("gmm", [{"dim": 1}, {"n_components": 1}], ids=["dim_1", "one_component"])

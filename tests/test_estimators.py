@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plaplace.errors import EstimationError, SingularGradientError
 from plaplace.estimators import (
@@ -13,7 +15,7 @@ from plaplace.estimators import (
 )
 from plaplace.fields import constant_field, scale_field
 from plaplace.geometry import BallSpec, make_rng, sample_ball_uniform, split_rng
-from plaplace.gmm import GmmParams, averaged_p_laplace_dense, score_field
+from plaplace.gmm import GmmParams, averaged_p_laplace_dense, draw_gmm, score_field
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +209,30 @@ class TestHomogeneity:
             base = fn(oracle_field, x0, cfg, make_rng(10))
             scaled = fn(scale_field(oracle_field, a), x0, cfg, make_rng(10))
             assert scaled.value == pytest.approx(factor * base.value, rel=1e-9)
+
+
+class TestTranslationEquivariance:
+    _field = staticmethod(score_field(draw_gmm(seed=7)))
+    _coord = st.floats(-6.0, 6.0)
+
+    @given(
+        x0=st.tuples(_coord, _coord),
+        c=st.tuples(_coord, _coord),
+        p=st.floats(1.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+        formulation=st.sampled_from(["boundary", "volume"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_shifted_field_at_shifted_anchor(self, x0, c, p, seed, formulation):
+        """x -> field(x - c) estimated at x0 + c matches field at x0 under the same RNG."""
+        x0, c = np.array(x0), np.array(c)
+        cfg = EstimatorConfig(p=p, n_samples=32, formulation=formulation)
+        fn = estimate_boundary if formulation == "boundary" else estimate_volume
+        base = fn(self._field, x0, cfg, make_rng(seed))
+        moved = fn(lambda x: self._field(x - c), x0 + c, cfg, make_rng(seed))
+        assert (moved.n_used, moved.singular_hits) == (base.n_used, base.singular_hits)
+        assert moved.value == pytest.approx(base.value, rel=1e-9)
+        assert moved.std_error == pytest.approx(base.std_error, rel=1e-9)
 
 
 class TestDirichletEnergy:

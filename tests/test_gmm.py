@@ -43,6 +43,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             GmmParams(means=[[0.0]], sigma2=0.0, weights=[1.0])
 
+    def test_arrays_read_only(self):
+        means = np.array([[0.0, 0.0], [1.0, 1.0]])
+        weights = np.array([0.5, 0.5])
+        g = GmmParams(means=means, sigma2=1.0, weights=weights)
+        with pytest.raises(ValueError):
+            g.means[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            g.weights[0] = 0.9
+        means[0, 0] = 9.0  # the caller's own array is copied, not frozen
+        weights[0] = 0.9
+        assert g.means[0, 0] == 0.0 and g.weights[0] == 0.5
+
     def test_perturbed_alpha_range(self):
         base = single([0.0, 0.0])
         with pytest.raises(ValueError):

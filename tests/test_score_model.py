@@ -40,6 +40,18 @@ def zero_model(d=2, hidden=8, embed=4):
     )
 
 
+def test_model_arrays_read_only():
+    model = zero_model()
+    for name in ("w1", "b1", "w2", "b2"):
+        with pytest.raises(ValueError):
+            getattr(model, name)[0] = 9.0
+    w1 = np.ones((6, 8))
+    frozen = MlpScoreModel(input_dim=2, hidden_width=8, embed_dim=4, freq_base=1e4,
+                           w1=w1, b1=model.b1, w2=model.w2, b2=model.b2)
+    w1[0, 0] = 9.0  # the caller's own array is copied, not frozen
+    assert frozen.w1[0, 0] == 1.0
+
+
 class TestNoiseSchedule:
     def test_linear_defaults(self):
         sched = NoiseSchedule.linear()
