@@ -38,15 +38,20 @@ def _load(args) -> dict:
     return cfg
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
+def _int_at_least(low: int):
+    """argparse type: a plain decimal integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; defaults used when omitted")
-    parser.add_argument("--seed", type=int, help="override: run this single seed")
+    parser.add_argument("--seed", type=_int_at_least(0), help="override: run this single seed")
     parser.add_argument("--out", help="override: output directory")
 
 
@@ -66,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         if name == "sample":
             p.add_argument("--checkpoint", help="model checkpoint to sample from (trains one if omitted)")
-            p.add_argument("--n", type=_positive_int, default=1000, help="number of samples")
+            p.add_argument("--n", type=_int_at_least(1), default=1000, help="number of samples")
     return parser
 
 

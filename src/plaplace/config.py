@@ -112,7 +112,9 @@ _SCHEMA = {
                 "n_samples": {"type": "integer", "minimum": 1},
                 "fd_step": {"type": "number", "exclusiveMinimum": 0},
                 "normalize_by_volume": {"type": "boolean"},
-                "p_values": {"type": "array", "items": {"type": "number", "minimum": 1}, "minItems": 1},
+                "p_values": {
+                    "type": "array", "items": {"type": "number", "minimum": 1}, "minItems": 1, "uniqueItems": True,
+                },
             },
         },
         "fidelity": {
@@ -139,10 +141,12 @@ _SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "n_anchors": {"type": "integer", "minimum": 1},
-                "p_values": {"type": "array", "items": {"type": "number", "minimum": 1}, "minItems": 1},
+                "p_values": {
+                    "type": "array", "items": {"type": "number", "minimum": 1}, "minItems": 1, "uniqueItems": True,
+                },
             },
         },
-        "seeds": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
+        "seeds": {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1},
         "output_dir": {"type": "string"},
     },
 }

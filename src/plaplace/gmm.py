@@ -20,6 +20,9 @@ from .estimators import _reduce
 from .fields import EPS_GRAD, ScoreField, p_weight
 from .geometry import BallSpec, sample_ball_uniform
 
+# Rows per block of the dense reference: bounds its (rows, K, d) temporaries.
+CHUNK = 8192
+
 __all__ = [
     "GmmParams",
     "PerturbedGmm",
@@ -148,8 +151,10 @@ def score(g: GmmParams | PerturbedGmm, x) -> np.ndarray:
 
 def _moments(g: GmmParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Responsibilities r_k, pulls g_k = (mean_k - x)/sigma2, and the score s = sum_k r_k g_k."""
-    diffs, log_resp = _log_resp_unnormalized(g, x)
-    resp = softmax(log_resp, axis=-1)
+    diffs = g.means - x[..., None, :]
+    log_resp = np.log(g.weights) - 0.5 * np.einsum("...kd,...kd->...k", diffs, diffs) / g.sigma2
+    resp = np.exp(log_resp - log_resp.max(axis=-1, keepdims=True))
+    resp /= resp.sum(axis=-1, keepdims=True)  # the sum softmax takes, so r_k and s match it bit for bit
     gk = diffs / g.sigma2
     return resp, gk, np.einsum("...k,...kd->...d", resp, gk)
 
@@ -176,9 +181,8 @@ def laplacian(g: GmmParams | PerturbedGmm, x) -> np.ndarray | float:
 def _p_laplace_parts(g: GmmParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Score s, Laplacian, and quadratic form s^T H s, all batched."""
     resp, gk, s = _moments(g, x)
-    gk_sq = np.sum(gk * gk, axis=-1)
-    s_sq = np.sum(s * s, axis=-1)
-    lap = np.sum(resp * gk_sq, axis=-1) - g.dim / g.sigma2 - s_sq
+    s_sq = np.einsum("...d,...d->...", s, s)
+    lap = np.einsum("...k,...kd,...kd->...", resp, gk, gk) - g.dim / g.sigma2 - s_sq
     # H s = sum_k r_k g_k (g_k . s) - s/sigma2 - s * |s|^2
     gk_dot_s = np.einsum("...kd,...d->...k", gk, s)
     hs = (
@@ -186,8 +190,7 @@ def _p_laplace_parts(g: GmmParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
         - s / g.sigma2
         - s * s_sq[..., None]
     )
-    quad = np.sum(s * hs, axis=-1)
-    return s, lap, quad
+    return s, lap, np.einsum("...d,...d->...", s, hs)
 
 
 def _p_laplace_values(s: np.ndarray, lap: np.ndarray, quad: np.ndarray, p: float):
@@ -232,22 +235,26 @@ def pointwise_p_laplace_exact(
 def averaged_p_laplace_dense(
     g: GmmParams | PerturbedGmm,
     x0,
-    p: float,
+    p_values,
     radius: float,
     n: int,
     rng: np.random.Generator,
-) -> tuple[float, float, int, int]:
-    """Dense Monte Carlo average of the exact pointwise operator over a ball.
+) -> list[tuple[float, float, int, int]]:
+    """Dense Monte Carlo average of the exact pointwise operator over a ball, for every p.
 
-    The reference value for the ball-averaged p-Laplace: uniform ball samples,
-    exact pointwise values, sample mean.  Points where a p < 2 evaluation is
-    singular are skipped and counted; :class:`EstimationError` if every one
-    is.  Returns ``(mean, std_error, n_used, singular_hits)``.
+    The reference value for the ball-averaged p-Laplace: one draw of n
+    uniform ball samples serves every p in ``p_values``.  The mixture parts
+    are evaluated once, ``CHUNK`` rows at a time, and each p is derived from
+    them.  Points where a p < 2 evaluation is singular are skipped and
+    counted; :class:`EstimationError` if every one is.  Returns one
+    ``(mean, std_error, n_used, singular_hits)`` per p, in order.
     """
     g = _as_gmm(g)
     xs = sample_ball_uniform(BallSpec.around(np.asarray(x0, dtype=float), radius), n, rng)
-    est = _reduce(*_p_laplace_values(*_p_laplace_parts(g, xs), p), 1.0, "dense")
-    return est.value, est.std_error, est.n_used, est.singular_hits
+    chunks = (_p_laplace_parts(g, xs[i : i + CHUNK]) for i in range(0, n, CHUNK))
+    parts = [np.concatenate(part) for part in zip(*chunks)]
+    ests = (_reduce(*_p_laplace_values(*parts, p), 1.0, "dense") for p in p_values)
+    return [(est.value, est.std_error, est.n_used, est.singular_hits) for est in ests]
 
 
 def sample_gmm(g: GmmParams | PerturbedGmm, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -59,10 +59,8 @@ def test_criterion_1_estimator_correctness(default_gmm, schedule, trained_model)
         variances = {}
         rep_master = make_rng(12_346)
         for i, anchor in enumerate(anchors):
-            for p in P_VALUES:
-                dense_mean, dense_se, _, _ = averaged_p_laplace_dense(
-                    default_gmm, anchor, p, 1.0, 1_000_000, dense_rng
-                )
+            dense = averaged_p_laplace_dense(default_gmm, anchor, P_VALUES, 1.0, 1_000_000, dense_rng)
+            for p, (dense_mean, dense_se, _, _) in zip(P_VALUES, dense):
                 for formulation, fn in (("boundary", estimate_boundary), ("volume", estimate_volume)):
                     cfg = EstimatorConfig(p=p, formulation=formulation)
                     values = np.array(

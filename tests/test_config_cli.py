@@ -180,12 +180,24 @@ class TestCli:
         ("fidelity", {"fidelity": {"n_repeats": 1}}),
         ("memorize", {"experiment": "bounds"}),
         ("fidelity", {"gmm": {"weights": [0.9, 0.05, 0.05]}}),
+        ("bounds", {"seeds": [-1]}),
+        ("train", {"seeds": [-2]}),
+        ("fidelity", {"estimator": {"p_values": [1.0, 1.0]}}),
+        ("bounds", {"bounds": {"p_values": [1.0, 1]}}),
     ], ids=["ragged_means", "weights_sum", "odd_embed_dim", "memorize_3d", "one_repeat", "experiment_mismatch",
-            "weights_without_means"])
+            "weights_without_means", "negative_seed", "negative_seed_train", "duplicate_p", "duplicate_bounds_p"])
     def test_bad_config_rejected_at_load(self, small_config, tmp_path, command, override):
         path, cfg = small_config
         path.write_text(json.dumps({**cfg, **override}))
         assert main([command, "--config", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_rejects_negative_seed_flag(self, small_config, tmp_path, capsys):
+        path, _ = small_config
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--config", str(path), "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "argument --seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("n", ["0", "-3"])

@@ -123,8 +123,8 @@ class TestVolumeEstimator:
         anchor = default_gmm.means[0]
         cfg = EstimatorConfig(p=1.0, formulation="volume")
         est = estimate_volume(oracle_field, anchor, cfg, make_rng(123))
-        dense_mean, dense_se, _, _ = averaged_p_laplace_dense(
-            default_gmm, anchor, 1.0, 1.0, 1_000_000, make_rng(321)
+        [(dense_mean, dense_se, _, _)] = averaged_p_laplace_dense(
+            default_gmm, anchor, [1.0], 1.0, 1_000_000, make_rng(321)
         )
         assert abs(est.value - dense_mean) <= 3.0 * np.hypot(est.std_error, dense_se)
 

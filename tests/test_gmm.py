@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from plaplace.errors import SingularGradientError
-from plaplace.estimators import divergence_fd
-from plaplace.geometry import make_rng
+from plaplace.estimators import _reduce, divergence_fd
+from plaplace.geometry import BallSpec, make_rng, sample_ball_uniform
 from plaplace.gmm import (
+    CHUNK,
     GmmParams,
     PerturbedGmm,
     averaged_p_laplace_dense,
@@ -18,6 +19,8 @@ from plaplace.gmm import (
     sample_gmm,
     score,
     score_field,
+    _p_laplace_parts,
+    _p_laplace_values,
 )
 
 
@@ -132,6 +135,16 @@ class TestHessian:
         h = hessian(random_gmm, xs)
         np.testing.assert_allclose(h, np.swapaxes(h, -1, -2), atol=1e-12)
         np.testing.assert_allclose(np.trace(h, axis1=-2, axis2=-1), laplacian(random_gmm, xs), atol=1e-12)
+        # the shared kernel: its Laplacian is trace(H) and its quadratic form s.H.s, batched and at one point
+        for d in (1, 2, 3):
+            for k in (1, 3):
+                g = draw_gmm(n_components=k, dim=d, sigma2=0.7, seed=d + 10 * k)
+                xs = make_rng(7).uniform(-4, 4, size=(25, d))
+                for x in (xs, xs[0]):
+                    s, lap, quad = _p_laplace_parts(g, x)
+                    h = hessian(g, x)
+                    np.testing.assert_allclose(lap, np.trace(h, axis1=-2, axis2=-1), rtol=1e-12)
+                    np.testing.assert_allclose(quad, np.einsum("...i,...ij,...j->...", s, h, s), rtol=1e-12)
 
 
 class TestPointwisePLaplace:
@@ -226,7 +239,19 @@ class TestSamplingAndSerialization:
 class TestDenseAverage:
     def test_constant_integrand_single_gaussian(self):
         g = single([0.0, 0.0], sigma2=0.5)
-        mean, se, n_used, singular = averaged_p_laplace_dense(g, [3.0, 0.0], 2.0, 1.0, 5000, make_rng(18))
+        [(mean, se, n_used, singular)] = averaged_p_laplace_dense(g, [3.0, 0.0], [2.0], 1.0, 5000, make_rng(18))
         assert mean == pytest.approx(-4.0, rel=1e-12)
         assert se == pytest.approx(0.0, abs=1e-10)
         assert n_used == 5000 and singular == 0
+
+    def test_chunks_and_shared_draw_match_one_piece(self, random_gmm):
+        """Every p reduces the same draw, and the chunked parts equal the parts taken in one piece."""
+        n, p_values, x0 = 2 * CHUNK + 17, [1.0, 1.5, 2.0, 3.0], random_gmm.means[0]
+        dense = averaged_p_laplace_dense(random_gmm, x0, p_values, 1.0, n, make_rng(19))
+        xs = sample_ball_uniform(BallSpec.around(x0, 1.0), n, make_rng(19))
+        parts = _p_laplace_parts(random_gmm, xs)
+        assert len(dense) == len(p_values)
+        for p, got in zip(p_values, dense):
+            est = _reduce(*_p_laplace_values(*parts, p), 1.0, "dense")
+            assert got == (est.value, est.std_error, est.n_used, est.singular_hits)
+            assert got[2] + got[3] == n
