@@ -139,10 +139,6 @@ def validate_bound(
     the integral difference the bound controls, so dominance is a theorem for
     the discretized quantities, not a statistical statement.
     """
-    if cfg.formulation != "boundary":
-        raise ValueError("bound validation applies to the boundary formulation only")
-    if not cfg.normalize_by_volume:
-        raise ValueError("the bound includes the surface/volume factor; enable normalize_by_volume")
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     dim = anchors.shape[1]
     factor = sphere_area(dim, cfg.radius) / ball_volume(dim, cfg.radius)

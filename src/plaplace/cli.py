@@ -6,7 +6,8 @@ Each accepts ``--config <path>`` (JSON; defaults apply when omitted),
 to override the output directory.  A config's optional ``experiment`` key
 must name the study of the subcommand it is run with.  Exit code 0 means
 every requested run completed; partial failures are enumerated in
-``errors.json``; a bad config exits with 2 before any run starts.
+``errors.json``; a bad config or an unreadable ``sample --checkpoint``
+exits with 2 before any run starts.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import logging
 import sys
 
 from .config import build_gmm, load_config, resolve_config
-from .errors import ConfigError
+from .errors import CheckpointError, ConfigError
 from .experiments import run_bounds, run_fidelity, run_memorization, sample_artifact, train_model_artifact
+from .score_model import load_checkpoint
 
 # Study subcommand -> the config's optional ``experiment`` value.
 _STUDIES = {"fidelity": "fidelity", "memorize": "memorization", "bounds": "bounds"}
@@ -83,7 +85,10 @@ def main(argv=None) -> int:
     )
     try:
         cfg = _load(args)
-    except (ConfigError, OSError) as exc:
+        checkpoint = None
+        if args.command == "sample" and args.checkpoint is not None:
+            checkpoint = load_checkpoint(args.checkpoint)
+    except (CheckpointError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -96,7 +101,7 @@ def main(argv=None) -> int:
     elif args.command == "train":
         result = train_model_artifact(cfg)
     else:
-        result = sample_artifact(cfg, checkpoint=args.checkpoint, n=args.n)
+        result = sample_artifact(cfg, checkpoint=checkpoint, n=args.n)
 
     if result["failed_seeds"]:
         print(f"failed seeds: {sorted(result['failed_seeds'])}", file=sys.stderr)

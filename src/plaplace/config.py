@@ -44,7 +44,6 @@ DEFAULT_CONFIG = {
         "radius": 1.0,
         "n_samples": 100,
         "fd_step": 1e-3,
-        "normalize_by_volume": True,
         "p_values": [1.0, 2.0, 3.0],
     },
     "fidelity": {"n_repeats": 100, "n_dense": 1_000_000},
@@ -111,7 +110,6 @@ _SCHEMA = {
                 "radius": {"type": "number", "exclusiveMinimum": 0},
                 "n_samples": {"type": "integer", "minimum": 1},
                 "fd_step": {"type": "number", "exclusiveMinimum": 0},
-                "normalize_by_volume": {"type": "boolean"},
                 "p_values": {
                     "type": "array", "items": {"type": "number", "minimum": 1}, "minItems": 1, "uniqueItems": True,
                 },
@@ -162,7 +160,7 @@ def validate_config(raw: dict) -> None:
 
 
 def resolve_config(raw: dict) -> dict:
-    """Validate, fill in defaults for all missing keys, and check the mixture builds."""
+    """Validate, fill in defaults for all missing keys, and check the mixture and schedule build."""
     validate_config(raw)
     resolved = copy.deepcopy(DEFAULT_CONFIG)
     for key, value in raw.items():
@@ -170,10 +168,11 @@ def resolve_config(raw: dict) -> dict:
             resolved[key].update(value)
         else:
             resolved[key] = copy.deepcopy(value)
-    try:
-        build_gmm(resolved)
-    except ValueError as exc:
-        raise ConfigError(f"config invalid at gmm: {exc}") from exc
+    for block, build in (("gmm", build_gmm), ("schedule", build_schedule)):
+        try:
+            build(resolved)
+        except ValueError as exc:
+            raise ConfigError(f"config invalid at {block}: {exc}") from exc
     return resolved
 
 
@@ -213,16 +212,9 @@ def build_schedule(cfg: dict) -> NoiseSchedule:
     return NoiseSchedule.linear(block["t_steps"], block["beta_min"], block["beta_max"])
 
 
-def build_estimator_config(cfg: dict, p: float, formulation: str) -> EstimatorConfig:
+def build_estimator_config(cfg: dict, p: float) -> EstimatorConfig:
     block = cfg["estimator"]
-    return EstimatorConfig(
-        p=p,
-        radius=block["radius"],
-        n_samples=block["n_samples"],
-        fd_step=block["fd_step"],
-        formulation=formulation,
-        normalize_by_volume=block["normalize_by_volume"],
-    )
+    return EstimatorConfig(p=p, radius=block["radius"], n_samples=block["n_samples"], fd_step=block["fd_step"])
 
 
 def config_header(cfg: dict, seed: int | None = None) -> str:

@@ -28,3 +28,7 @@ class SamplingError(PlaplaceError):
 
 class ConfigError(PlaplaceError):
     """Raised when an experiment config file fails schema validation."""
+
+
+class CheckpointError(PlaplaceError):
+    """Raised when a model checkpoint file is not JSON or not in the checkpoint schema."""

@@ -1,12 +1,13 @@
 """Monte Carlo estimators for the ball-averaged p-Laplace of a score field.
 
-Two routes to the same quantity:
+Two routes to the same quantity, one function each:
 
-* volume formulation: average the pointwise divergence of |s|^(p-2) s
-  (central finite differences) over uniform samples inside the ball;
-* boundary formulation: average the outward flux |s|^(p-2) s . n over
-  uniform samples on the sphere, scaled by surface/volume so the result
-  is normalized by the ball volume.
+* volume formulation (``estimate_volume``): average the pointwise
+  divergence of |s|^(p-2) s (central finite differences) over uniform
+  samples inside the ball;
+* boundary formulation (``estimate_boundary``): average the outward flux
+  |s|^(p-2) s . n over uniform samples on the sphere, scaled by
+  surface/volume (d/R) so the result is normalized by the ball volume.
 
 For p < 2 the integrand is undefined where the score vanishes; samples
 whose score norm falls below ``EPS_GRAD`` are skipped and counted rather
@@ -31,7 +32,6 @@ __all__ = [
     "divergence_fd",
     "estimate_volume",
     "estimate_boundary",
-    "estimate",
     "dirichlet_energy_mc",
     "write_estimates_csv",
 ]
@@ -39,19 +39,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Knobs for one averaged p-Laplace estimate.
-
-    ``normalize_by_volume`` controls the surface/volume factor of the
-    boundary formulation; leaving it off yields a sphere average, which is
-    enough for rank-only comparisons where the factor is a shared constant.
-    """
+    """Knobs for one averaged p-Laplace estimate; the estimator called picks the formulation."""
 
     p: float
     radius: float = 1.0
     n_samples: int = 100
     fd_step: float = 1e-3
-    formulation: str = "boundary"
-    normalize_by_volume: bool = True
 
     def __post_init__(self):
         if self.p < 1:
@@ -62,8 +55,6 @@ class EstimatorConfig:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.fd_step <= 0:
             raise ValueError(f"fd_step must be positive, got {self.fd_step}")
-        if self.formulation not in ("volume", "boundary"):
-            raise ValueError(f"formulation must be 'volume' or 'boundary', got {self.formulation!r}")
 
 
 @dataclass(frozen=True)
@@ -140,8 +131,6 @@ def estimate_volume(
     field: ScoreField, x0, cfg: EstimatorConfig, rng: np.random.Generator
 ) -> PLaplaceEstimate:
     """Ball-averaged p-Laplace as the mean pointwise divergence over uniform ball samples."""
-    if cfg.formulation != "volume":
-        raise ValueError(f"config formulation is {cfg.formulation!r}, expected 'volume'")
     x0 = np.asarray(x0, dtype=float)
     spec = BallSpec.around(x0, cfg.radius)
     xs = sample_ball_uniform(spec, cfg.n_samples, rng)
@@ -152,24 +141,13 @@ def estimate_volume(
 def estimate_boundary(
     field: ScoreField, x0, cfg: EstimatorConfig, rng: np.random.Generator
 ) -> PLaplaceEstimate:
-    """Ball-averaged p-Laplace as the normalized mean flux over uniform sphere samples."""
-    if cfg.formulation != "boundary":
-        raise ValueError(f"config formulation is {cfg.formulation!r}, expected 'boundary'")
+    """Ball-averaged p-Laplace as the mean flux over uniform sphere samples times surface/volume (d/R)."""
     x0 = np.asarray(x0, dtype=float)
     spec = BallSpec.around(x0, cfg.radius)
     ys, normals = sample_sphere_uniform(spec, cfg.n_samples, rng)
     vals, singular = _flux_values(field(ys), normals, cfg.p)
-    factor = 1.0
-    if cfg.normalize_by_volume:
-        factor = sphere_area(spec.dim, cfg.radius) / ball_volume(spec.dim, cfg.radius)
+    factor = sphere_area(spec.dim, cfg.radius) / ball_volume(spec.dim, cfg.radius)
     return _reduce(vals, singular, factor, "boundary")
-
-
-def estimate(field: ScoreField, x0, cfg: EstimatorConfig, rng: np.random.Generator) -> PLaplaceEstimate:
-    """Dispatch on cfg.formulation."""
-    if cfg.formulation == "volume":
-        return estimate_volume(field, x0, cfg, rng)
-    return estimate_boundary(field, x0, cfg, rng)
 
 
 def dirichlet_energy_mc(field: ScoreField, samples, p: float, region_volume: float = 1.0) -> float:

@@ -14,10 +14,11 @@ import os
 import numpy as np
 
 from . import bounds as B
+from . import estimators
 from . import memorization as M
 from . import svgplot
 from .config import build_estimator_config, build_gmm, build_schedule, config_header
-from .estimators import estimate, estimate_boundary, write_estimates_csv
+from .estimators import estimate_boundary, write_estimates_csv
 from .geometry import make_rng, split_rng
 from .gmm import PerturbedGmm, averaged_p_laplace_dense, log_density, sample_gmm
 from .gmm import score_field as gmm_score_field
@@ -30,7 +31,8 @@ from .memorization import (
     percentile_rank,
     score_norm_criterion,
 )
-from .score_model import TrainConfig, learned_score, load_checkpoint, reverse_sample, save_checkpoint, train
+from .score_model import MlpScoreModel, NoiseSchedule, TrainConfig, learned_score, load_checkpoint
+from .score_model import reverse_sample, save_checkpoint, train
 from .score_model import score_field as model_score_field
 from .tables import write_table
 
@@ -105,6 +107,8 @@ def run_fidelity(cfg: dict) -> dict:
     anchors, labels = fidelity_anchors(gmm)
     p_values = cfg["estimator"]["p_values"]
     n_repeats = cfg["fidelity"]["n_repeats"]
+    # Looked up at call time, so a rebound module attribute (e.g. a tracing wrapper) is the one called.
+    formulations = (("boundary", estimators.estimate_boundary), ("volume", estimators.estimate_volume))
     out = _outdir(cfg, "fidelity")
 
     # Dense reference values are seed-independent: one draw per anchor serves every p.
@@ -166,11 +170,11 @@ def run_fidelity(cfg: dict) -> dict:
         for field_name, field in fields.items():
             for i, anchor in enumerate(anchors):
                 for p in p_values:
-                    for formulation in ("boundary", "volume"):
-                        ecfg = build_estimator_config(cfg, p, formulation)
+                    ecfg = build_estimator_config(cfg, p)
+                    for formulation, estimator in formulations:
                         values = np.empty(n_repeats)
                         for rep in range(n_repeats):
-                            est = estimate(field, anchor, ecfg, rep_rngs[ridx])
+                            est = estimator(field, anchor, ecfg, rep_rngs[ridx])
                             ridx += 1
                             values[rep] = est.value
                             records.append({
@@ -228,7 +232,7 @@ def run_memorization(cfg: dict) -> dict:
         )
 
         for p in p_values:
-            ecfg = build_estimator_config(cfg, p, "boundary")
+            ecfg = build_estimator_config(cfg, p)
             matrix = grid_p_laplace(field, grid, ecfg, make_rng(seed + 100_000))
             mem_val = estimate_boundary(field, mem_pt, ecfg, make_rng(seed + 200_000)).value
             pct = percentile_rank(matrix, mem_val)
@@ -309,7 +313,7 @@ def run_bounds(cfg: dict) -> dict:
         learned = model_score_field(model, schedule, 0)
         seed_summaries = {}
         for p in p_values:
-            ecfg = build_estimator_config(cfg, p, "boundary")
+            ecfg = build_estimator_config(cfg, p)
             reports = B.validate_bound(oracle, learned, anchors, ecfg, make_rng(seed + 800_000))
             B.write_bound_reports_csv(
                 os.path.join(seed_out, f"bound_reports_p{p:g}.csv"), reports, header_comment=config_header(cfg, seed)
@@ -365,14 +369,15 @@ def train_model_artifact(cfg: dict) -> dict:
     return {"ok": True, "completed_seeds": [seed], "failed_seeds": {}, "checkpoint": path}
 
 
-def sample_artifact(cfg: dict, checkpoint: str | None = None, n: int = 1000) -> dict:
-    """Reverse-time samples from a checkpointed (or freshly trained) model."""
+def sample_artifact(
+    cfg: dict, checkpoint: tuple[MlpScoreModel, NoiseSchedule] | None = None, n: int = 1000
+) -> dict:
+    """Reverse-time samples from a loaded checkpoint's (model, schedule), or from a freshly trained model."""
     seed = cfg["seeds"][0]
     out = _outdir(cfg, "samples")
     if checkpoint is None:
-        trained = train_model_artifact(cfg)
-        checkpoint = trained["checkpoint"]
-    model, schedule = load_checkpoint(checkpoint)
+        checkpoint = load_checkpoint(train_model_artifact(cfg)["checkpoint"])
+    model, schedule = checkpoint
     samples = reverse_sample(model, schedule, n, make_rng(seed))
     path = os.path.join(out, "samples.csv")
     write_table(path, [f"x_{i}" for i in range(samples.shape[1])], samples, config_header(cfg, seed))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, softmax
+from scipy.special import logsumexp
 
 from .errors import SingularGradientError
 from .estimators import _reduce
@@ -125,9 +125,7 @@ def _log_resp_unnormalized(g: GmmParams, x: np.ndarray) -> tuple[np.ndarray, np.
     Returns (diffs, log_resp) where diffs = mean_k - x with shape (..., K, d).
     """
     diffs = g.means - x[..., None, :]
-    sq = np.sum(diffs * diffs, axis=-1)
-    log_resp = np.log(g.weights) - 0.5 * sq / g.sigma2
-    return diffs, log_resp
+    return diffs, np.log(g.weights) - 0.5 * np.einsum("...kd,...kd->...k", diffs, diffs) / g.sigma2
 
 
 def log_density(g: GmmParams | PerturbedGmm, x) -> np.ndarray | float:
@@ -142,19 +140,14 @@ def log_density(g: GmmParams | PerturbedGmm, x) -> np.ndarray | float:
 
 def score(g: GmmParams | PerturbedGmm, x) -> np.ndarray:
     """Gradient of the log-density: responsibility-weighted pull toward the means."""
-    g = _as_gmm(g)
-    x = np.asarray(x, dtype=float)
-    diffs, log_resp = _log_resp_unnormalized(g, x)
-    resp = softmax(log_resp, axis=-1)
-    return np.einsum("...k,...kd->...d", resp, diffs) / g.sigma2
+    return _moments(_as_gmm(g), np.asarray(x, dtype=float))[2]
 
 
 def _moments(g: GmmParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Responsibilities r_k, pulls g_k = (mean_k - x)/sigma2, and the score s = sum_k r_k g_k."""
-    diffs = g.means - x[..., None, :]
-    log_resp = np.log(g.weights) - 0.5 * np.einsum("...kd,...kd->...k", diffs, diffs) / g.sigma2
+    diffs, log_resp = _log_resp_unnormalized(g, x)
     resp = np.exp(log_resp - log_resp.max(axis=-1, keepdims=True))
-    resp /= resp.sum(axis=-1, keepdims=True)  # the sum softmax takes, so r_k and s match it bit for bit
+    resp /= resp.sum(axis=-1, keepdims=True)
     gk = diffs / g.sigma2
     return resp, gk, np.einsum("...k,...kd->...d", resp, gk)
 

@@ -113,8 +113,6 @@ def grid_p_laplace(
     field: ScoreField, grid: Grid, cfg: EstimatorConfig, rng: np.random.Generator
 ) -> np.ndarray:
     """Boundary-formulation estimate at every grid node; one RNG substream per node."""
-    if cfg.formulation != "boundary":
-        raise ValueError("grid evaluation uses the boundary formulation")
     if grid.points.shape[1] != 2:
         raise ValueError("grid evaluation is a 2-d diagnostic")
     values = np.empty(grid.points.shape[0])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SamplingError, TrainingDivergedError
+from .errors import CheckpointError, SamplingError, TrainingDivergedError
 from .fields import ScoreField
 from .geometry import make_rng
 
@@ -344,9 +344,13 @@ def save_checkpoint(model: MlpScoreModel, schedule: NoiseSchedule, path) -> None
 def load_checkpoint(path) -> tuple[MlpScoreModel, NoiseSchedule]:
     """Inverse of :func:`save_checkpoint`."""
     with open(path) as f:
-        payload = json.load(f)
-    if payload.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
-        raise ValueError(f"unsupported checkpoint schema: {payload.get('schema_version')}")
+        try:
+            payload = json.load(f)
+        except ValueError as exc:  # not JSON, or not text
+            raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    version = payload.get("schema_version") if isinstance(payload, dict) else None
+    if version != CHECKPOINT_SCHEMA_VERSION:
+        raise CheckpointError(f"unsupported checkpoint schema in {path}: {version}")
     schedule = NoiseSchedule.from_betas(np.asarray(payload["betas"], dtype=float))
     model = MlpScoreModel(
         input_dim=int(payload["input_dim"]),

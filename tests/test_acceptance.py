@@ -62,7 +62,7 @@ def test_criterion_1_estimator_correctness(default_gmm, schedule, trained_model)
             dense = averaged_p_laplace_dense(default_gmm, anchor, P_VALUES, 1.0, 1_000_000, dense_rng)
             for p, (dense_mean, dense_se, _, _) in zip(P_VALUES, dense):
                 for formulation, fn in (("boundary", estimate_boundary), ("volume", estimate_volume)):
-                    cfg = EstimatorConfig(p=p, formulation=formulation)
+                    cfg = EstimatorConfig(p=p)
                     values = np.array(
                         [fn(field, anchor, cfg, r).value for r in split_rng(rep_master, 100)]
                     )
@@ -110,7 +110,7 @@ def test_criterion_2_homogeneity(default_gmm):
             factor_of = {p: a * abs(a) ** (p - 2.0) for p in P_VALUES}
             for p in P_VALUES:
                 for formulation, fn in (("boundary", estimate_boundary), ("volume", estimate_volume)):
-                    cfg = EstimatorConfig(p=p, formulation=formulation)
+                    cfg = EstimatorConfig(p=p)
                     for k, anchor in enumerate(anchors):
                         base = fn(field, anchor, cfg, make_rng(40 + k))
                         scaled = fn(scale_field(field, a), anchor, cfg, make_rng(40 + k))
@@ -146,7 +146,7 @@ def test_criterion_3_divergence_theorem(default_gmm):
             for x0 in anchors:
                 rb, rv = split_rng(rng, 2)
                 eb = estimate_boundary(field, x0, EstimatorConfig(p=p), rb)
-                ev = estimate_volume(field, x0, EstimatorConfig(p=p, formulation="volume"), rv)
+                ev = estimate_volume(field, x0, EstimatorConfig(p=p), rv)
                 z = abs(eb.value - ev.value) / np.hypot(eb.std_error, ev.std_error)
                 worst_z = max(worst_z, z)
                 assert z <= 3.0, f"p={p}, anchor {x0}: z={z:.2f}"

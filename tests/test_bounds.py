@@ -147,15 +147,6 @@ class TestValidateBound:
         assert all(r.assumptions_ok for r in reports)
         assert all(r.empirical_error <= r.c_p for r in reports)
 
-    def test_requires_boundary_formulation(self, default_gmm):
-        field = score_field(default_gmm)
-        with pytest.raises(ValueError):
-            validate_bound(field, field, [[0.0, 0.0]], EstimatorConfig(p=1.0, formulation="volume"), make_rng(8))
-        with pytest.raises(ValueError):
-            validate_bound(
-                field, field, [[0.0, 0.0]], EstimatorConfig(p=1.0, normalize_by_volume=False), make_rng(8)
-            )
-
     def test_deterministic(self, default_gmm, schedule, trained_model):
         args = (
             score_field(default_gmm),

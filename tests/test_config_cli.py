@@ -74,7 +74,7 @@ class TestBuilders:
         cfg = resolve_config({"experiment": "fidelity"})
         sched = build_schedule(cfg)
         assert sched.t_steps == 100
-        ecfg = build_estimator_config(cfg, 1.0, "boundary")
+        ecfg = build_estimator_config(cfg, 1.0)
         assert ecfg.p == 1.0 and ecfg.n_samples == 100
 
 
@@ -184,8 +184,12 @@ class TestCli:
         ("train", {"seeds": [-2]}),
         ("fidelity", {"estimator": {"p_values": [1.0, 1.0]}}),
         ("bounds", {"bounds": {"p_values": [1.0, 1]}}),
+        ("bounds", {"estimator": {"normalize_by_volume": False}}),
+        ("fidelity", {"schedule": {"beta_min": 0.5, "beta_max": 0.9}}),
+        ("train", {"schedule": {"beta_min": 0.5, "beta_max": 0.9}}),
     ], ids=["ragged_means", "weights_sum", "odd_embed_dim", "memorize_3d", "one_repeat", "experiment_mismatch",
-            "weights_without_means", "negative_seed", "negative_seed_train", "duplicate_p", "duplicate_bounds_p"])
+            "weights_without_means", "negative_seed", "negative_seed_train", "duplicate_p", "duplicate_bounds_p",
+            "normalize_by_volume", "schedule_noise_reaches_one", "schedule_noise_reaches_one_train"])
     def test_bad_config_rejected_at_load(self, small_config, tmp_path, command, override):
         path, cfg = small_config
         path.write_text(json.dumps({**cfg, **override}))
@@ -207,6 +211,17 @@ class TestCli:
             main(["sample", "--config", str(path), "--n", n])
         assert exc.value.code == 2
         assert "argument --n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content", [None, "{not json", "[1]", '{"betas": [0.1]}'],
+                             ids=["missing", "not_json", "not_object", "no_schema_version"])
+    def test_sample_rejects_bad_checkpoint(self, small_config, tmp_path, capsys, content):
+        path, _ = small_config
+        ckpt = tmp_path / "checkpoint.json"
+        if content is not None:
+            ckpt.write_text(content)
+        assert main(["sample", "--config", str(path), "--checkpoint", str(ckpt)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("gmm", [{"dim": 1}, {"n_components": 1}], ids=["dim_1", "one_component"])

@@ -31,15 +31,12 @@ class TestConfig:
     def test_defaults_match_experiment_constants(self):
         cfg = EstimatorConfig(p=1.0)
         assert cfg.radius == 1.0 and cfg.n_samples == 100 and cfg.fd_step == 1e-3
-        assert cfg.normalize_by_volume is True
 
     def test_validation(self):
         with pytest.raises(ValueError):
             EstimatorConfig(p=0.5)
         with pytest.raises(ValueError):
             EstimatorConfig(p=1.0, radius=0.0)
-        with pytest.raises(ValueError):
-            EstimatorConfig(p=1.0, formulation="surface")
         with pytest.raises(ValueError):
             EstimatorConfig(p=1.0, n_samples=0)
 
@@ -113,7 +110,7 @@ class TestDivergenceFd:
 class TestVolumeEstimator:
     def test_constant_integrand_exact(self):
         field = single_gaussian_field([5.0, 5.0], sigma2=0.5)
-        cfg = EstimatorConfig(p=2.0, formulation="volume")
+        cfg = EstimatorConfig(p=2.0)
         est = estimate_volume(field, np.zeros(2), cfg, make_rng(1))
         assert est.value == pytest.approx(-2 / 0.5, rel=1e-6)
         assert est.std_error == pytest.approx(0.0, abs=1e-6)
@@ -121,7 +118,7 @@ class TestVolumeEstimator:
 
     def test_mode_center_matches_dense_oracle(self, default_gmm, oracle_field):
         anchor = default_gmm.means[0]
-        cfg = EstimatorConfig(p=1.0, formulation="volume")
+        cfg = EstimatorConfig(p=1.0)
         est = estimate_volume(oracle_field, anchor, cfg, make_rng(123))
         [(dense_mean, dense_se, _, _)] = averaged_p_laplace_dense(
             default_gmm, anchor, [1.0], 1.0, 1_000_000, make_rng(321)
@@ -130,16 +127,12 @@ class TestVolumeEstimator:
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_zero_field(self, p):
-        cfg = EstimatorConfig(p=p, formulation="volume")
+        cfg = EstimatorConfig(p=p)
         est = estimate_volume(constant_field(np.zeros(2)), np.zeros(2), cfg, make_rng(2))
         assert est.value == 0.0
 
-    def test_formulation_guard(self, oracle_field):
-        with pytest.raises(ValueError):
-            estimate_volume(oracle_field, np.zeros(2), EstimatorConfig(p=1.0), make_rng(0))
-
     def test_all_singular(self):
-        cfg = EstimatorConfig(p=1.0, formulation="volume")
+        cfg = EstimatorConfig(p=1.0)
         with pytest.raises(EstimationError):
             estimate_volume(constant_field(np.zeros(2)), np.zeros(2), cfg, make_rng(3))
 
@@ -162,13 +155,6 @@ class TestBoundaryEstimator:
         est = estimate_boundary(field, x0, EstimatorConfig(p=2.0), make_rng(5))
         assert est.value == pytest.approx(2.0, rel=1e-12)
 
-    def test_unnormalized_factor(self):
-        x0 = np.zeros(2)
-        field = single_gaussian_field(x0)
-        cfg = EstimatorConfig(p=1.0, normalize_by_volume=False)
-        est = estimate_boundary(field, x0, cfg, make_rng(6))
-        assert est.value == pytest.approx(-1.0, abs=1e-12)
-
     def test_agrees_with_volume_on_smooth_field(self, oracle_field):
         """Divergence-theorem cross-check at six fixed anchors."""
         rng = make_rng(7)
@@ -177,7 +163,7 @@ class TestBoundaryEstimator:
             for x0 in anchors:
                 rb, rv = split_rng(rng, 2)
                 eb = estimate_boundary(oracle_field, x0, EstimatorConfig(p=p), rb)
-                ev = estimate_volume(oracle_field, x0, EstimatorConfig(p=p, formulation="volume"), rv)
+                ev = estimate_volume(oracle_field, x0, EstimatorConfig(p=p), rv)
                 assert abs(eb.value - ev.value) <= 3.0 * np.hypot(eb.std_error, ev.std_error)
 
     def test_deterministic(self, oracle_field):
@@ -204,8 +190,8 @@ class TestHomogeneity:
         """Same samples, scaled potential: estimates pick up the a|a|^(p-2) factor."""
         x0 = np.array([1.0, 2.0])
         factor = a * abs(a) ** (p - 2.0)
-        for formulation, fn in (("boundary", estimate_boundary), ("volume", estimate_volume)):
-            cfg = EstimatorConfig(p=p, formulation=formulation)
+        for fn in (estimate_boundary, estimate_volume):
+            cfg = EstimatorConfig(p=p)
             base = fn(oracle_field, x0, cfg, make_rng(10))
             scaled = fn(scale_field(oracle_field, a), x0, cfg, make_rng(10))
             assert scaled.value == pytest.approx(factor * base.value, rel=1e-9)
@@ -226,7 +212,7 @@ class TestTranslationEquivariance:
     def test_shifted_field_at_shifted_anchor(self, x0, c, p, seed, formulation):
         """x -> field(x - c) estimated at x0 + c matches field at x0 under the same RNG."""
         x0, c = np.array(x0), np.array(c)
-        cfg = EstimatorConfig(p=p, n_samples=32, formulation=formulation)
+        cfg = EstimatorConfig(p=p, n_samples=32)
         fn = estimate_boundary if formulation == "boundary" else estimate_volume
         base = fn(self._field, x0, cfg, make_rng(seed))
         moved = fn(lambda x: self._field(x - c), x0 + c, cfg, make_rng(seed))

@@ -123,6 +123,17 @@ class TestScore:
             s = score(random_gmm, x)
             assert np.linalg.norm(s - fd) <= 1e-6 * max(np.linalg.norm(fd), 1e-12)
 
+    @pytest.mark.parametrize("one_point", [False, True], ids=["batch", "point"])
+    @pytest.mark.parametrize("sigma2", [1.0, 0.37])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equals_shared_kernel_score(self, d, k, sigma2, one_point):
+        """score and the Hessian/p-Laplace kernel share one route, so their scores agree bit for bit."""
+        g = draw_gmm(n_components=k, dim=d, sigma2=sigma2, seed=d + 10 * k)
+        xs = make_rng(8).uniform(-4, 4, size=(25, d))
+        x = xs[0] if one_point else xs
+        np.testing.assert_array_equal(score(g, x), _p_laplace_parts(g, x)[0])
+
 
 class TestHessian:
     def test_single_component_is_isotropic(self):

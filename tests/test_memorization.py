@@ -91,10 +91,7 @@ class TestGrid:
             hits += percentile_rank(mat, mem_val) < 10.0
         assert hits >= 2
 
-    def test_requires_boundary_and_2d(self, default_gmm):
-        grid = make_grid(default_gmm, 4)
-        with pytest.raises(ValueError):
-            grid_p_laplace(score_field(default_gmm), grid, EstimatorConfig(p=1.0, formulation="volume"), make_rng(0))
+    def test_requires_boundary_and_2d(self):
         with pytest.raises(ValueError):
             make_grid(GmmParams(means=[[0.0, 0.0, 0.0]], sigma2=1.0, weights=[1.0]), 4)
 

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from plaplace.errors import SamplingError, TrainingDivergedError
+from plaplace.errors import CheckpointError, SamplingError, TrainingDivergedError
 from plaplace.geometry import make_rng
 from plaplace.gmm import GmmParams, PerturbedGmm, sample_gmm, score
 from plaplace.score_model import (
@@ -326,7 +326,7 @@ class TestCheckpoint:
         payload = json.loads(path.read_text())
         payload["schema_version"] = 99
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError):
+        with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
 
