@@ -27,10 +27,8 @@ from .geometry import BallSpec, ball_volume, sample_sphere_uniform, sphere_area,
 from .tables import write_table
 
 __all__ = [
-    "AssumptionConstants",
     "BoundReport",
     "bound_constant",
-    "estimate_assumption_constants",
     "validate_bound",
     "bound_summary",
     "bound_surface",
@@ -106,24 +104,6 @@ def _constants_from_values(sv: np.ndarray, hv: np.ndarray) -> AssumptionConstant
     segment_min = float(_segment_minima(sv, hv).min())
     m = float(min(sn.min(), hn.min(), segment_min))
     return AssumptionConstants(delta=delta, m=m, M=M, segment_min=segment_min, assumptions_ok=m > 0.0)
-
-
-def estimate_assumption_constants(
-    s: ScoreField,
-    s_hat: ScoreField,
-    anchor,
-    radius: float,
-    n_samples: int,
-    rng: np.random.Generator,
-) -> AssumptionConstants:
-    """Measure (delta, m, M) for two fields over shared sphere samples.
-
-    m is taken from the exact per-pair segment minimum, so it is a true lower
-    bound for the mean-value argument.
-    """
-    anchor = np.asarray(anchor, dtype=float)
-    ys, _ = sample_sphere_uniform(BallSpec.around(anchor, radius), n_samples, rng)
-    return _constants_from_values(s(ys), s_hat(ys))
 
 
 def validate_bound(

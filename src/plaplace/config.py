@@ -14,7 +14,7 @@ import jsonschema
 
 from .errors import ConfigError
 from .estimators import EstimatorConfig
-from .gmm import GmmParams, draw_gmm, gmm_from_dict
+from .gmm import GmmParams, draw_gmm
 from .score_model import NoiseSchedule
 
 __all__ = ["DEFAULT_CONFIG", "load_config", "resolve_config", "validate_config",
@@ -196,7 +196,7 @@ def build_gmm(cfg: dict) -> GmmParams:
         if weights is None:
             k = len(block["means"])
             weights = [1.0 / k] * k
-        return gmm_from_dict({"means": block["means"], "sigma2": block["sigma2"], "weights": weights})
+        return GmmParams(means=block["means"], sigma2=block["sigma2"], weights=weights)
     return draw_gmm(
         n_components=block["n_components"],
         dim=block["dim"],

@@ -31,4 +31,4 @@ class ConfigError(PlaplaceError):
 
 
 class CheckpointError(PlaplaceError):
-    """Raised when a model checkpoint file is not JSON or not in the checkpoint schema."""
+    """Raised when a model checkpoint file is not JSON, not in the checkpoint schema, or inconsistent."""

@@ -10,7 +10,7 @@ Two routes to the same quantity, one function each:
   surface/volume (d/R) so the result is normalized by the ball volume.
 
 For p < 2 the integrand is undefined where the score vanishes; samples
-whose score norm falls below ``EPS_GRAD`` are skipped and counted rather
+whose score norm falls below ``fields.EPS_GRAD`` are skipped and counted rather
 than interpolated (they carry negligible mass).
 """
 
@@ -20,19 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError, SingularGradientError
-from .fields import EPS_GRAD, ScoreField, p_weight
+from .errors import EstimationError
+from .fields import ScoreField, p_weight
 from .geometry import BallSpec, ball_volume, sample_ball_uniform, sample_sphere_uniform, sphere_area
 from .tables import write_table
 
 __all__ = [
     "EstimatorConfig",
     "PLaplaceEstimate",
-    "flux_density",
-    "divergence_fd",
     "estimate_volume",
     "estimate_boundary",
-    "dirichlet_energy_mc",
     "write_estimates_csv",
 ]
 
@@ -74,16 +71,6 @@ def _flux_values(s: np.ndarray, normals: np.ndarray, p: float):
     return np.where(singular, np.nan, vals), singular
 
 
-def flux_density(field: ScoreField, y, normal, p: float) -> float:
-    """|s(y)|^(p-2) * (s(y) . normal); for p = 1 this is the score/normal cosine."""
-    y = np.asarray(y, dtype=float)
-    normal = np.asarray(normal, dtype=float)
-    vals, singular = _flux_values(field(y[None, :]), normal[None, :], p)
-    if singular[0]:
-        raise SingularGradientError(f"score norm below {EPS_GRAD} at flux sample with p={p}")
-    return float(vals[0])
-
-
 def _divergence_values(field: ScoreField, xs: np.ndarray, p: float, h: float):
     """Central-difference divergence of |s|^(p-2) s at each row of xs.
 
@@ -102,15 +89,6 @@ def _divergence_values(field: ScoreField, xs: np.ndarray, p: float, h: float):
     div = np.sum(v[:, 0, jj, jj] - v[:, 1, jj, jj], axis=1) / (2.0 * h)
     singular = singular_pts.reshape(n, 2 * d).any(axis=1)
     return np.where(singular, np.nan, div), singular
-
-
-def divergence_fd(field: ScoreField, x, p: float, h: float = 1e-3) -> float:
-    """Pointwise p-Laplace of the field's potential by finite-difference divergence."""
-    x = np.asarray(x, dtype=float)
-    vals, singular = _divergence_values(field, x[None, :], p, h)
-    if singular[0]:
-        raise SingularGradientError(f"score norm below {EPS_GRAD} on FD stencil with p={p}")
-    return float(vals[0])
 
 
 def _reduce(vals: np.ndarray, singular: np.ndarray, factor: float, what: str) -> PLaplaceEstimate:
@@ -148,15 +126,6 @@ def estimate_boundary(
     vals, singular = _flux_values(field(ys), normals, cfg.p)
     factor = sphere_area(spec.dim, cfg.radius) / ball_volume(spec.dim, cfg.radius)
     return _reduce(vals, singular, factor, "boundary")
-
-
-def dirichlet_energy_mc(field: ScoreField, samples, p: float, region_volume: float = 1.0) -> float:
-    """(1/p) * mean |s|^p over the samples, scaled by the sampled region's volume."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    norms = np.linalg.norm(field(samples), axis=1)
-    return float(region_volume * np.mean(norms**p) / p)
 
 
 def write_estimates_csv(path, records: list[dict], header_comment: str | None = None) -> None:

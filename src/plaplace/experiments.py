@@ -20,7 +20,7 @@ from . import svgplot
 from .config import build_estimator_config, build_gmm, build_schedule, config_header
 from .estimators import estimate_boundary, write_estimates_csv
 from .geometry import make_rng, split_rng
-from .gmm import PerturbedGmm, averaged_p_laplace_dense, log_density, sample_gmm
+from .gmm import averaged_p_laplace_dense, log_density, perturb, sample_gmm
 from .gmm import score_field as gmm_score_field
 from .memorization import (
     DetectionResult,
@@ -91,7 +91,7 @@ def _field_error_stats(gmm, model, schedule, seed: int, n_points: int = 2000):
     """Direction and magnitude agreement of the learned score with the oracle."""
     rng = make_rng(10_000 + seed)
     pts = sample_gmm(gmm, n_points, rng)
-    oracle = gmm_score_field(PerturbedGmm(gmm, float(schedule.alphas[0])))(pts)
+    oracle = gmm_score_field(perturb(gmm, schedule.alphas[0]))(pts)
     learned = learned_score(model, schedule, pts, 0)
     on = np.linalg.norm(oracle, axis=1)
     ln = np.linalg.norm(learned, axis=1)
@@ -217,6 +217,8 @@ def run_memorization(cfg: dict) -> dict:
     detections: list[tuple[int, DetectionResult]] = []
 
     def one_seed(seed: int) -> None:
+        # This seed's rows join the aggregates only once the whole seed has completed.
+        seed_rows, seed_detections = [], []
         seed_out = _outdir(cfg, "memorization", f"seed_{seed}")
         grid = make_grid(gmm, mem_cfg["grid_size"], mem_cfg["pad_sigma"])
         scenario = build_scenario(gmm, mem_cfg["n_base"], mem_cfg["n_replicas"], seed)
@@ -236,7 +238,7 @@ def run_memorization(cfg: dict) -> dict:
             matrix = grid_p_laplace(field, grid, ecfg, make_rng(seed + 100_000))
             mem_val = estimate_boundary(field, mem_pt, ecfg, make_rng(seed + 200_000)).value
             pct = percentile_rank(matrix, mem_val)
-            percentile_rows.append([seed, "p_laplace", p, mem_val, pct])
+            seed_rows.append([seed, "p_laplace", p, mem_val, pct])
             M.write_grid_csv(
                 os.path.join(seed_out, f"grid_p{p:g}.csv"), grid, matrix, header_comment=config_header(cfg, seed)
             )
@@ -251,7 +253,7 @@ def run_memorization(cfg: dict) -> dict:
                 background = sample_gmm(gmm, mem_cfg["n_background"], make_rng(seed + 300_000))
                 bg_rngs = split_rng(make_rng(seed + 400_000), background.shape[0])
                 bg_vals = [estimate_boundary(field, b, ecfg, r).value for b, r in zip(background, bg_rngs)]
-                detections.append((seed, DetectionResult(
+                seed_detections.append((seed, DetectionResult(
                     criterion_name="p_laplace",
                     values_memorized=[float(mem_val)],
                     values_background=[float(v) for v in bg_vals],
@@ -263,14 +265,16 @@ def run_memorization(cfg: dict) -> dict:
                 norm_grid = score_norm_criterion(field, grid.points).reshape(grid.shape)
                 # rank from the top: a large score norm is the suspicious direction here
                 pct_norm = 100.0 - percentile_rank(norm_grid, mem_norm)
-                detections.append((seed, DetectionResult(
+                seed_detections.append((seed, DetectionResult(
                     criterion_name="score_norm",
                     values_memorized=[float(mem_norm)],
                     values_background=[float(v) for v in bg_norms],
                     percentile=pct_norm,
                     auc=auc([mem_norm], bg_norms, "higher_is_positive"),
                 )))
-                percentile_rows.append([seed, "score_norm", p, mem_norm, pct_norm])
+                seed_rows.append([seed, "score_norm", p, mem_norm, pct_norm])
+        percentile_rows.extend(seed_rows)
+        detections.extend(seed_detections)
 
     result = _per_seed(cfg, one_seed)
     write_table(

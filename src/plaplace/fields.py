@@ -1,9 +1,11 @@
-"""Score field conventions and small field combinators.
+"""Score field conventions and the p-Laplace integrand weight.
 
 A score field is any callable mapping a batch of points, shape ``(n, d)``,
 to a batch of score vectors of the same shape.  Fields that depend on a
 noise level (learned models) are bound to a fixed level when the callable
 is constructed, so every consumer downstream sees the same interface.
+``p_weight`` decides the integrand weight and the p < 2 singular rows for
+every estimator, the dense reference and the bound check.
 """
 
 from __future__ import annotations
@@ -33,32 +35,3 @@ def p_weight(s: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     with np.errstate(divide="ignore", invalid="ignore"):
         weight = norm ** (p - 2.0)
     return norm, weight, singular
-
-
-def scale_field(field: ScoreField, a: float) -> ScoreField:
-    """Score field of the scaled potential a*u, i.e. x -> a * field(x)."""
-
-    def scaled(x: np.ndarray) -> np.ndarray:
-        return a * field(x)
-
-    return scaled
-
-
-def shift_field(field: ScoreField, offset: np.ndarray) -> ScoreField:
-    """Field with a constant vector added to every score value."""
-    offset = np.asarray(offset, dtype=float)
-
-    def shifted(x: np.ndarray) -> np.ndarray:
-        return field(x) + offset
-
-    return shifted
-
-
-def constant_field(value: np.ndarray) -> ScoreField:
-    """Field that returns the same vector at every point."""
-    value = np.asarray(value, dtype=float)
-
-    def const(x: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(value, x.shape).copy()
-
-    return const

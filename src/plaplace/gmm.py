@@ -25,18 +25,15 @@ CHUNK = 8192
 
 __all__ = [
     "GmmParams",
-    "PerturbedGmm",
+    "perturb",
     "draw_gmm",
     "log_density",
     "score",
     "hessian",
-    "laplacian",
     "pointwise_p_laplace_exact",
     "averaged_p_laplace_dense",
     "sample_gmm",
     "score_field",
-    "gmm_to_dict",
-    "gmm_from_dict",
 ]
 
 
@@ -75,33 +72,16 @@ class GmmParams:
         return self.means.shape[0]
 
 
-@dataclass(frozen=True)
-class PerturbedGmm:
+def perturb(g: GmmParams, alpha: float) -> GmmParams:
     """The mixture after variance-preserving Gaussian corruption at noise fraction alpha.
 
     Means shrink by sqrt(1 - alpha) and the component variance becomes
     (1 - alpha) * sigma2 + alpha, so alpha = 0 recovers the base mixture.
     """
-
-    base: GmmParams
-    alpha: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
-
-    def as_gmm(self) -> GmmParams:
-        a = self.alpha
-        return GmmParams(
-            means=np.sqrt(1.0 - a) * self.base.means,
-            sigma2=(1.0 - a) * self.base.sigma2 + a,
-            weights=self.base.weights,
-        )
-
-
-def _as_gmm(g: GmmParams | PerturbedGmm) -> GmmParams:
-    return g.as_gmm() if isinstance(g, PerturbedGmm) else g
+    alpha = float(alpha)
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
+    return GmmParams(means=np.sqrt(1.0 - alpha) * g.means, sigma2=(1.0 - alpha) * g.sigma2 + alpha, weights=g.weights)
 
 
 def draw_gmm(
@@ -128,9 +108,8 @@ def _log_resp_unnormalized(g: GmmParams, x: np.ndarray) -> tuple[np.ndarray, np.
     return diffs, np.log(g.weights) - 0.5 * np.einsum("...kd,...kd->...k", diffs, diffs) / g.sigma2
 
 
-def log_density(g: GmmParams | PerturbedGmm, x) -> np.ndarray | float:
+def log_density(g: GmmParams, x) -> np.ndarray | float:
     """log of the mixture density, via log-sum-exp over components."""
-    g = _as_gmm(g)
     x = np.asarray(x, dtype=float)
     _, log_resp = _log_resp_unnormalized(g, x)
     const = -0.5 * g.dim * np.log(2.0 * np.pi * g.sigma2)
@@ -138,9 +117,9 @@ def log_density(g: GmmParams | PerturbedGmm, x) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def score(g: GmmParams | PerturbedGmm, x) -> np.ndarray:
+def score(g: GmmParams, x) -> np.ndarray:
     """Gradient of the log-density: responsibility-weighted pull toward the means."""
-    return _moments(_as_gmm(g), np.asarray(x, dtype=float))[2]
+    return _moments(g, np.asarray(x, dtype=float))[2]
 
 
 def _moments(g: GmmParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -152,23 +131,16 @@ def _moments(g: GmmParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return resp, gk, np.einsum("...k,...kd->...d", resp, gk)
 
 
-def hessian(g: GmmParams | PerturbedGmm, x) -> np.ndarray:
+def hessian(g: GmmParams, x) -> np.ndarray:
     """Hessian of the log-density, shape (..., d, d).
 
     Uses the responsibility-weighted moment formula
     H = sum_k r_k (g_k g_k^T - I/sigma2) - s s^T with g_k = (mean_k - x)/sigma2.
     """
-    g = _as_gmm(g)
     resp, gk, s = _moments(g, np.asarray(x, dtype=float))
     outer = np.einsum("...k,...ki,...kj->...ij", resp, gk, gk)
     eye = np.eye(g.dim) / g.sigma2
     return outer - eye - np.einsum("...i,...j->...ij", s, s)
-
-
-def laplacian(g: GmmParams | PerturbedGmm, x) -> np.ndarray | float:
-    """Trace of the Hessian of the log-density."""
-    out = _p_laplace_parts(_as_gmm(g), np.asarray(x, dtype=float))[1]
-    return float(out) if out.ndim == 0 else out
 
 
 def _p_laplace_parts(g: GmmParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -199,10 +171,8 @@ def _p_laplace_values(s: np.ndarray, lap: np.ndarray, quad: np.ndarray, p: float
     return np.where(singular, np.nan, vals), singular
 
 
-def pointwise_p_laplace_exact(
-    g: GmmParams | PerturbedGmm, x, p: float, scale: float = 1.0
-) -> np.ndarray | float:
-    """Exact pointwise p-Laplace of the log-density (optionally of scale * log-density).
+def pointwise_p_laplace_exact(g: GmmParams, x, p: float) -> np.ndarray | float:
+    """Exact pointwise p-Laplace of the log-density.
 
     Evaluates |grad|^(p-2) * (lap + (p-2) * grad^T H grad / |grad|^2) from the
     analytic gradient and Hessian.  For p < 2 the operator is singular where
@@ -211,14 +181,7 @@ def pointwise_p_laplace_exact(
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    g = _as_gmm(g)
-    x = np.asarray(x, dtype=float)
-    s, lap, quad = _p_laplace_parts(g, x)
-    if scale != 1.0:
-        s = scale * s
-        lap = scale * lap
-        quad = scale**3 * quad
-    out, singular = _p_laplace_values(s, lap, quad, p)
+    out, singular = _p_laplace_values(*_p_laplace_parts(g, np.asarray(x, dtype=float)), p)
     n_singular = int(np.count_nonzero(singular))
     if n_singular:
         raise SingularGradientError(f"gradient norm below {EPS_GRAD} at {n_singular} point(s) with p={p}")
@@ -226,7 +189,7 @@ def pointwise_p_laplace_exact(
 
 
 def averaged_p_laplace_dense(
-    g: GmmParams | PerturbedGmm,
+    g: GmmParams,
     x0,
     p_values,
     radius: float,
@@ -242,7 +205,6 @@ def averaged_p_laplace_dense(
     counted; :class:`EstimationError` if every one is.  Returns one
     ``(mean, std_error, n_used, singular_hits)`` per p, in order.
     """
-    g = _as_gmm(g)
     xs = sample_ball_uniform(BallSpec.around(np.asarray(x0, dtype=float), radius), n, rng)
     chunks = (_p_laplace_parts(g, xs[i : i + CHUNK]) for i in range(0, n, CHUNK))
     parts = [np.concatenate(part) for part in zip(*chunks)]
@@ -250,36 +212,16 @@ def averaged_p_laplace_dense(
     return [(est.value, est.std_error, est.n_used, est.singular_hits) for est in ests]
 
 
-def sample_gmm(g: GmmParams | PerturbedGmm, n: int, rng: np.random.Generator) -> np.ndarray:
+def sample_gmm(g: GmmParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """n draws from the mixture: component choice by weight, then isotropic Gaussian."""
-    g = _as_gmm(g)
     comps = rng.choice(g.n_components, size=n, p=g.weights)
     return g.means[comps] + np.sqrt(g.sigma2) * rng.standard_normal((n, g.dim))
 
 
-def score_field(g: GmmParams | PerturbedGmm) -> ScoreField:
+def score_field(g: GmmParams) -> ScoreField:
     """The oracle score as a batch-evaluatable field."""
-    resolved = _as_gmm(g)
 
     def field(x: np.ndarray) -> np.ndarray:
-        return score(resolved, x)
+        return score(g, x)
 
     return field
-
-
-def gmm_to_dict(g: GmmParams) -> dict:
-    """JSON-ready parameter block."""
-    return {
-        "means": g.means.tolist(),
-        "sigma2": g.sigma2,
-        "weights": g.weights.tolist(),
-    }
-
-
-def gmm_from_dict(d: dict) -> GmmParams:
-    """Inverse of :func:`gmm_to_dict`."""
-    return GmmParams(
-        means=np.asarray(d["means"], dtype=float),
-        sigma2=float(d["sigma2"]),
-        weights=np.asarray(d["weights"], dtype=float),
-    )

@@ -29,10 +29,8 @@ __all__ = [
     "MlpScoreModel",
     "TrainConfig",
     "sinusoidal_embed",
-    "gaussian_perturb",
     "forward_perturb",
     "train",
-    "denoising_loss",
     "learned_score",
     "score_field",
     "reverse_sample",
@@ -41,6 +39,7 @@ __all__ = [
 ]
 
 CHECKPOINT_SCHEMA_VERSION = 1
+_CHECKPOINT_FIELDS = ("input_dim", "hidden_width", "embed_dim", "freq_base", "betas", "w1", "b1", "w2", "b2")
 
 
 @dataclass(frozen=True)
@@ -120,9 +119,14 @@ class MlpScoreModel:
     b2: np.ndarray
 
     def __post_init__(self):
+        d, h, e = self.input_dim, self.hidden_width, self.embed_dim
+        if min(d, h, e) < 1 or e % 2:
+            raise ValueError(f"need positive input_dim, hidden_width and even embed_dim, got {d}, {h}, {e}")
         # Frozen copies: the caller's arrays stay writable, these never are.
-        for name in ("w1", "b1", "w2", "b2"):
+        for name, shape in (("w1", (d + e, h)), ("b1", (h,)), ("w2", (h, d)), ("b2", (d,))):
             frozen = np.array(getattr(self, name), dtype=float)
+            if frozen.shape != shape:
+                raise ValueError(f"{name} has shape {frozen.shape}, expected {shape}")
             frozen.setflags(write=False)
             object.__setattr__(self, name, frozen)
 
@@ -161,21 +165,15 @@ class TrainConfig:
             raise ValueError("batch_size must be positive when given")
 
 
-def gaussian_perturb(x0, alpha, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Variance-preserving corruption at noise fraction alpha; returns (x_t, eps)."""
-    x0 = np.asarray(x0, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    eps = rng.standard_normal(x0.shape)
-    a = alpha[..., None] if alpha.ndim else alpha
-    x_t = np.sqrt(1.0 - a) * x0 + np.sqrt(a) * eps
-    return x_t, eps
-
-
 def forward_perturb(
     x0, t, schedule: NoiseSchedule, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Corrupt x0 to timestep t of the schedule; returns (x_t, eps)."""
-    return gaussian_perturb(x0, schedule.alphas[t], rng)
+    """Variance-preserving corruption of x0 to timestep t of the schedule; returns (x_t, eps)."""
+    x0 = np.asarray(x0, dtype=float)
+    alpha = np.asarray(schedule.alphas[t], dtype=float)
+    eps = rng.standard_normal(x0.shape)
+    a = alpha[..., None] if alpha.ndim else alpha
+    return np.sqrt(1.0 - a) * x0 + np.sqrt(a) * eps, eps
 
 
 def _mlp_forward(w1, b1, w2, b2, z):
@@ -202,17 +200,6 @@ def _mlp_loss_and_grads(w1, b1, w2, b2, z, eps):
     dw1 = z.T @ da
     db1 = da.sum(axis=0)
     return loss, (dw1, db1, dw2, db2)
-
-
-def denoising_loss(
-    model: MlpScoreModel, data, schedule: NoiseSchedule, rng: np.random.Generator
-) -> float:
-    """One-draw evaluation of the training objective on the given data."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    t = rng.integers(0, schedule.t_steps, size=data.shape[0])
-    x_t, eps = forward_perturb(data, t, schedule, rng)
-    pred = model.predict_noise(x_t, t)
-    return float(np.sum((pred - eps) ** 2) / data.shape[0])
 
 
 def train(
@@ -342,7 +329,12 @@ def save_checkpoint(model: MlpScoreModel, schedule: NoiseSchedule, path) -> None
 
 
 def load_checkpoint(path) -> tuple[MlpScoreModel, NoiseSchedule]:
-    """Inverse of :func:`save_checkpoint`."""
+    """Inverse of :func:`save_checkpoint`.
+
+    Raises :class:`CheckpointError` for a file that is not JSON, lacks a
+    field, holds betas that make no schedule, or holds weights whose shapes
+    do not match ``input_dim``, ``embed_dim`` and ``hidden_width``.
+    """
     with open(path) as f:
         try:
             payload = json.load(f)
@@ -351,15 +343,21 @@ def load_checkpoint(path) -> tuple[MlpScoreModel, NoiseSchedule]:
     version = payload.get("schema_version") if isinstance(payload, dict) else None
     if version != CHECKPOINT_SCHEMA_VERSION:
         raise CheckpointError(f"unsupported checkpoint schema in {path}: {version}")
-    schedule = NoiseSchedule.from_betas(np.asarray(payload["betas"], dtype=float))
-    model = MlpScoreModel(
-        input_dim=int(payload["input_dim"]),
-        hidden_width=int(payload["hidden_width"]),
-        embed_dim=int(payload["embed_dim"]),
-        freq_base=float(payload["freq_base"]),
-        w1=np.asarray(payload["w1"], dtype=float),
-        b1=np.asarray(payload["b1"], dtype=float),
-        w2=np.asarray(payload["w2"], dtype=float),
-        b2=np.asarray(payload["b2"], dtype=float),
-    )
+    missing = [key for key in _CHECKPOINT_FIELDS if key not in payload]
+    if missing:
+        raise CheckpointError(f"checkpoint {path} lacks {', '.join(missing)}")
+    try:
+        schedule = NoiseSchedule.from_betas(payload["betas"])
+        model = MlpScoreModel(
+            input_dim=int(payload["input_dim"]),
+            hidden_width=int(payload["hidden_width"]),
+            embed_dim=int(payload["embed_dim"]),
+            freq_base=float(payload["freq_base"]),
+            w1=payload["w1"],
+            b1=payload["b1"],
+            w2=payload["w2"],
+            b2=payload["b2"],
+        )
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"invalid checkpoint {path}: {exc}") from exc
     return model, schedule

@@ -4,17 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plaplace.bounds import (
+    _constants_from_values,
     _segment_minima,
     bound_constant,
     bound_summary,
     bound_surface,
-    estimate_assumption_constants,
     validate_bound,
     write_bound_reports_csv,
 )
 from plaplace.errors import EstimationError
 from plaplace.estimators import EstimatorConfig
-from plaplace.fields import constant_field, scale_field, shift_field
 from plaplace.geometry import make_rng
 from plaplace.gmm import score_field
 from plaplace.score_model import reverse_sample
@@ -77,8 +76,8 @@ class TestBoundConstant:
 
 class TestAssumptionConstants:
     def test_identical_fields(self):
-        field = constant_field(np.array([0.6, 0.8]))
-        consts = estimate_assumption_constants(field, field, np.zeros(2), 1.0, 50, make_rng(0))
+        values = np.tile([0.6, 0.8], (50, 1))
+        consts = _constants_from_values(values, values)
         assert consts.delta == 0.0
         assert consts.m == pytest.approx(1.0, rel=1e-12)
         assert consts.M == pytest.approx(1.0, rel=1e-12)
@@ -86,18 +85,16 @@ class TestAssumptionConstants:
         assert consts.assumptions_ok
 
     def test_colinear_double(self):
-        s = constant_field(np.array([1.0, 0.0]))
-        s_hat = scale_field(s, 2.0)
-        consts = estimate_assumption_constants(s, s_hat, np.zeros(2), 1.0, 50, make_rng(1))
+        sv = np.tile([1.0, 0.0], (50, 1))
+        consts = _constants_from_values(sv, 2.0 * sv)
         assert consts.delta == pytest.approx(1.01, rel=1e-12)  # max gap 1, then 1% inflation
         assert consts.m == pytest.approx(1.0, rel=1e-12)
         assert consts.M == pytest.approx(2.0, rel=1e-12)
         assert consts.segment_min == pytest.approx(1.0, rel=1e-12)
 
     def test_antipodal_fields_violate(self):
-        s = constant_field(np.array([1.0, 0.0]))
-        s_hat = scale_field(s, -1.0)
-        consts = estimate_assumption_constants(s, s_hat, np.zeros(2), 1.0, 50, make_rng(2))
+        sv = np.tile([1.0, 0.0], (50, 1))
+        consts = _constants_from_values(sv, -sv)
         assert consts.segment_min == pytest.approx(0.0, abs=1e-12)
         assert not consts.assumptions_ok
 
@@ -125,7 +122,7 @@ class TestValidateBound:
         """Constant offset of norm 0.05: error bounded by (d/R) * inflated delta."""
         s = score_field(default_gmm)
         offset = 0.05 * np.array([0.6, 0.8])
-        s_hat = shift_field(s, offset)
+        s_hat = lambda x: s(x) + offset
         cfg = EstimatorConfig(p=2.0)
         reports = validate_bound(s, s_hat, [[0.5, -0.5]], cfg, make_rng(5))
         (r,) = reports
@@ -200,7 +197,7 @@ class TestDominanceProperty:
 class TestReportsAndSurface:
     def test_summary_and_csv(self, default_gmm, tmp_path):
         s = score_field(default_gmm)
-        s_hat = shift_field(s, np.array([0.02, 0.0]))
+        s_hat = lambda x: s(x) + np.array([0.02, 0.0])
         reports = validate_bound(s, s_hat, [[0.0, 0.0], [1.0, 2.0]], EstimatorConfig(p=1.0), make_rng(10))
         summary = bound_summary(reports)
         assert summary["n_anchors"] == 2

@@ -1,9 +1,11 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 
+from plaplace import svgplot
 from plaplace.cli import main
 from plaplace.config import (
     DEFAULT_CONFIG,
@@ -76,6 +78,13 @@ class TestBuilders:
         assert sched.t_steps == 100
         ecfg = build_estimator_config(cfg, 1.0)
         assert ecfg.p == 1.0 and ecfg.n_samples == 100
+
+
+# input_dim 2, embed_dim 2, hidden_width 3: w1 is (4, 3), b1 (3,), w2 (3, 2), b2 (2,).
+MINIMAL_CHECKPOINT = {
+    "schema_version": 1, "input_dim": 2, "hidden_width": 3, "embed_dim": 2, "freq_base": 1e4,
+    "betas": [0.01, 0.02], "w1": [[0.0] * 3] * 4, "b1": [0.0] * 3, "w2": [[0.0] * 2] * 3, "b2": [0.0] * 2,
+}
 
 
 @pytest.fixture
@@ -164,6 +173,29 @@ class TestCli:
         errors = json.loads((tmp_path / "out" / "errors.json").read_text())
         assert set(errors["failed_seeds"]) == {"0", "1"}
 
+    def test_failed_seed_leaves_no_rows_in_aggregates(self, small_config, tmp_path, monkeypatch):
+        """A seed that fails after writing some of its rows adds none of them to the study tables."""
+        path, cfg = small_config
+        path.write_text(json.dumps({**cfg, "seeds": [0, 1], "estimator": {"n_samples": 16, "p_values": [1.0, 2.0]}}))
+        real_heatmap = svgplot.heatmap
+
+        def heatmap(out_path, *args, **kwargs):
+            if out_path.endswith(os.path.join("seed_1", "grid_p2.svg")):
+                raise RuntimeError("plot failed")
+            return real_heatmap(out_path, *args, **kwargs)
+
+        monkeypatch.setattr(svgplot, "heatmap", heatmap)
+        assert main(["memorize", "--config", str(path)]) == 1
+        out = tmp_path / "out" / "memorization"
+        assert set(json.loads((tmp_path / "out" / "errors.json").read_text())["failed_seeds"]) == {"1"}
+        with open(out / "percentiles.csv", newline="") as f:
+            rows = list(csv.DictReader(line for line in f if not line.startswith("#")))
+        assert {row["seed"] for row in rows} == {"0"} and len(rows) == 3  # p=1, score_norm, p=2
+        auc_summary = json.loads((out / "auc_summary.json").read_text())["auc"]
+        assert all(len(block["per_seed"]) == 1 for block in auc_summary.values())
+        detections = json.loads((out / "detection.json").read_text())["results"]
+        assert {d["seed"] for d in detections} == {0}
+
     def test_rerun_is_byte_identical(self, small_config, tmp_path):
         path, cfg = small_config
         target = tmp_path / "out" / "memorization" / "percentiles.csv"
@@ -213,8 +245,18 @@ class TestCli:
         assert "argument --n" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("content", [None, "{not json", "[1]", '{"betas": [0.1]}'],
-                             ids=["missing", "not_json", "not_object", "no_schema_version"])
+    def test_sample_accepts_minimal_checkpoint(self, small_config, tmp_path):
+        """The base of the bad-checkpoint cases below is itself a valid checkpoint."""
+        path, _ = small_config
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(json.dumps(MINIMAL_CHECKPOINT))
+        assert main(["sample", "--config", str(path), "--checkpoint", str(ckpt), "--n", "5"]) == 0
+
+    @pytest.mark.parametrize("content", [
+        None, "{not json", "[1]", '{"betas": [0.1]}', '{"schema_version": 1}',
+        json.dumps({**MINIMAL_CHECKPOINT, "betas": [2.0]}),
+        json.dumps({**MINIMAL_CHECKPOINT, "w1": [[0.0] * 3] * 3}),
+    ], ids=["missing", "not_json", "not_object", "no_schema_version", "no_fields", "bad_betas", "w1_rows"])
     def test_sample_rejects_bad_checkpoint(self, small_config, tmp_path, capsys, content):
         path, _ = small_config
         ckpt = tmp_path / "checkpoint.json"

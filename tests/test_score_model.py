@@ -1,19 +1,18 @@
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from plaplace.errors import CheckpointError, SamplingError, TrainingDivergedError
 from plaplace.geometry import make_rng
-from plaplace.gmm import GmmParams, PerturbedGmm, sample_gmm, score
+from plaplace.gmm import GmmParams, perturb, sample_gmm, score
 from plaplace.score_model import (
     MlpScoreModel,
     NoiseSchedule,
     TrainConfig,
     _mlp_loss_and_grads,
-    denoising_loss,
     forward_perturb,
-    gaussian_perturb,
     learned_score,
     load_checkpoint,
     reverse_sample,
@@ -38,6 +37,16 @@ def zero_model(d=2, hidden=8, embed=4):
         w2=np.zeros((hidden, d)),
         b2=np.zeros(d),
     )
+
+
+@pytest.mark.parametrize("name,shape", [("w1", (5, 8)), ("b1", (7,)), ("w2", (8, 3)), ("b2", (2, 1))])
+def test_model_weight_shapes_checked(name, shape):
+    """Every weight must match input_dim, embed_dim and hidden_width."""
+    model = zero_model()
+    arrays = {key: getattr(model, key) for key in ("w1", "b1", "w2", "b2")}
+    with pytest.raises(ValueError, match=name):
+        MlpScoreModel(model.input_dim, model.hidden_width, model.embed_dim, model.freq_base,
+                      **{**arrays, name: np.zeros(shape)})
 
 
 def test_model_arrays_read_only():
@@ -96,19 +105,22 @@ class TestSinusoidalEmbed:
 
 
 class TestForwardPerturb:
+    # forward_perturb reads only schedule.alphas; alpha = 1 is outside any valid NoiseSchedule.
+    alphas = SimpleNamespace(alphas=np.array([0.0, 0.3, 1.0]))
+
     def test_alpha_zero_identity(self):
         x0 = np.array([1.0, -2.0])
-        xt, eps = gaussian_perturb(x0, 0.0, make_rng(0))
+        xt, eps = forward_perturb(x0, 0, self.alphas, make_rng(0))
         np.testing.assert_array_equal(xt, x0)
 
     def test_alpha_one_pure_noise(self):
         x0 = np.array([1.0, -2.0])
-        xt, eps = gaussian_perturb(x0, 1.0, make_rng(0))
+        xt, eps = forward_perturb(x0, 2, self.alphas, make_rng(0))
         np.testing.assert_array_equal(xt, eps)
 
     def test_variance_identity(self):
         x0 = np.zeros((100_000, 2))
-        xt, _ = gaussian_perturb(x0, 0.3, make_rng(1))
+        xt, _ = forward_perturb(x0, 1, self.alphas, make_rng(1))
         np.testing.assert_allclose(xt.var(axis=0), 0.3, atol=0.01)
 
     def test_schedule_lookup(self, schedule):
@@ -153,7 +165,11 @@ class TestBackprop:
     def test_zero_init_loss_is_dimension(self, schedule):
         model = zero_model(d=2)
         data = make_rng(3).standard_normal((2000, 2))
-        loss = denoising_loss(model, data, schedule, make_rng(4))
+        rng = make_rng(4)
+        t = rng.integers(0, schedule.t_steps, size=data.shape[0])
+        x_t, eps = forward_perturb(data, t, schedule, rng)
+        z = np.concatenate([x_t, model.embed(t)], axis=1)
+        loss, _ = _mlp_loss_and_grads(model.w1, model.b1, model.w2, model.b2, z, eps)
         assert loss == pytest.approx(2.0, abs=0.25)
 
     def test_zero_model_predicts_zero(self, schedule):
@@ -224,7 +240,7 @@ class TestLearnedScore:
         model = train(data, schedule, TrainConfig(seed=0))
         pts = sample_gmm(g, 300, make_rng(1))
         learned = learned_score(model, schedule, pts, 0)
-        oracle = score(PerturbedGmm(g, float(schedule.alphas[0])), pts)
+        oracle = score(perturb(g, schedule.alphas[0]), pts)
         cos = np.sum(learned * oracle, axis=1) / (
             np.linalg.norm(learned, axis=1) * np.linalg.norm(oracle, axis=1)
         )
@@ -238,7 +254,7 @@ class TestLearnedScore:
         gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], 20), np.linspace(lo[1], hi[1], 20))
         pts = np.column_stack([gx.ravel(), gy.ravel()])
         learned = learned_score(trained_model, schedule, pts, 0)
-        oracle = score(PerturbedGmm(default_gmm, float(schedule.alphas[0])), pts)
+        oracle = score(perturb(default_gmm, schedule.alphas[0]), pts)
         cos = np.sum(learned * oracle, axis=1) / (
             np.linalg.norm(learned, axis=1) * np.linalg.norm(oracle, axis=1)
         )
@@ -255,7 +271,7 @@ class OracleNoisePredictor:
 
     def predict_noise(self, x, t):
         alpha = float(self.schedule.alphas[t])
-        return -np.sqrt(alpha) * score(PerturbedGmm(self.gmm, alpha), x)
+        return -np.sqrt(alpha) * score(perturb(self.gmm, alpha), x)
 
 
 class TestReverseSample:
