@@ -23,7 +23,7 @@ import numpy as np
 from .errors import EstimationError
 from .estimators import EstimatorConfig, _flux_values
 from .fields import ScoreField
-from .geometry import BallSpec, ball_volume, sample_sphere_uniform, sphere_area, split_rng
+from .geometry import sample_sphere_uniform, split_rng
 from .tables import write_table
 
 __all__ = [
@@ -74,7 +74,7 @@ def bound_constant(
         raise ValueError(f"delta must be nonnegative, got {delta}")
     if not np.all(np.less(0, m) & np.less_equal(m, M)):
         raise ValueError(f"need 0 < m <= M, got m={m}, M={M}")
-    factor = sphere_area(dim, radius) / ball_volume(dim, radius)
+    factor = dim / radius
     if p >= 2:
         c_p = factor * delta * M ** (p - 2.0) * (p - 1.0)
     else:
@@ -121,10 +121,10 @@ def validate_bound(
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     dim = anchors.shape[1]
-    factor = sphere_area(dim, cfg.radius) / ball_volume(dim, cfg.radius)
+    factor = dim / cfg.radius
     reports = []
     for anchor, sub in zip(anchors, split_rng(rng, anchors.shape[0])):
-        ys, normals = sample_sphere_uniform(BallSpec.around(anchor, cfg.radius), cfg.n_samples, sub)
+        ys, normals = sample_sphere_uniform(anchor, cfg.radius, cfg.n_samples, sub)
         sv, hv = s(ys), s_hat(ys)
         flux_s, sing_s = _flux_values(sv, normals, cfg.p)
         flux_h, sing_h = _flux_values(hv, normals, cfg.p)

@@ -7,7 +7,8 @@ Two routes to the same quantity, one function each:
   samples inside the ball;
 * boundary formulation (``estimate_boundary``): average the outward flux
   |s|^(p-2) s . n over uniform samples on the sphere, scaled by
-  surface/volume (d/R) so the result is normalized by the ball volume.
+  surface/volume, which is exactly d/R, so the result is normalized by
+  the ball volume.
 
 For p < 2 the integrand is undefined where the score vanishes; samples
 whose score norm falls below ``fields.EPS_GRAD`` are skipped and counted rather
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import EstimationError
 from .fields import ScoreField, p_weight
-from .geometry import BallSpec, ball_volume, sample_ball_uniform, sample_sphere_uniform, sphere_area
+from .geometry import sample_ball_uniform, sample_sphere_uniform
 from .tables import write_table
 
 __all__ = [
@@ -109,9 +110,7 @@ def estimate_volume(
     field: ScoreField, x0, cfg: EstimatorConfig, rng: np.random.Generator
 ) -> PLaplaceEstimate:
     """Ball-averaged p-Laplace as the mean pointwise divergence over uniform ball samples."""
-    x0 = np.asarray(x0, dtype=float)
-    spec = BallSpec.around(x0, cfg.radius)
-    xs = sample_ball_uniform(spec, cfg.n_samples, rng)
+    xs = sample_ball_uniform(x0, cfg.radius, cfg.n_samples, rng)
     vals, singular = _divergence_values(field, xs, cfg.p, cfg.fd_step)
     return _reduce(vals, singular, 1.0, "volume")
 
@@ -119,13 +118,10 @@ def estimate_volume(
 def estimate_boundary(
     field: ScoreField, x0, cfg: EstimatorConfig, rng: np.random.Generator
 ) -> PLaplaceEstimate:
-    """Ball-averaged p-Laplace as the mean flux over uniform sphere samples times surface/volume (d/R)."""
-    x0 = np.asarray(x0, dtype=float)
-    spec = BallSpec.around(x0, cfg.radius)
-    ys, normals = sample_sphere_uniform(spec, cfg.n_samples, rng)
+    """Ball-averaged p-Laplace as the mean flux over uniform sphere samples times surface/volume = d/R."""
+    ys, normals = sample_sphere_uniform(x0, cfg.radius, cfg.n_samples, rng)
     vals, singular = _flux_values(field(ys), normals, cfg.p)
-    factor = sphere_area(spec.dim, cfg.radius) / ball_volume(spec.dim, cfg.radius)
-    return _reduce(vals, singular, factor, "boundary")
+    return _reduce(vals, singular, ys.shape[1] / cfg.radius, "boundary")
 
 
 def write_estimates_csv(path, records: list[dict], header_comment: str | None = None) -> None:

@@ -1,4 +1,4 @@
-"""Measures of d-balls and d-spheres, and uniform sampling on/in them.
+"""Uniform sampling on and in d-balls, and the generators that drive it.
 
 Randomness policy: every sampling function takes an explicit
 ``numpy.random.Generator``.  Harnesses derive one child generator per
@@ -9,15 +9,9 @@ work is distributed.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "BallSpec",
-    "ball_volume",
-    "sphere_area",
     "sample_ball_uniform",
     "sample_sphere_uniform",
     "make_rng",
@@ -35,97 +29,33 @@ def split_rng(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
     return rng.spawn(n)
 
 
-@dataclass(frozen=True)
-class BallSpec:
-    """A ball B_R(center) in R^dim; the sphere is its boundary."""
-
-    center: np.ndarray
-    radius: float
-    dim: int
-
-    def __post_init__(self):
-        center = np.asarray(self.center, dtype=float)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius", float(self.radius))
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
-        if center.shape != (self.dim,):
-            raise ValueError(
-                f"center has shape {center.shape}, expected ({self.dim},)"
-            )
-
-    @classmethod
-    def around(cls, center, radius: float) -> "BallSpec":
-        """BallSpec with dim inferred from the center vector."""
-        center = np.asarray(center, dtype=float)
-        return cls(center=center, radius=float(radius), dim=center.shape[0])
-
-
-def ball_volume(dim: int, radius: float) -> float:
-    """Volume of a dim-dimensional ball of the given radius.
-
-    Computed in log space (log-gamma) so large dimensions do not overflow
-    the gamma function itself; raises OverflowError only if the final
-    volume is not representable.
-    """
-    _check_dim_radius(dim, radius)
-    log_vol = 0.5 * dim * math.log(math.pi) + dim * math.log(radius) - math.lgamma(0.5 * dim + 1.0)
-    vol = math.exp(log_vol) if log_vol < 709.0 else math.inf
-    if not math.isfinite(vol):
-        raise OverflowError(f"ball volume overflows for dim={dim}, radius={radius}")
-    return vol
-
-
-def sphere_area(dim: int, radius: float) -> float:
-    """Surface measure of the boundary sphere of a dim-ball of the given radius."""
-    _check_dim_radius(dim, radius)
-    log_area = (
-        math.log(2.0)
-        + 0.5 * dim * math.log(math.pi)
-        + (dim - 1) * math.log(radius)
-        - math.lgamma(0.5 * dim)
-    )
-    area = math.exp(log_area) if log_area < 709.0 else math.inf
-    if not math.isfinite(area):
-        raise OverflowError(f"sphere area overflows for dim={dim}, radius={radius}")
-    return area
-
-
-def _check_dim_radius(dim: int, radius: float) -> None:
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+def _center_and_directions(center, radius: float, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Checked (center, directions): n uniform unit vectors from normalized standard Gaussians."""
+    center = np.asarray(center, dtype=float)
+    if center.ndim != 1 or center.shape[0] < 1:
+        raise ValueError(f"center must be a nonempty 1-d vector, got shape {center.shape}")
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-
-
-def _unit_directions(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform directions via normalized standard Gaussians; rejection-free in any dimension."""
-    v = rng.standard_normal((n, dim))
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    return v / norms
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    v = rng.standard_normal((n, center.shape[0]))
+    return center, v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def sample_sphere_uniform(
-    spec: BallSpec, n: int, rng: np.random.Generator
+    center, radius: float, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform points on the boundary sphere of ``spec``.
+    """Uniform points on the sphere of the given radius around ``center``.
 
     Returns ``(points, normals)`` where ``points`` has shape ``(n, dim)``
     and ``normals`` are the outward unit normals ``(points - center) / radius``.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    normals = _unit_directions(n, spec.dim, rng)
-    points = spec.center + spec.radius * normals
-    return points, normals
+    center, normals = _center_and_directions(center, radius, n, rng)
+    return center + radius * normals, normals
 
 
-def sample_ball_uniform(spec: BallSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+def sample_ball_uniform(center, radius: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform points inside the ball: uniform direction, radius R * U^(1/dim)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    dirs = _unit_directions(n, spec.dim, rng)
-    radii = spec.radius * rng.uniform(0.0, 1.0, size=n) ** (1.0 / spec.dim)
-    return spec.center + radii[:, None] * dirs
+    center, dirs = _center_and_directions(center, radius, n, rng)
+    radii = radius * rng.uniform(0.0, 1.0, size=n) ** (1.0 / center.shape[0])
+    return center + radii[:, None] * dirs

@@ -18,7 +18,7 @@ from scipy.special import logsumexp
 from .errors import SingularGradientError
 from .estimators import _reduce
 from .fields import EPS_GRAD, ScoreField, p_weight
-from .geometry import BallSpec, sample_ball_uniform
+from .geometry import sample_ball_uniform
 
 # Rows per block of the dense reference: bounds its (rows, K, d) temporaries.
 CHUNK = 8192
@@ -205,7 +205,7 @@ def averaged_p_laplace_dense(
     counted; :class:`EstimationError` if every one is.  Returns one
     ``(mean, std_error, n_used, singular_hits)`` per p, in order.
     """
-    xs = sample_ball_uniform(BallSpec.around(np.asarray(x0, dtype=float), radius), n, rng)
+    xs = sample_ball_uniform(x0, radius, n, rng)
     chunks = (_p_laplace_parts(g, xs[i : i + CHUNK]) for i in range(0, n, CHUNK))
     parts = [np.concatenate(part) for part in zip(*chunks)]
     ests = (_reduce(*_p_laplace_values(*parts, p), 1.0, "dense") for p in p_values)

@@ -26,6 +26,7 @@ __all__ = [
     "Grid",
     "build_scenario",
     "make_grid",
+    "boundary_at_points",
     "grid_p_laplace",
     "percentile_rank",
     "auc",
@@ -109,16 +110,23 @@ def make_grid(gmm: GmmParams, n: int = 40, pad_sigma: float = 2.0) -> Grid:
     return Grid(xs=xs, ys=ys, points=np.column_stack([gx.ravel(), gy.ravel()]))
 
 
+def boundary_at_points(
+    field: ScoreField, points: np.ndarray, cfg: EstimatorConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """Boundary-formulation estimate at every row of ``points``; one RNG substream per point."""
+    values = np.empty(points.shape[0])
+    for i, sub in enumerate(split_rng(rng, points.shape[0])):
+        values[i] = estimate_boundary(field, points[i], cfg, sub).value
+    return values
+
+
 def grid_p_laplace(
     field: ScoreField, grid: Grid, cfg: EstimatorConfig, rng: np.random.Generator
 ) -> np.ndarray:
-    """Boundary-formulation estimate at every grid node; one RNG substream per node."""
+    """:func:`boundary_at_points` over the grid nodes, shaped like the grid."""
     if grid.points.shape[1] != 2:
         raise ValueError("grid evaluation is a 2-d diagnostic")
-    values = np.empty(grid.points.shape[0])
-    for i, sub in enumerate(split_rng(rng, grid.points.shape[0])):
-        values[i] = estimate_boundary(field, grid.points[i], cfg, sub).value
-    return values.reshape(grid.shape)
+    return boundary_at_points(field, grid.points, cfg, rng).reshape(grid.shape)
 
 
 def percentile_rank(grid_values, value_at_point: float) -> float:

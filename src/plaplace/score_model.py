@@ -63,8 +63,9 @@ class NoiseSchedule:
             raise ValueError("betas and alphas must be equal-length 1-d arrays")
         if np.any(betas < 0) or np.any(betas >= 1):
             raise ValueError("betas must lie in [0, 1)")
-        if np.any(alphas < 0) or np.any(alphas >= 1):
-            raise ValueError("alphas must lie in [0, 1)")
+        # alpha_t = 0 leaves no noise to predict, so the score -eps_hat / sqrt(alpha_t) would not exist.
+        if np.any(alphas <= 0) or np.any(alphas >= 1):
+            raise ValueError("alphas must lie in (0, 1)")
         if np.any(np.diff(alphas) < 0):
             raise ValueError("alphas must be nondecreasing")
 
@@ -269,10 +270,7 @@ def train(
 
 def learned_score(model: MlpScoreModel, schedule: NoiseSchedule, x, t: int) -> np.ndarray:
     """Score of the learned noise-level-t density: -eps_hat(x, t) / sqrt(alpha_t)."""
-    alpha = float(schedule.alphas[t])
-    if alpha <= 0.0:
-        raise ValueError(f"alpha_t must be positive to recover a score, got {alpha} at t={t}")
-    return -model.predict_noise(x, t) / np.sqrt(alpha)
+    return -model.predict_noise(x, t) / np.sqrt(schedule.alphas[t])
 
 
 def score_field(model: MlpScoreModel, schedule: NoiseSchedule, t: int = 0) -> ScoreField:
@@ -297,8 +295,7 @@ def reverse_sample(model, schedule: NoiseSchedule, n: int, rng: np.random.Genera
     for t in range(schedule.t_steps - 1, -1, -1):
         beta = float(schedule.betas[t])
         if beta > 0.0:
-            s = -model.predict_noise(x, t) / np.sqrt(schedule.alphas[t])
-            x = x + 0.5 * beta * x + beta * s
+            x = x + 0.5 * beta * x + beta * learned_score(model, schedule, x, t)
             if t > 0:
                 x = x + np.sqrt(beta) * rng.standard_normal((n, d))
         if not np.all(np.isfinite(x)):

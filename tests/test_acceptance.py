@@ -16,7 +16,7 @@ import pytest
 
 from plaplace.bounds import bound_constant, validate_bound
 from plaplace.estimators import EstimatorConfig, _flux_values, estimate_boundary, estimate_volume
-from plaplace.geometry import ball_volume, make_rng, split_rng, sphere_area
+from plaplace.geometry import make_rng, split_rng
 from plaplace.gmm import averaged_p_laplace_dense, log_density, perturb, sample_gmm, score
 from plaplace.gmm import score_field as gmm_score_field
 from plaplace.memorization import auc, build_scenario, grid_p_laplace, make_grid, percentile_rank
@@ -241,7 +241,7 @@ def test_criterion_5_memorization_detection(default_gmm, schedule):
 
 
 def test_criterion_6_numerics(default_gmm):
-    """Gradient checks and the measure-ratio identity at their stated tolerances."""
+    """Gradient checks at their stated tolerances, and the exact surface/volume factor d/R."""
     with report("6 numerics") as info:
         # backprop vs central finite differences, 12-parameter spot check
         rng = make_rng(7)
@@ -284,13 +284,12 @@ def test_criterion_6_numerics(default_gmm):
             worst_score_err = max(worst_score_err, rel)
             assert rel < 1e-6
 
-        # measure-ratio identity up to d = 64
+        # at p = 2 with unit constants the bound is the surface/volume factor alone, exactly d/R
         for dim in range(1, 65):
             for radius in (0.5, 1.0, 2.0):
-                ratio = sphere_area(dim, radius) / ball_volume(dim, radius)
-                assert ratio == pytest.approx(dim / radius, rel=1e-10)
+                assert bound_constant(2.0, 1.0, 1.0, 1.0, dim, radius) == dim / radius
 
         info["detail"] = (
             f"grad rel err {worst_grad_err:.1e}, score rel err {worst_score_err:.1e}, "
-            f"ratio identity to d=64"
+            f"factor d/R exact to d=64"
         )

@@ -130,6 +130,16 @@ class TestValidateBound:
         assert r.empirical_error <= r.c_p
         assert r.c_p == pytest.approx(2.0 * 0.0505, rel=1e-9)
 
+    def test_high_dim_small_radius_finite(self):
+        """At d = 64, R = 1e-5 the ball volume underflows, yet the bound and the error stay finite."""
+        anchor = np.zeros(64)
+        offset = 1e-7 * np.eye(64)[0]
+        cfg = EstimatorConfig(p=2.0, radius=1e-5)
+        (r,) = validate_bound(lambda x: x - anchor, lambda x: x - anchor + offset, [anchor], cfg, make_rng(5))
+        assert r.assumptions_ok and np.isfinite(r.empirical_error)
+        assert r.c_p == (64 / 1e-5) * r.delta
+        assert r.empirical_error <= r.c_p
+
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_oracle_vs_learned_dominance(self, default_gmm, schedule, trained_model, p):
         """The theorem holds exactly on the shared-sample discretization."""

@@ -173,6 +173,16 @@ class TestCli:
         errors = json.loads((tmp_path / "out" / "errors.json").read_text())
         assert set(errors["failed_seeds"]) == {"0", "1"}
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_bounds_summary_without_completed_seed(self, small_config, tmp_path):
+        """With every seed failed, the bounds summary claims neither dominance nor a worst ratio."""
+        path, cfg = small_config
+        path.write_text(json.dumps({**cfg, "training": {"epochs": 5, "learning_rate": 1e50}, "seeds": [0, 1]}))
+        assert main(["bounds", "--config", str(path)]) == 1
+        summary = json.loads((tmp_path / "out" / "bounds" / "summary.json").read_text())
+        assert summary["per_seed"] == {}
+        assert summary["dominance_holds"] is None and summary["max_error_bound_ratio"] is None
+
     def test_failed_seed_leaves_no_rows_in_aggregates(self, small_config, tmp_path, monkeypatch):
         """A seed that fails after writing some of its rows adds none of them to the study tables."""
         path, cfg = small_config
@@ -219,9 +229,11 @@ class TestCli:
         ("bounds", {"estimator": {"normalize_by_volume": False}}),
         ("fidelity", {"schedule": {"beta_min": 0.5, "beta_max": 0.9}}),
         ("train", {"schedule": {"beta_min": 0.5, "beta_max": 0.9}}),
+        ("fidelity", {"schedule": {"beta_min": 1e-20}}),
     ], ids=["ragged_means", "weights_sum", "odd_embed_dim", "memorize_3d", "one_repeat", "experiment_mismatch",
             "weights_without_means", "negative_seed", "negative_seed_train", "duplicate_p", "duplicate_bounds_p",
-            "normalize_by_volume", "schedule_noise_reaches_one", "schedule_noise_reaches_one_train"])
+            "normalize_by_volume", "schedule_noise_reaches_one", "schedule_noise_reaches_one_train",
+            "schedule_zero_least_noise"])
     def test_bad_config_rejected_at_load(self, small_config, tmp_path, command, override):
         path, cfg = small_config
         path.write_text(json.dumps({**cfg, **override}))
@@ -256,7 +268,9 @@ class TestCli:
         None, "{not json", "[1]", '{"betas": [0.1]}', '{"schema_version": 1}',
         json.dumps({**MINIMAL_CHECKPOINT, "betas": [2.0]}),
         json.dumps({**MINIMAL_CHECKPOINT, "w1": [[0.0] * 3] * 3}),
-    ], ids=["missing", "not_json", "not_object", "no_schema_version", "no_fields", "bad_betas", "w1_rows"])
+        json.dumps({**MINIMAL_CHECKPOINT, "betas": [0.0, 0.02]}),
+    ], ids=["missing", "not_json", "not_object", "no_schema_version", "no_fields", "bad_betas", "w1_rows",
+            "zero_least_noise"])
     def test_sample_rejects_bad_checkpoint(self, small_config, tmp_path, capsys, content):
         path, _ = small_config
         ckpt = tmp_path / "checkpoint.json"

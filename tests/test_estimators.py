@@ -202,6 +202,12 @@ class TestBoundaryEstimator:
         est = estimate_boundary(field, x0, EstimatorConfig(p=2.0), make_rng(5))
         assert est.value == pytest.approx(2.0, rel=1e-12)
 
+    def test_high_dim_small_radius_finite(self):
+        """The factor d/R stays finite where the ball volume underflows (d = 64, R = 1e-5)."""
+        x0 = np.zeros(64)
+        est = estimate_boundary(lambda x: x - x0, x0, EstimatorConfig(p=2.0, radius=1e-5), make_rng(5))
+        assert est.value == pytest.approx(64.0, rel=1e-12)
+
     def test_agrees_with_volume_on_smooth_field(self, oracle_field):
         """Divergence-theorem cross-check at six fixed anchors."""
         rng = make_rng(7)

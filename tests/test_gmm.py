@@ -3,7 +3,7 @@ import pytest
 
 from plaplace.errors import SingularGradientError
 from plaplace.estimators import _divergence_values, _reduce
-from plaplace.geometry import BallSpec, make_rng, sample_ball_uniform
+from plaplace.geometry import make_rng, sample_ball_uniform
 from plaplace.gmm import (
     CHUNK,
     GmmParams,
@@ -253,7 +253,7 @@ class TestDenseAverage:
         """Every p reduces the same draw, and the chunked parts equal the parts taken in one piece."""
         n, p_values, x0 = 2 * CHUNK + 17, [1.0, 1.5, 2.0, 3.0], random_gmm.means[0]
         dense = averaged_p_laplace_dense(random_gmm, x0, p_values, 1.0, n, make_rng(19))
-        xs = sample_ball_uniform(BallSpec.around(x0, 1.0), n, make_rng(19))
+        xs = sample_ball_uniform(x0, 1.0, n, make_rng(19))
         parts = _p_laplace_parts(random_gmm, xs)
         assert len(dense) == len(p_values)
         for p, got in zip(p_values, dense):

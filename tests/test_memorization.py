@@ -9,6 +9,7 @@ from plaplace.geometry import make_rng, split_rng
 from plaplace.gmm import GmmParams, score_field
 from plaplace.memorization import (
     auc,
+    boundary_at_points,
     build_scenario,
     grid_p_laplace,
     make_grid,
@@ -70,6 +71,16 @@ class TestGrid:
         expected = estimate_boundary(field, pt, cfg, split_rng(make_rng(17), 1)[0])
         assert mat.shape == (1, 1)
         assert mat[0, 0] == expected.value
+
+    def test_points_match_per_point_estimates(self):
+        """One estimate_boundary per row, each on its own split_rng substream in row order, in any dimension."""
+        points = make_rng(3).normal(size=(5, 3))
+        field = lambda x: -x
+        cfg = EstimatorConfig(p=1.5, n_samples=20)
+        values = boundary_at_points(field, points, cfg, make_rng(18))
+        expected = [estimate_boundary(field, x, cfg, r).value for x, r in zip(points, split_rng(make_rng(18), 5))]
+        assert values.shape == (5,)
+        np.testing.assert_array_equal(values, expected)
 
     def test_learned_field_flags_memorized_point(self, default_gmm, schedule):
         """Replica injection drives the memorized point into the bottom decile.

@@ -83,9 +83,9 @@ class TestNoiseSchedule:
             NoiseSchedule.from_betas([0.5, 1.0])
         with pytest.raises(ValueError):
             NoiseSchedule.from_betas([-0.1, 0.2])
-        # zero betas are allowed (drift-free degenerate schedule)
-        sched = NoiseSchedule.from_betas(np.zeros(5))
-        assert np.all(sched.alphas == 0.0)
+        # a zero beta after the first step is allowed: it leaves alpha where it was
+        sched = NoiseSchedule.from_betas([0.01, 0.0])
+        assert sched.alphas[1] == sched.alphas[0] > 0.0
 
 
 class TestSinusoidalEmbed:
@@ -229,9 +229,10 @@ class TestLearnedScore:
         np.testing.assert_array_equal(learned_score(model, schedule, np.ones((3, 2)), 0), 0.0)
 
     def test_alpha_zero_guard(self):
-        sched = NoiseSchedule.from_betas([0.0, 0.01])
-        with pytest.raises(ValueError):
-            learned_score(zero_model(), sched, np.ones(2), 0)
+        """alpha_t = 0 has no score; the schedule cannot hold one, so learned_score never sees it."""
+        for betas in ([0.0, 0.01], [1e-20, 0.01]):
+            with pytest.raises(ValueError, match="alphas"):
+                NoiseSchedule.from_betas(betas)
 
     def test_single_gaussian_matches_perturbed_oracle(self, schedule):
         """Direction agreement with the analytic corrupted-Gaussian score."""
@@ -277,7 +278,8 @@ class OracleNoisePredictor:
 class TestReverseSample:
     def test_drift_free_limit(self):
         """Zero score and zero betas leave the initial standard normal draws untouched."""
-        sched = NoiseSchedule.from_betas(np.zeros(10))
+        # reverse_sample reads t_steps, betas and alphas; zero alphas are outside any valid NoiseSchedule.
+        sched = SimpleNamespace(t_steps=10, betas=np.zeros(10), alphas=np.zeros(10))
         samples = reverse_sample(zero_model(), sched, 32, make_rng(42))
         np.testing.assert_array_equal(samples, make_rng(42).standard_normal((32, 2)))
 

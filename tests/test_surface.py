@@ -1,15 +1,20 @@
-"""The public surface: every ``__all__`` name resolves, and the README quick start runs as written."""
+"""The public surface: every ``__all__`` name resolves, the README quick start runs as written, and the
+benchmark tracer finds every function it wraps."""
 
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
 import plaplace
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_all_names_resolve_and_quick_start_runs(capsys):
@@ -24,3 +29,11 @@ def test_all_names_resolve_and_quick_start_runs(capsys):
     exec(compile(block.group(1), str(README), "exec"), {})
     printed = capsys.readouterr().out.split()
     assert len(printed) == 2 and np.all(np.isfinite([float(v) for v in printed]))
+
+
+def test_benchmark_tracer_installs():
+    """The benchmark tracer rebinds functions by name; a renamed one makes ``install`` raise here."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])}
+    code = "import tracing; tracing.install(tracing.Tracer())"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
