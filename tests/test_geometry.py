@@ -1,8 +1,44 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from plaplace.bounds import bound_constant
+from plaplace.estimators import EstimatorConfig, estimate_boundary
 from plaplace.geometry import make_rng, sample_ball_uniform, sample_sphere_uniform, split_rng
+
+
+def _measure_ratio(dim, radius):
+    """|dB_R| / |B_R| from the Gamma-function formulas, in log space."""
+    log_area = math.log(2.0) + 0.5 * dim * math.log(math.pi) + (dim - 1) * math.log(radius) - math.lgamma(dim / 2.0)
+    log_volume = 0.5 * dim * math.log(math.pi) + dim * math.log(radius) - math.lgamma(dim / 2.0 + 1.0)
+    return math.exp(log_area - log_volume)
+
+
+def _applied_factors(dim, radius):
+    """The surface/volume factor as the boundary estimator and the bound apply it."""
+    center = np.linspace(-1.0, 1.0, dim)
+    # p = 2 and the unit outward field (x - center) / R: every flux sample is 1
+    cfg = EstimatorConfig(p=2.0, radius=radius, n_samples=8)
+    est = estimate_boundary(lambda x: (x - center) / radius, center, cfg, make_rng(dim))
+    return est.value, bound_constant(2.0, 1.0, 1.0, 1.0, dim, radius)
+
+
+class TestMeasures:
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
+    def test_ratio_identity_all_dims(self, radius):
+        for dim in range(1, 65):
+            for factor in _applied_factors(dim, radius):
+                assert factor == pytest.approx(_measure_ratio(dim, radius), rel=1e-10)
+
+    @given(dim=st.integers(1, 64), radius=st.floats(0.1, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_ratio_identity_property(self, dim, radius):
+        for factor in _applied_factors(dim, radius):
+            assert factor == pytest.approx(_measure_ratio(dim, radius), rel=1e-10)
 
 
 @pytest.mark.parametrize("sampler", [sample_sphere_uniform, sample_ball_uniform])
