@@ -1,8 +1,9 @@
 """Experiment configuration: JSON files with strict schema validation.
 
 Unknown keys are rejected everywhere so typos fail loudly instead of
-silently falling back to defaults.  Missing keys take the documented
-defaults; the fully resolved config is embedded in every artifact.
+silently falling back to defaults.  The schema declares each key once,
+with its default; missing keys take it, and the fully resolved config is
+embedded in every artifact.
 """
 
 from __future__ import annotations
@@ -17,48 +18,14 @@ from .estimators import EstimatorConfig
 from .gmm import GmmParams, draw_gmm
 from .score_model import NoiseSchedule
 
-__all__ = ["DEFAULT_CONFIG", "load_config", "resolve_config", "validate_config",
-           "build_gmm", "build_schedule", "build_estimator_config"]
+__all__ = ["DEFAULT_CONFIG", "load_config", "resolve_config", "build_gmm", "build_schedule", "build_estimator_config"]
 
-DEFAULT_CONFIG = {
-    "gmm": {
-        "means": None,
-        "weights": None,
-        "sigma2": 1.0,
-        "n_components": 3,
-        "dim": 2,
-        "low": -5.0,
-        "high": 5.0,
-        "seed": 7,
-    },
-    "schedule": {"t_steps": 100, "beta_min": 1e-4, "beta_max": 0.02},
-    "training": {
-        "epochs": 500,
-        "learning_rate": 1e-3,
-        "batch_size": 32,
-        "n_train": 1000,
-        "hidden_width": 128,
-        "embed_dim": 32,
-    },
-    "estimator": {
-        "radius": 1.0,
-        "n_samples": 100,
-        "fd_step": 1e-3,
-        "p_values": [1.0, 2.0, 3.0],
-    },
-    "fidelity": {"n_repeats": 100, "n_dense": 1_000_000},
-    "memorization": {
-        "n_base": 1000,
-        "n_replicas": 250,
-        "grid_size": 40,
-        "pad_sigma": 2.0,
-        "n_background": 50,
-    },
-    "bounds": {"n_anchors": 50, "p_values": [1.0, 2.0, 3.0]},
-    "seeds": [0, 1, 2, 3, 4],
-    "output_dir": "out",
+# The one declaration of every key: its type, its range and its default.
+# ``experiment`` alone has no default: the subcommand names the study.
+_P_VALUES = {
+    "type": "array", "items": {"type": "number", "minimum": 1}, "minItems": 1, "uniqueItems": True,
+    "default": [1.0, 2.0, 3.0],
 }
-
 _SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -72,96 +39,104 @@ _SCHEMA = {
                     "type": ["array", "null"],
                     "items": {"type": "array", "items": {"type": "number"}, "minItems": 1},
                     "minItems": 1,
+                    "default": None,
                 },
-                "weights": {"type": ["array", "null"], "items": {"type": "number"}},
-                "sigma2": {"type": "number", "exclusiveMinimum": 0},
-                "n_components": {"type": "integer", "minimum": 1},
-                "dim": {"type": "integer", "minimum": 1},
-                "low": {"type": "number"},
-                "high": {"type": "number"},
-                "seed": {"type": "integer"},
+                "weights": {"type": ["array", "null"], "items": {"type": "number"}, "default": None},
+                "sigma2": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
+                "n_components": {"type": "integer", "minimum": 1, "default": 3},
+                "dim": {"type": "integer", "minimum": 1, "default": 2},
+                "low": {"type": "number", "default": -5.0},
+                "high": {"type": "number", "default": 5.0},
+                "seed": {"type": "integer", "default": 7},
             },
         },
         "schedule": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "t_steps": {"type": "integer", "minimum": 1},
-                "beta_min": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "beta_max": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+                "t_steps": {"type": "integer", "minimum": 1, "default": 100},
+                "beta_min": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1, "default": 1e-4},
+                "beta_max": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1, "default": 0.02},
             },
         },
         "training": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "epochs": {"type": "integer", "minimum": 1},
-                "learning_rate": {"type": "number", "exclusiveMinimum": 0},
-                "batch_size": {"type": ["integer", "null"], "minimum": 1},
-                "n_train": {"type": "integer", "minimum": 1},
-                "hidden_width": {"type": "integer", "minimum": 1},
-                "embed_dim": {"type": "integer", "minimum": 2, "multipleOf": 2},
+                "epochs": {"type": "integer", "minimum": 1, "default": 500},
+                "learning_rate": {"type": "number", "exclusiveMinimum": 0, "default": 1e-3},
+                "batch_size": {"type": "integer", "minimum": 1, "default": 32},
+                "n_train": {"type": "integer", "minimum": 1, "default": 1000},
+                "hidden_width": {"type": "integer", "minimum": 1, "default": 128},
+                "embed_dim": {"type": "integer", "minimum": 2, "multipleOf": 2, "default": 32},
             },
         },
         "estimator": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "radius": {"type": "number", "exclusiveMinimum": 0},
-                "n_samples": {"type": "integer", "minimum": 1},
-                "fd_step": {"type": "number", "exclusiveMinimum": 0},
-                "p_values": {
-                    "type": "array", "items": {"type": "number", "minimum": 1}, "minItems": 1, "uniqueItems": True,
-                },
+                "radius": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
+                "n_samples": {"type": "integer", "minimum": 1, "default": 100},
+                "fd_step": {"type": "number", "exclusiveMinimum": 0, "default": 1e-3},
+                "p_values": _P_VALUES,
             },
         },
         "fidelity": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "n_repeats": {"type": "integer", "minimum": 2},
-                "n_dense": {"type": "integer", "minimum": 100},
+                "n_repeats": {"type": "integer", "minimum": 2, "default": 100},
+                "n_dense": {"type": "integer", "minimum": 100, "default": 1_000_000},
             },
         },
         "memorization": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "n_base": {"type": "integer", "minimum": 1},
-                "n_replicas": {"type": "integer", "minimum": 0},
-                "grid_size": {"type": "integer", "minimum": 1},
-                "pad_sigma": {"type": "number", "minimum": 0},
-                "n_background": {"type": "integer", "minimum": 1},
+                "n_base": {"type": "integer", "minimum": 1, "default": 1000},
+                "n_replicas": {"type": "integer", "minimum": 0, "default": 250},
+                "grid_size": {"type": "integer", "minimum": 1, "default": 40},
+                "pad_sigma": {"type": "number", "minimum": 0, "default": 2.0},
+                "n_background": {"type": "integer", "minimum": 1, "default": 50},
             },
         },
         "bounds": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "n_anchors": {"type": "integer", "minimum": 1},
-                "p_values": {
-                    "type": "array", "items": {"type": "number", "minimum": 1}, "minItems": 1, "uniqueItems": True,
-                },
+                "n_anchors": {"type": "integer", "minimum": 1, "default": 50},
+                "p_values": _P_VALUES,
             },
         },
-        "seeds": {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1},
-        "output_dir": {"type": "string"},
+        "seeds": {
+            "type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1, "uniqueItems": True,
+            "default": [0, 1, 2, 3, 4],
+        },
+        "output_dir": {"type": "string", "default": "out"},
     },
 }
 
 
-def validate_config(raw: dict) -> None:
-    """Schema check; raises ConfigError with the offending path."""
+def _defaults(node: dict):
+    """The defaults a schema node declares: a leaf's own, or an object of its keys' defaults."""
+    if "properties" not in node:
+        return copy.deepcopy(node["default"])
+    return {key: _defaults(sub) for key, sub in node["properties"].items() if "default" in sub or "properties" in sub}
+
+
+DEFAULT_CONFIG = _defaults(_SCHEMA)
+
+
+def resolve_config(raw: dict) -> dict:
+    """Validate against the schema, fill in defaults for all missing keys, and check the mixture and schedule build.
+
+    Raises :class:`ConfigError` naming the offending path.
+    """
     try:
         jsonschema.validate(raw, _SCHEMA)
     except jsonschema.ValidationError as exc:
         where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {where}: {exc.message}") from exc
-
-
-def resolve_config(raw: dict) -> dict:
-    """Validate, fill in defaults for all missing keys, and check the mixture and schedule build."""
-    validate_config(raw)
     resolved = copy.deepcopy(DEFAULT_CONFIG)
     for key, value in raw.items():
         if isinstance(value, dict):

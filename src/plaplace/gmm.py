@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import SingularGradientError
 from .estimators import _reduce
@@ -99,21 +98,26 @@ def draw_gmm(
     return GmmParams(means=means, sigma2=sigma2, weights=weights)
 
 
-def _log_resp_unnormalized(g: GmmParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-component log weight plus Gaussian exponent (constant term dropped).
+def _responsibilities(g: GmmParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one mixture kernel: diffs, responsibilities and the log-normalizer.
 
-    Returns (diffs, log_resp) where diffs = mean_k - x with shape (..., K, d).
+    With l_k = log w_k - |mean_k - x|^2 / (2 sigma2) (the Gaussian constant
+    dropped), returns diffs = mean_k - x with shape (..., K, d), the
+    responsibilities r_k = exp(l_k) / sum_j exp(l_j), and
+    log sum_k exp(l_k).  Both exponentiate l_k - max_j l_j, so neither
+    underflows to 0 / 0 or log(0) far from every mean.
     """
     diffs = g.means - x[..., None, :]
-    return diffs, np.log(g.weights) - 0.5 * np.einsum("...kd,...kd->...k", diffs, diffs) / g.sigma2
+    log_resp = np.log(g.weights) - 0.5 * np.einsum("...kd,...kd->...k", diffs, diffs) / g.sigma2
+    top = log_resp.max(axis=-1, keepdims=True)
+    resp = np.exp(log_resp - top)
+    total = resp.sum(axis=-1, keepdims=True)
+    return diffs, resp / total, (top + np.log(total))[..., 0]
 
 
 def log_density(g: GmmParams, x) -> np.ndarray | float:
-    """log of the mixture density, via log-sum-exp over components."""
-    x = np.asarray(x, dtype=float)
-    _, log_resp = _log_resp_unnormalized(g, x)
-    const = -0.5 * g.dim * np.log(2.0 * np.pi * g.sigma2)
-    out = logsumexp(log_resp, axis=-1) + const
+    """log of the mixture density, via the max-shifted log-sum-exp over components."""
+    out = _responsibilities(g, np.asarray(x, dtype=float))[2] - 0.5 * g.dim * np.log(2.0 * np.pi * g.sigma2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -124,9 +128,7 @@ def score(g: GmmParams, x) -> np.ndarray:
 
 def _moments(g: GmmParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Responsibilities r_k, pulls g_k = (mean_k - x)/sigma2, and the score s = sum_k r_k g_k."""
-    diffs, log_resp = _log_resp_unnormalized(g, x)
-    resp = np.exp(log_resp - log_resp.max(axis=-1, keepdims=True))
-    resp /= resp.sum(axis=-1, keepdims=True)
+    diffs, resp, _ = _responsibilities(g, x)
     gk = diffs / g.sigma2
     return resp, gk, np.einsum("...k,...kd->...d", resp, gk)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +44,7 @@ _CHECKPOINT_FIELDS = ("input_dim", "hidden_width", "embed_dim", "freq_base", "be
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Discrete noise schedule: per-step betas and cumulative noise fractions.
+    """Discrete noise schedule: per-step betas and the cumulative noise fractions they give.
 
     ``alphas[t]`` is the total noise fraction after step t, computed as
     1 - prod(1 - beta_i), so the forward corruption identity holds exactly
@@ -52,37 +52,29 @@ class NoiseSchedule:
     """
 
     betas: np.ndarray
-    alphas: np.ndarray
+    alphas: np.ndarray = field(init=False)
 
     def __post_init__(self):
         betas = np.asarray(self.betas, dtype=float)
-        alphas = np.asarray(self.alphas, dtype=float)
-        object.__setattr__(self, "betas", betas)
-        object.__setattr__(self, "alphas", alphas)
-        if betas.ndim != 1 or betas.shape != alphas.shape or betas.shape[0] < 1:
-            raise ValueError("betas and alphas must be equal-length 1-d arrays")
+        if betas.ndim != 1 or betas.shape[0] < 1:
+            raise ValueError("betas must be a nonempty 1-d array")
         if np.any(betas < 0) or np.any(betas >= 1):
             raise ValueError("betas must lie in [0, 1)")
+        alphas = 1.0 - np.cumprod(1.0 - betas)
         # alpha_t = 0 leaves no noise to predict, so the score -eps_hat / sqrt(alpha_t) would not exist.
         if np.any(alphas <= 0) or np.any(alphas >= 1):
             raise ValueError("alphas must lie in (0, 1)")
-        if np.any(np.diff(alphas) < 0):
-            raise ValueError("alphas must be nondecreasing")
+        object.__setattr__(self, "betas", betas)
+        object.__setattr__(self, "alphas", alphas)
 
     @property
     def t_steps(self) -> int:
         return self.betas.shape[0]
 
     @classmethod
-    def from_betas(cls, betas) -> "NoiseSchedule":
-        betas = np.asarray(betas, dtype=float)
-        alphas = 1.0 - np.cumprod(1.0 - betas)
-        return cls(betas=betas, alphas=alphas)
-
-    @classmethod
     def linear(cls, t_steps: int = 100, beta_min: float = 1e-4, beta_max: float = 0.02) -> "NoiseSchedule":
         """Linear beta ramp; the standard baseline schedule."""
-        return cls.from_betas(np.linspace(beta_min, beta_max, t_steps))
+        return cls(np.linspace(beta_min, beta_max, t_steps))
 
 
 def sinusoidal_embed(t, dim: int, base: float = 1.0e4) -> np.ndarray:
@@ -147,7 +139,7 @@ class MlpScoreModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization hyperparameters; batch_size None means full-batch steps.
+    """Optimization hyperparameters; a batch_size of at least the data size means full-batch steps.
 
     The minibatch default matters: full-batch runs take one step per epoch
     and leave the score direction visibly under-fit at the default epoch
@@ -156,14 +148,12 @@ class TrainConfig:
 
     epochs: int = 500
     learning_rate: float = 1e-3
-    batch_size: int | None = 32
+    batch_size: int = 32
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs <= 0 or self.learning_rate <= 0:
-            raise ValueError("epochs and learning_rate must be positive")
-        if self.batch_size is not None and self.batch_size <= 0:
-            raise ValueError("batch_size must be positive when given")
+        if self.epochs <= 0 or self.learning_rate <= 0 or self.batch_size <= 0:
+            raise ValueError("epochs, learning_rate and batch_size must be positive")
 
 
 def forward_perturb(
@@ -230,7 +220,7 @@ def train(
     w2 = np.zeros((hidden_width, d))
     b2 = np.zeros(d)
 
-    batch = n if cfg.batch_size is None else min(cfg.batch_size, n)
+    batch = min(cfg.batch_size, n)
     for epoch in range(cfg.epochs):
         if batch == n:
             order = np.arange(n)
@@ -344,7 +334,7 @@ def load_checkpoint(path) -> tuple[MlpScoreModel, NoiseSchedule]:
     if missing:
         raise CheckpointError(f"checkpoint {path} lacks {', '.join(missing)}")
     try:
-        schedule = NoiseSchedule.from_betas(payload["betas"])
+        schedule = NoiseSchedule(payload["betas"])
         model = MlpScoreModel(
             input_dim=int(payload["input_dim"]),
             hidden_width=int(payload["hidden_width"]),

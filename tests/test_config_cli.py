@@ -2,12 +2,14 @@ import csv
 import json
 import os
 
+import jsonschema
 import numpy as np
 import pytest
 
 from plaplace import svgplot
 from plaplace.cli import main
 from plaplace.config import (
+    _SCHEMA,
     DEFAULT_CONFIG,
     build_estimator_config,
     build_gmm,
@@ -40,6 +42,20 @@ class TestConfigValidation:
         assert cfg["estimator"]["radius"] == 1.0
         assert cfg["training"]["epochs"] == 500
         assert cfg["seeds"] == DEFAULT_CONFIG["seeds"]
+
+    def test_schema_declares_every_default(self):
+        """DEFAULT_CONFIG is the schema's defaults: it validates, and only ``experiment`` has none."""
+        jsonschema.validate(DEFAULT_CONFIG, _SCHEMA)
+
+        def without_default(node, path):
+            for key, sub in node["properties"].items():
+                if "properties" in sub:
+                    yield from without_default(sub, f"{path}{key}/")
+                elif "default" not in sub:
+                    yield path + key
+
+        assert list(without_default(_SCHEMA, "")) == ["experiment"]
+        assert set(DEFAULT_CONFIG) == set(_SCHEMA["properties"]) - {"experiment"}
 
     def test_partial_block_keeps_other_defaults(self):
         cfg = resolve_config({"experiment": "bounds", "training": {"epochs": 7}})
@@ -230,10 +246,12 @@ class TestCli:
         ("fidelity", {"schedule": {"beta_min": 0.5, "beta_max": 0.9}}),
         ("train", {"schedule": {"beta_min": 0.5, "beta_max": 0.9}}),
         ("fidelity", {"schedule": {"beta_min": 1e-20}}),
+        ("memorize", {"seeds": [0, 0]}),
+        ("fidelity", {"training": {"batch_size": None}}),
     ], ids=["ragged_means", "weights_sum", "odd_embed_dim", "memorize_3d", "one_repeat", "experiment_mismatch",
             "weights_without_means", "negative_seed", "negative_seed_train", "duplicate_p", "duplicate_bounds_p",
             "normalize_by_volume", "schedule_noise_reaches_one", "schedule_noise_reaches_one_train",
-            "schedule_zero_least_noise"])
+            "schedule_zero_least_noise", "duplicate_seeds", "null_batch_size"])
     def test_bad_config_rejected_at_load(self, small_config, tmp_path, command, override):
         path, cfg = small_config
         path.write_text(json.dumps({**cfg, **override}))

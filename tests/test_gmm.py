@@ -77,6 +77,14 @@ class TestLogDensity:
         at_origin = log_density(pair, np.zeros(2))
         assert at_origin == pytest.approx(log_density(lone, np.zeros(2)), rel=1e-12)
 
+    def test_far_from_every_mean(self):
+        """1e3 from the mean the max-shifted log-sum-exp holds; a shift-free one reads log(0) = -inf there."""
+        g = single([1.5, -2.0], sigma2=0.7)
+        x = np.array([1.5 + 600.0, -2.0 + 800.0])  # |x - mean| = 1e3 exactly
+        expected = -np.log(2 * np.pi * 0.7) - 0.5 * 1e6 / 0.7
+        assert log_density(g, x) == pytest.approx(expected, rel=1e-12)
+        np.testing.assert_allclose(log_density(g, np.stack([x, x])), expected, rtol=1e-12)
+
     def test_matches_direct_summation(self, random_gmm):
         """Log-sum-exp path agrees with naive density summation."""
         rng = make_rng(2)

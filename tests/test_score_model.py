@@ -71,7 +71,7 @@ class TestNoiseSchedule:
 
     def test_cumulative_identity(self):
         betas = np.array([0.1, 0.2, 0.3])
-        sched = NoiseSchedule.from_betas(betas)
+        sched = NoiseSchedule(betas)
         np.testing.assert_allclose(sched.alphas, 1.0 - np.cumprod(1.0 - betas), rtol=1e-15)
 
     def test_variance_preservation(self):
@@ -80,11 +80,11 @@ class TestNoiseSchedule:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            NoiseSchedule.from_betas([0.5, 1.0])
+            NoiseSchedule([0.5, 1.0])
         with pytest.raises(ValueError):
-            NoiseSchedule.from_betas([-0.1, 0.2])
+            NoiseSchedule([-0.1, 0.2])
         # a zero beta after the first step is allowed: it leaves alpha where it was
-        sched = NoiseSchedule.from_betas([0.01, 0.0])
+        sched = NoiseSchedule([0.01, 0.0])
         assert sched.alphas[1] == sched.alphas[0] > 0.0
 
 
@@ -232,7 +232,7 @@ class TestLearnedScore:
         """alpha_t = 0 has no score; the schedule cannot hold one, so learned_score never sees it."""
         for betas in ([0.0, 0.01], [1e-20, 0.01]):
             with pytest.raises(ValueError, match="alphas"):
-                NoiseSchedule.from_betas(betas)
+                NoiseSchedule(betas)
 
     def test_single_gaussian_matches_perturbed_oracle(self, schedule):
         """Direction agreement with the analytic corrupted-Gaussian score."""

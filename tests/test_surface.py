@@ -1,5 +1,6 @@
-"""The public surface: every ``__all__`` name resolves, the README quick start runs as written, and the
-benchmark tracer finds every function it wraps."""
+"""The public surface: every ``__all__`` name resolves, the README quick start runs as written, the
+benchmark tracer finds every function it wraps, and the runtime imports nothing outside its declared
+dependencies."""
 
 import importlib
 import os
@@ -37,3 +38,16 @@ def test_benchmark_tracer_installs():
     code = "import tracing; tracing.install(tracing.Tracer())"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_runtime_imports_no_scipy():
+    """scipy is a test dependency only: importing every plaplace module must not load it."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = (
+        "import importlib, pkgutil, sys, plaplace\n"
+        "for info in pkgutil.iter_modules(plaplace.__path__): importlib.import_module(f'plaplace.{info.name}')\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
