@@ -16,7 +16,6 @@ never exceed c_p built from sample-set extrema.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,14 +35,6 @@ __all__ = [
 ]
 
 
-class AssumptionConstants(NamedTuple):
-    delta: float
-    m: float
-    M: float
-    segment_min: float
-    assumptions_ok: bool
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Per-anchor record of measured constants, bound, and observed error."""
@@ -55,8 +46,12 @@ class BoundReport:
     M: float
     c_p: float
     empirical_error: float
-    assumptions_ok: bool
     segment_min: float
+
+    @property
+    def assumptions_ok(self) -> bool:
+        """The norms stay bounded away from zero, so c_p is finite."""
+        return self.m > 0.0
 
 
 def bound_constant(
@@ -95,7 +90,8 @@ def _segment_minima(sv: np.ndarray, hv: np.ndarray) -> np.ndarray:
     return np.linalg.norm(hv + t_star[:, None] * dvec, axis=1)
 
 
-def _constants_from_values(sv: np.ndarray, hv: np.ndarray) -> AssumptionConstants:
+def _constants_from_values(sv: np.ndarray, hv: np.ndarray) -> tuple[float, float, float, float]:
+    """(delta, m, M, segment_min) measured on paired score values."""
     sn = np.linalg.norm(sv, axis=1)
     hn = np.linalg.norm(hv, axis=1)
     # 1% inflation keeps the strict inequality of the closeness assumption.
@@ -103,7 +99,7 @@ def _constants_from_values(sv: np.ndarray, hv: np.ndarray) -> AssumptionConstant
     M = float(max(sn.max(), hn.max()))
     segment_min = float(_segment_minima(sv, hv).min())
     m = float(min(sn.min(), hn.min(), segment_min))
-    return AssumptionConstants(delta=delta, m=m, M=M, segment_min=segment_min, assumptions_ok=m > 0.0)
+    return delta, m, M, segment_min
 
 
 def validate_bound(
@@ -131,23 +127,17 @@ def validate_bound(
         keep = ~(sing_s | sing_h)
         if not np.any(keep):
             raise EstimationError("every shared sphere sample was singular")
-        consts = _constants_from_values(sv[keep], hv[keep])
-        empirical_error = abs(factor * float(np.mean(flux_s[keep] - flux_h[keep])))
-        if consts.assumptions_ok:
-            c_p = bound_constant(cfg.p, consts.delta, consts.m, consts.M, dim, cfg.radius)
-        else:
-            c_p = np.inf
+        delta, m, M, segment_min = _constants_from_values(sv[keep], hv[keep])
         reports.append(
             BoundReport(
                 anchor=anchor,
                 p=cfg.p,
-                delta=consts.delta,
-                m=consts.m,
-                M=consts.M,
-                c_p=c_p,
-                empirical_error=empirical_error,
-                assumptions_ok=consts.assumptions_ok,
-                segment_min=consts.segment_min,
+                delta=delta,
+                m=m,
+                M=M,
+                c_p=bound_constant(cfg.p, delta, m, M, dim, cfg.radius) if m > 0.0 else np.inf,
+                empirical_error=abs(factor * float(np.mean(flux_s[keep] - flux_h[keep]))),
+                segment_min=segment_min,
             )
         )
     return reports

@@ -6,14 +6,15 @@ Each accepts ``--config <path>`` (JSON; defaults apply when omitted),
 to override the output directory.  A config's optional ``experiment`` key
 must name the study of the subcommand it is run with.  Exit code 0 means
 every requested run completed; partial failures are enumerated in
-``errors.json``; a bad config or an unreadable ``sample --checkpoint``
-exits with 2 before any run starts.
+``errors.json``; a bad config, an unreadable ``sample --checkpoint`` or an
+output directory that cannot be created exits with 2 before any run starts.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 
 from .config import build_gmm, load_config, resolve_config
@@ -88,6 +89,7 @@ def main(argv=None) -> int:
         checkpoint = None
         if args.command == "sample" and args.checkpoint is not None:
             checkpoint = load_checkpoint(args.checkpoint)
+        os.makedirs(cfg["output_dir"], exist_ok=True)
     except (CheckpointError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

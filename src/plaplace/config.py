@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 
 import jsonschema
 
@@ -125,6 +126,8 @@ def _defaults(node: dict):
 
 
 DEFAULT_CONFIG = _defaults(_SCHEMA)
+# Built once: ``jsonschema.validate`` would check the constant schema against its metaschema on every call.
+_VALIDATOR = jsonschema.validators.validator_for(_SCHEMA)(_SCHEMA)
 
 
 def resolve_config(raw: dict) -> dict:
@@ -132,11 +135,10 @@ def resolve_config(raw: dict) -> dict:
 
     Raises :class:`ConfigError` naming the offending path.
     """
-    try:
-        jsonschema.validate(raw, _SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {where}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"config invalid at {where}: {error.message}") from error
     resolved = copy.deepcopy(DEFAULT_CONFIG)
     for key, value in raw.items():
         if isinstance(value, dict):
@@ -146,16 +148,24 @@ def resolve_config(raw: dict) -> dict:
     for block, build in (("gmm", build_gmm), ("schedule", build_schedule)):
         try:
             build(resolved)
-        except ValueError as exc:
+        except (OverflowError, ValueError) as exc:
             raise ConfigError(f"config invalid at {block}: {exc}") from exc
     return resolved
+
+
+def _finite_number(text: str) -> float:
+    """JSON number hook: NaN, Infinity and literals that overflow a float are not config values."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config holds the non-finite number {text}")
+    return value
 
 
 def load_config(path) -> dict:
     """Read, validate, and resolve a JSON config file."""
     try:
         with open(path) as f:
-            raw = json.load(f)
+            raw = json.load(f, parse_float=_finite_number, parse_constant=_finite_number)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return resolve_config(raw)

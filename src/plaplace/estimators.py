@@ -124,22 +124,14 @@ def estimate_boundary(
     return _reduce(vals, singular, ys.shape[1] / cfg.radius, "boundary")
 
 
-def write_estimates_csv(path, records: list[dict], header_comment: str | None = None) -> None:
+def write_estimates_csv(path, dim: int, rows, header_comment: str | None = None) -> None:
     """Batch estimation results, one row per estimate.
 
-    Columns: one per anchor coordinate (x0_0, x0_1, ...), then
+    Columns: one per anchor coordinate (x0_0, ..., x0_{dim-1}), then
     p, formulation, n_samples, radius, seed, value, std_error, singular_hits.
     An optional comment line carries the resolved run configuration.
     """
-    if not records:
-        raise ValueError("no records to write")
-    dim = len(records[0]["x0"])
     cols = [f"x0_{i}" for i in range(dim)] + [
         "p", "formulation", "n_samples", "radius", "seed", "value", "std_error", "singular_hits",
     ]
-    rows = (
-        [*rec["x0"], rec["p"], rec["formulation"], rec["n_samples"], rec["radius"], rec["seed"],
-         rec["value"], rec["std_error"], rec["singular_hits"]]
-        for rec in records
-    )
     write_table(path, cols, rows, header_comment)

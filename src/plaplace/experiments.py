@@ -22,15 +22,7 @@ from .estimators import estimate_boundary, write_estimates_csv
 from .geometry import make_rng, split_rng
 from .gmm import averaged_p_laplace_dense, log_density, perturb, sample_gmm
 from .gmm import score_field as gmm_score_field
-from .memorization import (
-    DetectionResult,
-    auc,
-    build_scenario,
-    grid_p_laplace,
-    make_grid,
-    percentile_rank,
-    score_norm_criterion,
-)
+from .memorization import auc, build_scenario, grid_p_laplace, make_grid, percentile_rank, score_norm_criterion
 from .score_model import MlpScoreModel, NoiseSchedule, TrainConfig, learned_score, load_checkpoint
 from .score_model import reverse_sample, save_checkpoint, train
 from .score_model import score_field as model_score_field
@@ -87,10 +79,9 @@ def fidelity_anchors(gmm) -> tuple[np.ndarray, list[str]]:
     return anchors, labels
 
 
-def _field_error_stats(gmm, model, schedule, seed: int, n_points: int = 2000):
-    """Direction and magnitude agreement of the learned score with the oracle."""
-    rng = make_rng(10_000 + seed)
-    pts = sample_gmm(gmm, n_points, rng)
+def _field_error_stats(gmm, model, schedule, seed: int):
+    """Direction and magnitude agreement of the learned score with the oracle at 2000 mixture draws."""
+    pts = sample_gmm(gmm, 2000, make_rng(10_000 + seed))
     oracle = gmm_score_field(perturb(gmm, schedule.alphas[0]))(pts)
     learned = learned_score(model, schedule, pts, 0)
     on = np.linalg.norm(oracle, axis=1)
@@ -163,7 +154,7 @@ def run_fidelity(cfg: dict) -> dict:
             title=f"score magnitude ratio (median {np.median(ratio):.3f})", comment=config_header(cfg, seed),
         )
 
-        records = []
+        estimate_rows = []
         summary_rows = []
         rep_rngs = split_rng(make_rng(seed + 500_000), len(fields) * anchors.shape[0] * len(p_values) * 2 * n_repeats)
         ridx = 0
@@ -177,12 +168,8 @@ def run_fidelity(cfg: dict) -> dict:
                             est = estimator(field, anchor, ecfg, rep_rngs[ridx])
                             ridx += 1
                             values[rep] = est.value
-                            records.append({
-                                "x0": anchor, "p": p, "formulation": formulation,
-                                "n_samples": ecfg.n_samples, "radius": ecfg.radius, "seed": seed,
-                                "value": est.value, "std_error": est.std_error,
-                                "singular_hits": est.singular_hits,
-                            })
+                            estimate_rows.append([*anchor, p, formulation, ecfg.n_samples, ecfg.radius, seed,
+                                                  est.value, est.std_error, est.singular_hits])
                         exact_mean, exact_se = exact[(i, p)]
                         mean = float(values.mean())
                         se_mean = float(values.std(ddof=1) / np.sqrt(n_repeats))
@@ -192,7 +179,7 @@ def run_fidelity(cfg: dict) -> dict:
                              exact_mean, abs(mean - exact_mean),
                              abs(mean - exact_mean) / max(np.hypot(se_mean, exact_se), 1e-300)]
                         )
-        write_estimates_csv(os.path.join(seed_out, "estimates.csv"), records, header_comment=config_header(cfg, seed))
+        write_estimates_csv(os.path.join(seed_out, "estimates.csv"), gmm.dim, estimate_rows, config_header(cfg, seed))
         write_table(
             os.path.join(seed_out, "summary.csv"),
             ["field", "anchor_idx", "anchor_kind", "p", "formulation", "mean", "std",
@@ -214,7 +201,7 @@ def run_memorization(cfg: dict) -> dict:
     out = _outdir(cfg, "memorization")
 
     percentile_rows = []
-    detections: list[tuple[int, DetectionResult]] = []
+    detections = []
 
     def one_seed(seed: int) -> None:
         # This seed's rows join the aggregates only once the whole seed has completed.
@@ -252,25 +239,21 @@ def run_memorization(cfg: dict) -> dict:
             if p == min(p_values):
                 background = sample_gmm(gmm, mem_cfg["n_background"], make_rng(seed + 300_000))
                 bg_vals = M.boundary_at_points(field, background, ecfg, make_rng(seed + 400_000))
-                seed_detections.append((seed, DetectionResult(
-                    criterion_name="p_laplace",
-                    values_memorized=[float(mem_val)],
-                    values_background=[float(v) for v in bg_vals],
-                    percentile=pct,
-                    auc=auc([mem_val], bg_vals, "lower_is_positive"),
-                )))
+                seed_detections.append({
+                    "seed": seed, "criterion": "p_laplace", "percentile": pct,
+                    "auc": auc([mem_val], bg_vals, "lower_is_positive"),
+                    "values_memorized": [float(mem_val)], "values_background": [float(v) for v in bg_vals],
+                })
                 mem_norm = score_norm_criterion(field, mem_pt)
                 bg_norms = score_norm_criterion(field, background)
                 norm_grid = score_norm_criterion(field, grid.points).reshape(grid.shape)
                 # rank from the top: a large score norm is the suspicious direction here
                 pct_norm = 100.0 - percentile_rank(norm_grid, mem_norm)
-                seed_detections.append((seed, DetectionResult(
-                    criterion_name="score_norm",
-                    values_memorized=[float(mem_norm)],
-                    values_background=[float(v) for v in bg_norms],
-                    percentile=pct_norm,
-                    auc=auc([mem_norm], bg_norms, "higher_is_positive"),
-                )))
+                seed_detections.append({
+                    "seed": seed, "criterion": "score_norm", "percentile": pct_norm,
+                    "auc": auc([mem_norm], bg_norms, "higher_is_positive"),
+                    "values_memorized": [float(mem_norm)], "values_background": [float(v) for v in bg_norms],
+                })
                 seed_rows.append([seed, "score_norm", p, mem_norm, pct_norm])
         percentile_rows.extend(seed_rows)
         detections.extend(seed_detections)
@@ -282,20 +265,10 @@ def run_memorization(cfg: dict) -> dict:
     )
     auc_summary = {}
     for name in ("p_laplace", "score_norm"):
-        vals = [d.auc for s, d in detections if d.criterion_name == name]
+        vals = [d["auc"] for d in detections if d["criterion"] == name]
         auc_summary[name] = {"per_seed": vals, "mean": float(np.mean(vals)) if vals else None}
     _write_json(os.path.join(out, "auc_summary.json"), {"auc": auc_summary, "config": cfg})
-    _write_json(
-        os.path.join(out, "detection.json"),
-        {
-            "config": cfg,
-            "results": [
-                {"seed": s, "criterion": d.criterion_name, "percentile": d.percentile, "auc": d.auc,
-                 "values_memorized": d.values_memorized, "values_background": d.values_background}
-                for s, d in detections
-            ],
-        },
-    )
+    _write_json(os.path.join(out, "detection.json"), {"config": cfg, "results": detections})
     _write_json(os.path.join(out, "result.json"), {**result, "config": cfg})
     return result
 

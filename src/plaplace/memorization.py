@@ -22,7 +22,6 @@ from .tables import write_table
 
 __all__ = [
     "MemorizationScenario",
-    "DetectionResult",
     "Grid",
     "build_scenario",
     "make_grid",
@@ -45,8 +44,6 @@ class MemorizationScenario:
     seed: int
 
     def training_set(self) -> np.ndarray:
-        if self.n_replicas == 0:
-            return self.base_samples.copy()
         replicas = np.tile(self.memorized_point, (self.n_replicas, 1))
         return np.vstack([self.base_samples, replicas])
 
@@ -58,17 +55,6 @@ class MemorizationScenario:
             "memorized_point": self.memorized_point.tolist(),
             "base_samples": self.base_samples.tolist(),
         }
-
-
-@dataclass(frozen=True)
-class DetectionResult:
-    """Criterion values at memorized vs background points, with rank statistics."""
-
-    criterion_name: str
-    values_memorized: list[float]
-    values_background: list[float]
-    percentile: float
-    auc: float
 
 
 def build_scenario(

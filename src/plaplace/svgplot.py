@@ -66,16 +66,14 @@ def _axis_labels(parts, xlim, ylim):
         parts.append(f'<text x="{px - 6:.1f}" y="{py + 3:.1f}" text-anchor="end" font-size="9">{y:.3g}</text>')
 
 
-def scatter(path, groups, title="", comment=None, xlim=None, ylim=None) -> None:
-    """Scatter plot of labeled point groups.
+def scatter(path, groups, title="", comment=None) -> None:
+    """Scatter plot of labeled point groups, axes spanning every point.
 
     ``groups`` is a list of (label, points, color) with points of shape (n, 2).
     """
     all_pts = np.vstack([np.atleast_2d(pts) for _, pts, _ in groups])
-    if xlim is None:
-        xlim = (all_pts[:, 0].min(), all_pts[:, 0].max())
-    if ylim is None:
-        ylim = (all_pts[:, 1].min(), all_pts[:, 1].max())
+    xlim = (all_pts[:, 0].min(), all_pts[:, 0].max())
+    ylim = (all_pts[:, 1].min(), all_pts[:, 1].max())
     to_px = _axes_transform(xlim, ylim)
     parts = _open_svg(title, comment)
     _axis_labels(parts, xlim, ylim)
@@ -90,11 +88,11 @@ def scatter(path, groups, title="", comment=None, xlim=None, ylim=None) -> None:
     _write(path, parts)
 
 
-def heatmap(path, matrix, extent, title="", comment=None, markers=None) -> None:
+def heatmap(path, matrix, extent, markers, title="", comment=None) -> None:
     """Colormapped matrix over the rectangle extent = (x0, x1, y0, y1).
 
-    Row 0 of the matrix is drawn at the bottom (y0 edge).  ``markers`` is an
-    optional list of (x, y, color) overlay points.
+    Row 0 of the matrix is drawn at the bottom (y0 edge).  ``markers`` is a
+    list of (x, y, color) overlay points.
     """
     matrix = np.asarray(matrix, dtype=float)
     finite = matrix[np.isfinite(matrix)]
@@ -116,7 +114,7 @@ def heatmap(path, matrix, extent, title="", comment=None, markers=None) -> None:
             parts.append(
                 f'<rect x="{px:.1f}" y="{py:.1f}" width="{cell_w + 0.5:.1f}" height="{cell_h + 0.5:.1f}" fill="{color}"/>'
             )
-    for x, y, color in markers or []:
+    for x, y, color in markers:
         px, py = to_px(x, y)
         parts.append(
             f'<circle cx="{px:.1f}" cy="{py:.1f}" r="5" fill="none" stroke="{color}" stroke-width="2"/>'
@@ -126,11 +124,11 @@ def heatmap(path, matrix, extent, title="", comment=None, markers=None) -> None:
     _write(path, parts)
 
 
-def histogram(path, values, bins=30, title="", comment=None) -> None:
-    """Bar histogram of a 1-d sample."""
+def histogram(path, values, title="", comment=None) -> None:
+    """30-bin histogram of a 1-d sample."""
     values = np.asarray(values, dtype=float)
     values = values[np.isfinite(values)]
-    counts, edges = np.histogram(values, bins=bins)
+    counts, edges = np.histogram(values, bins=30)
     peak = counts.max() if counts.size and counts.max() > 0 else 1
     to_px = _axes_transform((edges[0], edges[-1]), (0, peak))
     parts = _open_svg(title, comment)

@@ -77,26 +77,32 @@ class TestBoundConstant:
 class TestAssumptionConstants:
     def test_identical_fields(self):
         values = np.tile([0.6, 0.8], (50, 1))
-        consts = _constants_from_values(values, values)
-        assert consts.delta == 0.0
-        assert consts.m == pytest.approx(1.0, rel=1e-12)
-        assert consts.M == pytest.approx(1.0, rel=1e-12)
-        assert consts.segment_min == pytest.approx(1.0, rel=1e-12)
-        assert consts.assumptions_ok
+        delta, m, M, segment_min = _constants_from_values(values, values)
+        assert delta == 0.0
+        assert m == pytest.approx(1.0, rel=1e-12)
+        assert M == pytest.approx(1.0, rel=1e-12)
+        assert segment_min == pytest.approx(1.0, rel=1e-12)
 
     def test_colinear_double(self):
         sv = np.tile([1.0, 0.0], (50, 1))
-        consts = _constants_from_values(sv, 2.0 * sv)
-        assert consts.delta == pytest.approx(1.01, rel=1e-12)  # max gap 1, then 1% inflation
-        assert consts.m == pytest.approx(1.0, rel=1e-12)
-        assert consts.M == pytest.approx(2.0, rel=1e-12)
-        assert consts.segment_min == pytest.approx(1.0, rel=1e-12)
+        delta, m, M, segment_min = _constants_from_values(sv, 2.0 * sv)
+        assert delta == pytest.approx(1.01, rel=1e-12)  # max gap 1, then 1% inflation
+        assert m == pytest.approx(1.0, rel=1e-12)
+        assert M == pytest.approx(2.0, rel=1e-12)
+        assert segment_min == pytest.approx(1.0, rel=1e-12)
 
     def test_antipodal_fields_violate(self):
         sv = np.tile([1.0, 0.0], (50, 1))
-        consts = _constants_from_values(sv, -sv)
-        assert consts.segment_min == pytest.approx(0.0, abs=1e-12)
-        assert not consts.assumptions_ok
+        _, m, _, segment_min = _constants_from_values(sv, -sv)
+        assert segment_min == pytest.approx(0.0, abs=1e-12)
+        assert m == 0.0
+        # The segment through zero voids the assumptions: the report says so and bounds nothing.
+        (r,) = validate_bound(
+            lambda x: np.tile([1.0, 0.0], (len(x), 1)), lambda x: np.tile([-1.0, 0.0], (len(x), 1)),
+            [[0.0, 0.0]], EstimatorConfig(p=2.0), make_rng(0),
+        )
+        assert not r.assumptions_ok
+        assert r.c_p == np.inf
 
     def test_grid_brackets_exact_minimum(self):
         rng = make_rng(3)

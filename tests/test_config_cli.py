@@ -248,15 +248,34 @@ class TestCli:
         ("fidelity", {"schedule": {"beta_min": 1e-20}}),
         ("memorize", {"seeds": [0, 0]}),
         ("fidelity", {"training": {"batch_size": None}}),
+        ("fidelity", {"schedule": {"beta_min": float("nan")}}),
+        ("fidelity", {"gmm": {"means": [[float("nan"), 0.0], [1.0, 1.0]]}}),
+        ("bounds", '{"estimator": {"radius": 1e400}}'),
+        ("fidelity", {"gmm": {"low": float("-inf")}}),
+        ("fidelity", {"gmm": {"low": -1e308, "high": 1e308}}),
     ], ids=["ragged_means", "weights_sum", "odd_embed_dim", "memorize_3d", "one_repeat", "experiment_mismatch",
             "weights_without_means", "negative_seed", "negative_seed_train", "duplicate_p", "duplicate_bounds_p",
             "normalize_by_volume", "schedule_noise_reaches_one", "schedule_noise_reaches_one_train",
-            "schedule_zero_least_noise", "duplicate_seeds", "null_batch_size"])
-    def test_bad_config_rejected_at_load(self, small_config, tmp_path, command, override):
+            "schedule_zero_least_noise", "duplicate_seeds", "null_batch_size", "nan_beta_min", "nan_mean",
+            "radius_overflows", "infinite_low", "range_overflows"])
+    def test_bad_config_rejected_at_load(self, small_config, tmp_path, capsys, command, override):
         path, cfg = small_config
-        path.write_text(json.dumps({**cfg, **override}))
+        if isinstance(override, str):
+            # JSON text json.dumps cannot write (1e400); its keys replace the config's, as the last duplicate wins.
+            path.write_text(json.dumps(cfg)[:-1] + ", " + override[1:])
+        else:
+            path.write_text(json.dumps({**cfg, **override}))
         assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+    def test_unusable_output_dir(self, small_config, tmp_path, capsys):
+        """An output path below a regular file cannot be created: exit 2 before any run starts."""
+        path, _ = small_config
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert main(["bounds", "--config", str(path), "--out", str(blocker / "sub")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_rejects_negative_seed_flag(self, small_config, tmp_path, capsys):
         path, _ = small_config

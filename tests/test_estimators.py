@@ -276,15 +276,9 @@ class TestTranslationEquivariance:
 
 def test_write_estimates_csv(tmp_path, oracle_field):
     est = estimate_boundary(oracle_field, np.zeros(2), EstimatorConfig(p=1.0), make_rng(13))
-    records = [
-        {
-            "x0": np.zeros(2), "p": 1.0, "formulation": "boundary", "n_samples": 100,
-            "radius": 1.0, "seed": 0, "value": est.value, "std_error": est.std_error,
-            "singular_hits": est.singular_hits,
-        }
-    ]
+    rows = [[0.0, 0.0, 1.0, "boundary", 100, 1.0, 0, est.value, est.std_error, est.singular_hits]]
     path = tmp_path / "est.csv"
-    write_estimates_csv(path, records, header_comment="unit test")
+    write_estimates_csv(path, 2, rows, header_comment="unit test")
     lines = path.read_text().splitlines()
     assert lines[0] == "# unit test"
     assert lines[1].split(",")[:3] == ["x0_0", "x0_1", "p"]

@@ -1,8 +1,9 @@
 """The public surface: every ``__all__`` name resolves, the README quick start runs as written, the
-benchmark tracer finds every function it wraps, and the runtime imports nothing outside its declared
-dependencies."""
+benchmark tracer finds every function it wraps and sees every layer a workload runs, and the runtime
+imports nothing outside its declared dependencies."""
 
 import importlib
+import json
 import os
 import pkgutil
 import re
@@ -11,6 +12,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import plaplace
 
@@ -38,6 +40,39 @@ def test_benchmark_tracer_installs():
     code = "import tracing; tracing.install(tracing.Tracer())"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# Per benchmark workload, traced metrics that must be nonzero on its tiny config.  A driver that
+# calls a function other than through the module attribute the tracer rebinds reads 0 here.
+TRACED_LAYERS = {
+    "fidelity": ["gmm.dense.calls", "estimators.boundary.calls", "estimators.volume.calls",
+                 "score_model.train.steps", "svgplot.files", "experiments.write.s"],
+    "memorize": ["memorization.grid.nodes", "estimators.boundary.calls", "svgplot.files", "experiments.write.s"],
+    "bounds": ["bounds.validate.anchors", "gmm.score.calls", "score_model.reverse_sample.points",
+               "experiments.write.s"],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(TRACED_LAYERS))
+def test_traced_layers_nonzero(workload, tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])}
+    code = (
+        "import json, sys, run, tracing\n"
+        "from plaplace.cli import main\n"
+        "tracer = tracing.Tracer()\n"
+        "tracing.install(tracer)\n"
+        "workload, cfg_path, out = sys.argv[1:]\n"
+        "with open(cfg_path, 'w') as f: json.dump(run.workload_config(workload, 0, 'tiny'), f)\n"
+        "code = main([run.WORKLOADS[workload][0], '--config', cfg_path, '--out', out])\n"
+        "print(json.dumps({'exit': code, 'metrics': tracing.layer_metrics(tracer.dump())}))"
+    )
+    args = [workload, str(tmp_path / "config.json"), str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["exit"] == 0
+    assert [name for name in TRACED_LAYERS[workload] if not result["metrics"][name] > 0] == []
 
 
 def test_runtime_imports_no_scipy():
