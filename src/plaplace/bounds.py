@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError
-from .estimators import EstimatorConfig, _flux_values
+from .estimators import SPHERE_BLOCK, EstimatorConfig, _shared_sphere, _sphere_fluxes
 from .fields import ScoreField
-from .geometry import sample_sphere_uniform, split_rng
+from .geometry import split_rng
 from .tables import write_table
 
 __all__ = [
@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundReport:
     """Per-anchor record of measured constants, bound, and observed error."""
 
@@ -78,27 +78,30 @@ def bound_constant(
 
 
 def _segment_minima(sv: np.ndarray, hv: np.ndarray) -> np.ndarray:
-    """Per-pair minimum of |t*s + (1-t)*s_hat| over t in [0, 1].
+    """Per-pair minimum of |t*s + (1-t)*s_hat| over t in [0, 1], for pairs along the last axis.
 
     The squared norm is quadratic in t, so the exact minimizer is closed-form.
     """
     dvec = sv - hv
-    dsq = np.sum(dvec * dvec, axis=1)
+    dsq = np.sum(dvec * dvec, axis=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        t_star = np.where(dsq > 0, -np.sum(hv * dvec, axis=1) / np.maximum(dsq, 1e-300), 0.0)
+        t_star = np.where(dsq > 0, -np.sum(hv * dvec, axis=-1) / np.maximum(dsq, 1e-300), 0.0)
     t_star = np.clip(t_star, 0.0, 1.0)
-    return np.linalg.norm(hv + t_star[:, None] * dvec, axis=1)
+    return np.linalg.norm(hv + t_star[..., None] * dvec, axis=-1)
 
 
-def _constants_from_values(sv: np.ndarray, hv: np.ndarray) -> tuple[float, float, float, float]:
-    """(delta, m, M, segment_min) measured on paired score values."""
-    sn = np.linalg.norm(sv, axis=1)
-    hn = np.linalg.norm(hv, axis=1)
+def _constants_from_values(sv: np.ndarray, hv: np.ndarray):
+    """(delta, m, M, segment_min) measured on paired score values of shape (..., n, d).
+
+    Each constant has the leading shape ``...``: one set per sample set.
+    """
+    sn = np.linalg.norm(sv, axis=-1)
+    hn = np.linalg.norm(hv, axis=-1)
     # 1% inflation keeps the strict inequality of the closeness assumption.
-    delta = 1.01 * float(np.max(np.linalg.norm(sv - hv, axis=1)))
-    M = float(max(sn.max(), hn.max()))
-    segment_min = float(_segment_minima(sv, hv).min())
-    m = float(min(sn.min(), hn.min(), segment_min))
+    delta = 1.01 * np.max(np.linalg.norm(sv - hv, axis=-1), axis=-1)
+    M = np.maximum(sn.max(axis=-1), hn.max(axis=-1))
+    segment_min = _segment_minima(sv, hv).min(axis=-1)
+    m = np.minimum(np.minimum(sn.min(axis=-1), hn.min(axis=-1)), segment_min)
     return delta, m, M, segment_min
 
 
@@ -106,41 +109,58 @@ def validate_bound(
     s: ScoreField,
     s_hat: ScoreField,
     anchors,
-    cfg: EstimatorConfig,
+    cfgs: list[EstimatorConfig],
     rng: np.random.Generator,
 ) -> list[BoundReport]:
-    """One BoundReport per anchor, both flux averages on the same sample set.
+    """One BoundReport per config and anchor, config-major; both flux averages on the same sample set.
 
     Sharing the samples makes the empirical error the Monte Carlo estimate of
     the integral difference the bound controls, so dominance is a theorem for
-    the discretized quantities, not a statistical statement.
+    the discretized quantities, not a statistical statement.  Each anchor draws
+    one sphere from its own ``split_rng`` substream, and that draw serves every
+    config, so the configs must share ``radius`` and ``n_samples``
+    (``ValueError`` otherwise) and an anchor's reports at different p are
+    correlated.  ``(delta, m, M, segment_min)`` is measured once per anchor and
+    again only for a p whose singular samples it must skip.
     """
+    radius, n_samples, ps = _shared_sphere(cfgs)
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     dim = anchors.shape[1]
-    factor = dim / cfg.radius
-    reports = []
-    for anchor, sub in zip(anchors, split_rng(rng, anchors.shape[0])):
-        ys, normals = sample_sphere_uniform(anchor, cfg.radius, cfg.n_samples, sub)
-        sv, hv = s(ys), s_hat(ys)
-        flux_s, sing_s = _flux_values(sv, normals, cfg.p)
-        flux_h, sing_h = _flux_values(hv, normals, cfg.p)
-        keep = ~(sing_s | sing_h)
-        if not np.any(keep):
-            raise EstimationError("every shared sphere sample was singular")
-        delta, m, M, segment_min = _constants_from_values(sv[keep], hv[keep])
-        reports.append(
-            BoundReport(
-                anchor=anchor,
-                p=cfg.p,
-                delta=delta,
-                m=m,
-                M=M,
-                c_p=bound_constant(cfg.p, delta, m, M, dim, cfg.radius) if m > 0.0 else np.inf,
-                empirical_error=abs(factor * float(np.mean(flux_s[keep] - flux_h[keep]))),
-                segment_min=segment_min,
-            )
+    factor = dim / radius
+    subs = split_rng(rng, anchors.shape[0])
+    reports: list[list[BoundReport]] = [[] for _ in ps]
+    for start in range(0, anchors.shape[0], SPHERE_BLOCK):
+        block = anchors[start : start + SPHERE_BLOCK]
+        (sv, hv), (flux_s, flux_h) = _sphere_fluxes(
+            [s, s_hat], block, radius, n_samples, ps, subs[start : start + SPHERE_BLOCK]
         )
-    return reports
+        all_samples = _constants_from_values(sv, hv)
+        rows = list(block)  # one view per anchor, shared by its reports at every p
+        for p, (fs, sing_s), (fh, sing_h), out in zip(ps, flux_s, flux_h, reports):
+            keep = ~(sing_s | sing_h)
+            errors = np.mean(fs - fh, axis=1)
+            for i, anchor in enumerate(rows):
+                constants, error = [c[i] for c in all_samples], errors[i]
+                if not keep[i].all():
+                    kept = keep[i]
+                    if not kept.any():
+                        raise EstimationError("every shared sphere sample was singular")
+                    constants = _constants_from_values(sv[i][kept], hv[i][kept])
+                    error = np.mean(fs[i][kept] - fh[i][kept])
+                delta, m, M, segment_min = map(float, constants)
+                out.append(
+                    BoundReport(
+                        anchor=anchor,
+                        p=p,
+                        delta=delta,
+                        m=m,
+                        M=M,
+                        c_p=bound_constant(p, delta, m, M, dim, radius) if m > 0.0 else np.inf,
+                        empirical_error=abs(factor * float(error)),
+                        segment_min=segment_min,
+                    )
+                )
+    return [r for per_p in reports for r in per_p]
 
 
 def bound_summary(reports: list[BoundReport]) -> dict:

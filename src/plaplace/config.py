@@ -126,8 +126,25 @@ def _defaults(node: dict):
 
 
 DEFAULT_CONFIG = _defaults(_SCHEMA)
+_DRAFT = jsonschema.validators.validator_for(_SCHEMA)
+
+
+def _type(validator, types, instance, schema):
+    """The ``type`` keyword, with ``number`` narrowed to what a float holds: every number leaf is used as a float.
+
+    A JSON integer has no size limit, so ``1`` followed by 400 zeros is a schema ``number``.  An
+    ``integer`` leaf (a seed, say) keeps arbitrary size.
+    """
+    yield from _DRAFT.VALIDATORS["type"](validator, types, instance, schema)
+    if "number" in types and isinstance(instance, int) and not isinstance(instance, bool):
+        try:
+            float(instance)
+        except OverflowError:
+            yield jsonschema.exceptions.ValidationError("integer too large for a float")
+
+
 # Built once: ``jsonschema.validate`` would check the constant schema against its metaschema on every call.
-_VALIDATOR = jsonschema.validators.validator_for(_SCHEMA)(_SCHEMA)
+_VALIDATOR = jsonschema.validators.extend(_DRAFT, validators={"type": _type})(_SCHEMA)
 
 
 def resolve_config(raw: dict) -> dict:
@@ -166,7 +183,7 @@ def load_config(path) -> dict:
     try:
         with open(path) as f:
             raw = json.load(f, parse_float=_finite_number, parse_constant=_finite_number)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past Python's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return resolve_config(raw)
 

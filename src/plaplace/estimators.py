@@ -10,6 +10,10 @@ Two routes to the same quantity, one function each:
   surface/volume, which is exactly d/R, so the result is normalized by
   the ball volume.
 
+Drivers that estimate several p at many centers (the bound check, the
+memorization grid) draw each center's sphere once and call the field once
+on it for every p, through one kernel that ``estimate_boundary`` also runs.
+
 For p < 2 the integrand is undefined where the score vanishes; samples
 whose score norm falls below ``fields.EPS_GRAD`` are skipped and counted rather
 than interpolated (they carry negligible mass).
@@ -33,6 +37,12 @@ __all__ = [
     "estimate_boundary",
     "write_estimates_csv",
 ]
+
+
+# Centers per kernel call where a driver estimates at many centers: the flux and
+# reduction arithmetic runs once per block instead of once per center.  Larger
+# blocks gain little time and raise the studies' peak memory.
+SPHERE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -70,6 +80,36 @@ def _flux_values(s: np.ndarray, normals: np.ndarray, p: float):
     _, weight, singular = p_weight(s, p)
     vals = weight * np.sum(s * normals, axis=1)
     return np.where(singular, np.nan, vals), singular
+
+
+def _shared_sphere(cfgs) -> tuple[float, int, list[float]]:
+    """``(radius, n_samples, ps)`` of configs that share one sphere draw; ``ValueError`` if they cannot."""
+    cfgs = list(cfgs)
+    if not cfgs:
+        raise ValueError("need at least one estimator config")
+    if len({(c.radius, c.n_samples) for c in cfgs}) > 1:
+        raise ValueError("configs sharing one sphere draw must share radius and n_samples")
+    return cfgs[0].radius, cfgs[0].n_samples, [c.p for c in cfgs]
+
+
+def _sphere_fluxes(fields, centers, radius: float, n_samples: int, ps, rngs):
+    """Flux values of each field at each p, on one sphere draw per center.
+
+    Center i draws ``n_samples`` sphere points from ``rngs[i]``, and each field
+    is called once per center (one call over all centers is not bitwise equal
+    to it for a learned model).  The draw and the field values serve every p:
+    only the flux weight and the p < 2 singular mask depend on p.  Returns
+    ``(values, fluxes)``: ``values[k]`` holds ``fields[k]`` on the spheres,
+    shape ``(n_centers, n_samples, d)``, and ``fluxes[k][j]`` is the
+    :func:`_flux_values` pair of ``fields[k]`` at ``ps[j]``, each of shape
+    ``(n_centers, n_samples)``.
+    """
+    draws = [sample_sphere_uniform(c, radius, n_samples, r) for c, r in zip(centers, rngs)]
+    normals = np.concatenate([n for _, n in draws])
+    values = [np.concatenate([f(ys) for ys, _ in draws]) for f in fields]
+    rows = (len(draws), n_samples)
+    fluxes = [[tuple(a.reshape(rows) for a in _flux_values(v, normals, p)) for p in ps] for v in values]
+    return [v.reshape(*rows, -1) for v in values], fluxes
 
 
 def _divergence_values(field: ScoreField, xs: np.ndarray, p: float, h: float):
@@ -119,9 +159,8 @@ def estimate_boundary(
     field: ScoreField, x0, cfg: EstimatorConfig, rng: np.random.Generator
 ) -> PLaplaceEstimate:
     """Ball-averaged p-Laplace as the mean flux over uniform sphere samples times surface/volume = d/R."""
-    ys, normals = sample_sphere_uniform(x0, cfg.radius, cfg.n_samples, rng)
-    vals, singular = _flux_values(field(ys), normals, cfg.p)
-    return _reduce(vals, singular, ys.shape[1] / cfg.radius, "boundary")
+    values, [[(vals, singular)]] = _sphere_fluxes([field], [x0], cfg.radius, cfg.n_samples, [cfg.p], [rng])
+    return _reduce(vals[0], singular[0], values[0].shape[2] / cfg.radius, "boundary")
 
 
 def write_estimates_csv(path, dim: int, rows, header_comment: str | None = None) -> None:

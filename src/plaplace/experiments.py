@@ -220,9 +220,9 @@ def run_memorization(cfg: dict) -> dict:
             title=f"training set, seed {seed}", comment=config_header(cfg, seed),
         )
 
-        for p in p_values:
-            ecfg = build_estimator_config(cfg, p)
-            matrix = grid_p_laplace(field, grid, ecfg, make_rng(seed + 100_000))
+        ecfgs = [build_estimator_config(cfg, p) for p in p_values]
+        matrices = grid_p_laplace(field, grid, ecfgs, make_rng(seed + 100_000))
+        for p, ecfg, matrix in zip(p_values, ecfgs, matrices):
             mem_val = estimate_boundary(field, mem_pt, ecfg, make_rng(seed + 200_000)).value
             pct = percentile_rank(matrix, mem_val)
             seed_rows.append([seed, "p_laplace", p, mem_val, pct])
@@ -238,7 +238,7 @@ def run_memorization(cfg: dict) -> dict:
             )
             if p == min(p_values):
                 background = sample_gmm(gmm, mem_cfg["n_background"], make_rng(seed + 300_000))
-                bg_vals = M.boundary_at_points(field, background, ecfg, make_rng(seed + 400_000))
+                [bg_vals] = M.boundary_at_points(field, background, [ecfg], make_rng(seed + 400_000))
                 seed_detections.append({
                     "seed": seed, "criterion": "p_laplace", "percentile": pct,
                     "auc": auc([mem_val], bg_vals, "lower_is_positive"),
@@ -288,9 +288,10 @@ def run_bounds(cfg: dict) -> dict:
         oracle = gmm_score_field(gmm)
         learned = model_score_field(model, schedule, 0)
         seed_summaries = {}
-        for p in p_values:
-            ecfg = build_estimator_config(cfg, p)
-            reports = B.validate_bound(oracle, learned, anchors, ecfg, make_rng(seed + 800_000))
+        ecfgs = [build_estimator_config(cfg, p) for p in p_values]
+        all_reports = B.validate_bound(oracle, learned, anchors, ecfgs, make_rng(seed + 800_000))
+        for p, ecfg in zip(p_values, ecfgs):
+            reports = [r for r in all_reports if r.p == p]
             B.write_bound_reports_csv(
                 os.path.join(seed_out, f"bound_reports_p{p:g}.csv"), reports, header_comment=config_header(cfg, seed)
             )

@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import EstimatorConfig, estimate_boundary
+from .estimators import SPHERE_BLOCK, EstimatorConfig, _reduce, _shared_sphere, _sphere_fluxes
+from .estimators import estimate_boundary  # noqa: F401  the benchmark tracer rebinds it by this module's name
 from .fields import ScoreField
 from .geometry import make_rng, split_rng
 from .gmm import GmmParams, sample_gmm
@@ -97,22 +98,37 @@ def make_grid(gmm: GmmParams, n: int = 40, pad_sigma: float = 2.0) -> Grid:
 
 
 def boundary_at_points(
-    field: ScoreField, points: np.ndarray, cfg: EstimatorConfig, rng: np.random.Generator
+    field: ScoreField, points: np.ndarray, cfgs: list[EstimatorConfig], rng: np.random.Generator
 ) -> np.ndarray:
-    """Boundary-formulation estimate at every row of ``points``; one RNG substream per point."""
-    values = np.empty(points.shape[0])
-    for i, sub in enumerate(split_rng(rng, points.shape[0])):
-        values[i] = estimate_boundary(field, points[i], cfg, sub).value
+    """Boundary-formulation estimates at every row of ``points``, one row per config: ``(len(cfgs), n)``.
+
+    Each point draws one sphere from its own ``split_rng`` substream, in row
+    order, and that draw serves every config, so the configs must share
+    ``radius`` and ``n_samples`` (``ValueError`` otherwise).  Each value is
+    bitwise the ``estimate_boundary`` value on that substream; the values of
+    one point at different p are correlated.
+    """
+    radius, n_samples, ps = _shared_sphere(cfgs)
+    factor = points.shape[1] / radius
+    subs = split_rng(rng, points.shape[0])
+    values = np.empty((len(ps), points.shape[0]))
+    for start in range(0, points.shape[0], SPHERE_BLOCK):
+        block = slice(start, start + SPHERE_BLOCK)
+        _, [fluxes] = _sphere_fluxes([field], points[block], radius, n_samples, ps, subs[block])
+        for out, (vals, singular) in zip(values, fluxes):
+            out[block] = factor * vals.mean(axis=1)
+            for i in np.flatnonzero(singular.any(axis=1)):
+                out[start + i] = _reduce(vals[i], singular[i], factor, "boundary").value
     return values
 
 
 def grid_p_laplace(
-    field: ScoreField, grid: Grid, cfg: EstimatorConfig, rng: np.random.Generator
+    field: ScoreField, grid: Grid, cfgs: list[EstimatorConfig], rng: np.random.Generator
 ) -> np.ndarray:
-    """:func:`boundary_at_points` over the grid nodes, shaped like the grid."""
+    """:func:`boundary_at_points` over the grid nodes: one grid-shaped matrix per config, ``(len(cfgs), ny, nx)``."""
     if grid.points.shape[1] != 2:
         raise ValueError("grid evaluation is a 2-d diagnostic")
-    return boundary_at_points(field, grid.points, cfg, rng).reshape(grid.shape)
+    return boundary_at_points(field, grid.points, cfgs, rng).reshape(-1, *grid.shape)
 
 
 def percentile_rank(grid_values, value_at_point: float) -> float:

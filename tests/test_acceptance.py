@@ -163,8 +163,11 @@ def test_criterion_4_bound_dominance(default_gmm, schedule):
         learned = model_score_field(model, schedule, 0)
         n_ok = 0
         worst_ratio = 0.0
+        # one call: each anchor's sphere draw serves every p
+        all_reports = validate_bound(oracle, learned, anchors, [EstimatorConfig(p=p) for p in P_VALUES], make_rng(500))
+        assert [r.p for r in all_reports] == [p for p in P_VALUES for _ in range(50)]
         for p in P_VALUES:
-            reports = validate_bound(oracle, learned, anchors, EstimatorConfig(p=p), make_rng(500))
+            reports = [r for r in all_reports if r.p == p]
             ok = [r for r in reports if r.assumptions_ok]
             n_ok += len(ok)
             assert len(ok) >= 50, f"p={p}: only {len(ok)} anchors satisfy the assumptions"
@@ -203,11 +206,10 @@ def test_criterion_5_memorization_detection(default_gmm, schedule):
             field = model_score_field(model, schedule, 0)
             mem = scenario.memorized_point
 
-            mat1 = grid_p_laplace(field, grid, cfg1, make_rng(seed + 100_000))
+            mat1, mat3 = grid_p_laplace(field, grid, [cfg1, cfg3], make_rng(seed + 100_000))
             val1 = estimate_boundary(field, mem, cfg1, make_rng(seed + 200_000)).value
             pct1.append(percentile_rank(mat1, val1))
 
-            mat3 = grid_p_laplace(field, grid, cfg3, make_rng(seed + 100_000))
             val3 = estimate_boundary(field, mem, cfg3, make_rng(seed + 200_000)).value
             pct3.append(percentile_rank(mat3, val3))
 
@@ -227,7 +229,7 @@ def test_criterion_5_memorization_detection(default_gmm, schedule):
             scenario = build_scenario(default_gmm, 1000, 0, seed)
             model = train(scenario.training_set(), schedule, TrainConfig(seed=seed))
             field = model_score_field(model, schedule, 0)
-            mat = grid_p_laplace(field, grid, cfg1, make_rng(seed + 100_000))
+            [mat] = grid_p_laplace(field, grid, [cfg1], make_rng(seed + 100_000))
             val = estimate_boundary(field, scenario.memorized_point, cfg1, make_rng(seed + 200_000)).value
             null_hits += percentile_rank(mat, val) < 10.0
         assert null_hits <= 2, f"null control placed {null_hits}/5 seeds in the bottom decile"

@@ -13,8 +13,8 @@ from plaplace.bounds import (
     write_bound_reports_csv,
 )
 from plaplace.errors import EstimationError
-from plaplace.estimators import EstimatorConfig
-from plaplace.geometry import make_rng
+from plaplace.estimators import SPHERE_BLOCK, EstimatorConfig, _flux_values
+from plaplace.geometry import make_rng, sample_sphere_uniform, split_rng
 from plaplace.gmm import score_field
 from plaplace.score_model import reverse_sample
 from plaplace.score_model import score_field as model_score_field
@@ -99,7 +99,7 @@ class TestAssumptionConstants:
         # The segment through zero voids the assumptions: the report says so and bounds nothing.
         (r,) = validate_bound(
             lambda x: np.tile([1.0, 0.0], (len(x), 1)), lambda x: np.tile([-1.0, 0.0], (len(x), 1)),
-            [[0.0, 0.0]], EstimatorConfig(p=2.0), make_rng(0),
+            [[0.0, 0.0]], [EstimatorConfig(p=2.0)], make_rng(0),
         )
         assert not r.assumptions_ok
         assert r.c_p == np.inf
@@ -118,7 +118,7 @@ class TestValidateBound:
     def test_identical_fields_zero_error(self, default_gmm):
         field = score_field(default_gmm)
         cfg = EstimatorConfig(p=1.0)
-        reports = validate_bound(field, field, [[0.0, 0.0], [1.0, 1.0]], cfg, make_rng(4))
+        reports = validate_bound(field, field, [[0.0, 0.0], [1.0, 1.0]], [cfg], make_rng(4))
         for r in reports:
             assert r.empirical_error == 0.0
             assert r.c_p == 0.0
@@ -130,7 +130,7 @@ class TestValidateBound:
         offset = 0.05 * np.array([0.6, 0.8])
         s_hat = lambda x: s(x) + offset
         cfg = EstimatorConfig(p=2.0)
-        reports = validate_bound(s, s_hat, [[0.5, -0.5]], cfg, make_rng(5))
+        reports = validate_bound(s, s_hat, [[0.5, -0.5]], [cfg], make_rng(5))
         (r,) = reports
         assert r.delta == pytest.approx(0.0505, rel=1e-9)
         assert r.empirical_error <= r.c_p
@@ -141,7 +141,7 @@ class TestValidateBound:
         anchor = np.zeros(64)
         offset = 1e-7 * np.eye(64)[0]
         cfg = EstimatorConfig(p=2.0, radius=1e-5)
-        (r,) = validate_bound(lambda x: x - anchor, lambda x: x - anchor + offset, [anchor], cfg, make_rng(5))
+        (r,) = validate_bound(lambda x: x - anchor, lambda x: x - anchor + offset, [anchor], [cfg], make_rng(5))
         assert r.assumptions_ok and np.isfinite(r.empirical_error)
         assert r.c_p == (64 / 1e-5) * r.delta
         assert r.empirical_error <= r.c_p
@@ -154,18 +154,54 @@ class TestValidateBound:
             score_field(default_gmm),
             model_score_field(trained_model, schedule, 0),
             anchors,
-            EstimatorConfig(p=p),
+            [EstimatorConfig(p=p)],
             make_rng(7),
         )
         assert all(r.assumptions_ok for r in reports)
         assert all(r.empirical_error <= r.c_p for r in reports)
+
+    def test_one_draw_serves_every_p(self, default_gmm, schedule, trained_model):
+        """Bitwise the per-p loop it replaced, where every p redrew each sphere from the same substreams.
+
+        The learned field vanishes on a strip that crosses some spheres, so at p = 1 those anchors
+        skip their singular samples and measure their constants on the rest.
+        """
+        oracle = score_field(default_gmm)
+        learned = model_score_field(trained_model, schedule, 0)
+        s_hat = lambda x: np.where((np.abs(x[:, :1] - 0.5) < 0.2), 0.0, learned(x))
+        anchors = np.vstack([reverse_sample(trained_model, schedule, SPHERE_BLOCK + 7, make_rng(6)), [[0.5, 0.0]]])
+        cfgs = [EstimatorConfig(p=p, n_samples=50) for p in (1.0, 2.0, 3.0)]
+        reports = validate_bound(oracle, s_hat, anchors, cfgs, make_rng(7))
+
+        expected, partly_singular = [], 0
+        for cfg in cfgs:
+            for anchor, sub in zip(anchors, split_rng(make_rng(7), anchors.shape[0])):
+                ys, normals = sample_sphere_uniform(anchor, cfg.radius, cfg.n_samples, sub)
+                sv, hv = oracle(ys), s_hat(ys)
+                flux_s, sing_s = _flux_values(sv, normals, cfg.p)
+                flux_h, sing_h = _flux_values(hv, normals, cfg.p)
+                keep = ~(sing_s | sing_h)
+                partly_singular += 0 < keep.sum() < cfg.n_samples
+                delta, m, M, segment_min = map(float, _constants_from_values(sv[keep], hv[keep]))
+                c_p = bound_constant(cfg.p, delta, m, M, 2, cfg.radius) if m > 0.0 else np.inf
+                error = abs(2 / cfg.radius * float(np.mean(flux_s[keep] - flux_h[keep])))
+                expected.append((*anchor, cfg.p, delta, m, M, c_p, error, segment_min))
+        assert partly_singular > 0
+        assert [(*r.anchor, r.p, r.delta, r.m, r.M, r.c_p, r.empirical_error, r.segment_min) for r in reports] == expected
+
+    def test_configs_must_share_the_sphere(self, default_gmm):
+        field = score_field(default_gmm)
+        for cfgs in ([], [EstimatorConfig(p=1.0), EstimatorConfig(p=2.0, radius=0.5)],
+                     [EstimatorConfig(p=1.0), EstimatorConfig(p=2.0, n_samples=50)]):
+            with pytest.raises(ValueError):
+                validate_bound(field, field, [[0.0, 0.0]], cfgs, make_rng(0))
 
     def test_deterministic(self, default_gmm, schedule, trained_model):
         args = (
             score_field(default_gmm),
             model_score_field(trained_model, schedule, 0),
             [[0.0, 0.0], [2.0, 1.0]],
-            EstimatorConfig(p=1.0),
+            [EstimatorConfig(p=1.0)],
         )
         r1 = validate_bound(*args, make_rng(9))
         r2 = validate_bound(*args, make_rng(9))
@@ -201,7 +237,7 @@ class TestDominanceProperty:
         s_hat = _affine([u + v for u, v in zip(base, perturbation)])
         cfg = EstimatorConfig(p=p, n_samples=32)
         try:
-            reports = validate_bound(s, s_hat, np.reshape(anchors, (2, 2)), cfg, make_rng(seed))
+            reports = validate_bound(s, s_hat, np.reshape(anchors, (2, 2)), [cfg], make_rng(seed))
         except EstimationError:
             assert p < 2  # a field vanishing on every shared sample leaves nothing to bound
             return
@@ -214,7 +250,7 @@ class TestReportsAndSurface:
     def test_summary_and_csv(self, default_gmm, tmp_path):
         s = score_field(default_gmm)
         s_hat = lambda x: s(x) + np.array([0.02, 0.0])
-        reports = validate_bound(s, s_hat, [[0.0, 0.0], [1.0, 2.0]], EstimatorConfig(p=1.0), make_rng(10))
+        reports = validate_bound(s, s_hat, [[0.0, 0.0], [1.0, 2.0]], [EstimatorConfig(p=1.0)], make_rng(10))
         summary = bound_summary(reports)
         assert summary["n_anchors"] == 2
         assert summary["assumption_ok_fraction"] == 1.0

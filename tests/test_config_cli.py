@@ -68,6 +68,18 @@ class TestConfigValidation:
         cfg = load_config(path)
         assert cfg["experiment"] == "memorization" and cfg["seeds"] == [3]
 
+    def test_number_leaves_hold_floats_integer_leaves_any_int(self):
+        """A ``number`` leaf rejects an int no float holds; a seed may be any non-negative int."""
+        for block, key in (("estimator", "radius"), ("training", "learning_rate"), ("gmm", "sigma2")):
+            with pytest.raises(ConfigError, match=f"{block}/{key}: integer too large for a float"):
+                resolve_config({block: {key: 10**400}})
+        with pytest.raises(ConfigError, match="bounds/p_values/1"):
+            resolve_config({"bounds": {"p_values": [1, 10**400]}})
+        assert resolve_config({"estimator": {"radius": 2}})["estimator"]["radius"] == 2
+        assert resolve_config({"seeds": [10**40]})["seeds"] == [10**40]
+        with pytest.raises(ConfigError, match="seeds/0"):
+            resolve_config({"seeds": [-(10**400)]})
+
     def test_load_config_bad_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
@@ -251,13 +263,15 @@ class TestCli:
         ("fidelity", {"schedule": {"beta_min": float("nan")}}),
         ("fidelity", {"gmm": {"means": [[float("nan"), 0.0], [1.0, 1.0]]}}),
         ("bounds", '{"estimator": {"radius": 1e400}}'),
+        ("bounds", '{"estimator": {"radius": 1' + "0" * 400 + '}}'),
+        ("bounds", '{"seeds": [1' + "0" * 5000 + ']}'),
         ("fidelity", {"gmm": {"low": float("-inf")}}),
         ("fidelity", {"gmm": {"low": -1e308, "high": 1e308}}),
     ], ids=["ragged_means", "weights_sum", "odd_embed_dim", "memorize_3d", "one_repeat", "experiment_mismatch",
             "weights_without_means", "negative_seed", "negative_seed_train", "duplicate_p", "duplicate_bounds_p",
             "normalize_by_volume", "schedule_noise_reaches_one", "schedule_noise_reaches_one_train",
             "schedule_zero_least_noise", "duplicate_seeds", "null_batch_size", "nan_beta_min", "nan_mean",
-            "radius_overflows", "infinite_low", "range_overflows"])
+            "radius_overflows", "radius_int_overflows", "int_past_digit_limit", "infinite_low", "range_overflows"])
     def test_bad_config_rejected_at_load(self, small_config, tmp_path, capsys, command, override):
         path, cfg = small_config
         if isinstance(override, str):

@@ -184,6 +184,38 @@ class TestAffineVolumeProperty:
         assert abs(est.value - np.trace(a)) <= tol
 
 
+class TestAffineBoundaryProperty:
+    _entry = TestAffineVolumeProperty._entry
+
+    @given(
+        dim=st.integers(1, 3),
+        entries=st.lists(_entry, min_size=12, max_size=12),
+        x0=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_p2_boundary_is_unbiased_for_trace(self, dim, entries, x0, seed):
+        """For s(x) = A x + b at p = 2 the estimate is within 5 standard errors of trace(A).
+
+        On the sphere y = x0 + R n the flux is (A x0 + b) . n + R n^T A n, whose mean over
+        uniform n is R trace(A) / d; the factor d/R makes the estimate unbiased for
+        trace(A), but not exact, so the check is statistical.  Where the flux is
+        constant (A = c I with A x0 + b = 0, or d = 1) the standard error is rounding
+        noise, so a rounding allowance is added: 16 d^2 ulps of the field scale
+        |A|_inf (|x0|_inf + R) + |b|_inf, times d/R.  Over 20000 random cases, a quarter of
+        them constant-flux, the worst error was 80% of this tolerance.
+        """
+        a = np.reshape(entries[: dim * dim], (dim, dim))
+        b = np.array(entries[9 : 9 + dim])
+        x0 = np.array(x0[:dim])
+        cfg = EstimatorConfig(p=2.0)
+        est = estimate_boundary(lambda x: x @ a.T + b, x0, cfg, make_rng(seed))
+        scale = np.abs(a).sum(axis=1).max() * (np.abs(x0).max() + cfg.radius) + np.abs(b).max()
+        rounding = 16 * dim**2 * np.finfo(float).eps * scale * dim / cfg.radius
+        assert est.n_used == cfg.n_samples and est.singular_hits == 0
+        assert abs(est.value - np.trace(a)) <= 5.0 * est.std_error + rounding
+
+
 class TestBoundaryEstimator:
     def test_antiradial_score_zero_variance(self):
         """Score of a Gaussian centered at the anchor is exactly antiradial on the sphere."""

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from plaplace.estimators import EstimatorConfig, estimate_boundary
+from plaplace.estimators import SPHERE_BLOCK, EstimatorConfig, estimate_boundary
 from plaplace.geometry import make_rng, split_rng
 from plaplace.gmm import GmmParams, score_field
 from plaplace.memorization import (
@@ -57,30 +57,46 @@ class TestGrid:
         g = GmmParams(means=[[0.0, 0.0]], sigma2=1.0, weights=[1.0])
         grid = make_grid(g, 6, pad_sigma=1.0)
         cfg = EstimatorConfig(p=2.0, n_samples=400)
-        mat = grid_p_laplace(score_field(g), grid, cfg, make_rng(0))
+        [mat] = grid_p_laplace(score_field(g), grid, [cfg], make_rng(0))
         assert np.max(np.abs(mat + 2.0)) < 0.5  # -d/sigma2 up to MC noise
 
-    def test_single_node_matches_estimate_boundary(self, default_gmm):
-        from plaplace.memorization import Grid
+    def test_every_p_matrix_matches_estimate_boundary(self, default_gmm, schedule, trained_model):
+        """Bitwise estimate_boundary at each node, for every p, from one draw per node.
 
-        pt = np.array([0.7, -0.3])
-        grid = Grid(xs=np.array([0.7]), ys=np.array([-0.3]), points=pt[None, :])
-        field = score_field(default_gmm)
-        cfg = EstimatorConfig(p=1.0)
-        mat = grid_p_laplace(field, grid, cfg, make_rng(17))
-        expected = estimate_boundary(field, pt, cfg, split_rng(make_rng(17), 1)[0])
-        assert mat.shape == (1, 1)
-        assert mat[0, 0] == expected.value
+        The field vanishes on a strip that crosses some spheres, so at p = 1 those nodes skip
+        their singular samples.
+        """
+        learned = model_score_field(trained_model, schedule, 0)
+        field = lambda x: np.where(np.abs(x[:, :1] - 0.5) < 0.2, 0.0, learned(x))
+        grid = make_grid(default_gmm, 7, 2.0)
+        cfgs = [EstimatorConfig(p=p, n_samples=50) for p in (1.0, 2.0, 3.0)]
+        mats = grid_p_laplace(field, grid, cfgs, make_rng(17))
+        assert mats.shape == (3, 7, 7)
+        singular_hits = 0
+        for cfg, mat in zip(cfgs, mats):
+            for value, pt, sub in zip(mat.ravel(), grid.points, split_rng(make_rng(17), 49)):
+                expected = estimate_boundary(field, pt, cfg, sub)
+                singular_hits += expected.singular_hits
+                assert value == expected.value
+        assert singular_hits > 0
 
     def test_points_match_per_point_estimates(self):
-        """One estimate_boundary per row, each on its own split_rng substream in row order, in any dimension."""
-        points = make_rng(3).normal(size=(5, 3))
+        """One estimate_boundary per row and p, each row on its own split_rng substream in row order, in any dimension."""
+        points = make_rng(3).normal(size=(SPHERE_BLOCK + 5, 3))
         field = lambda x: -x
-        cfg = EstimatorConfig(p=1.5, n_samples=20)
-        values = boundary_at_points(field, points, cfg, make_rng(18))
-        expected = [estimate_boundary(field, x, cfg, r).value for x, r in zip(points, split_rng(make_rng(18), 5))]
-        assert values.shape == (5,)
-        np.testing.assert_array_equal(values, expected)
+        cfgs = [EstimatorConfig(p=p, n_samples=20) for p in (1.5, 3.0)]
+        values = boundary_at_points(field, points, cfgs, make_rng(18))
+        assert values.shape == (2, SPHERE_BLOCK + 5)
+        for cfg, row in zip(cfgs, values):
+            subs = split_rng(make_rng(18), SPHERE_BLOCK + 5)
+            np.testing.assert_array_equal(row, [estimate_boundary(field, x, cfg, r).value for x, r in zip(points, subs)])
+
+    def test_configs_must_share_the_sphere(self, default_gmm):
+        grid = make_grid(default_gmm, 2)
+        for cfgs in ([], [EstimatorConfig(p=1.0), EstimatorConfig(p=3.0, radius=2.0)],
+                     [EstimatorConfig(p=1.0), EstimatorConfig(p=3.0, n_samples=10)]):
+            with pytest.raises(ValueError):
+                grid_p_laplace(score_field(default_gmm), grid, cfgs, make_rng(0))
 
     def test_learned_field_flags_memorized_point(self, default_gmm, schedule):
         """Replica injection drives the memorized point into the bottom decile.
@@ -96,7 +112,7 @@ class TestGrid:
             model = train(scenario.training_set(), schedule, TrainConfig(seed=seed))
             field = model_score_field(model, schedule, 0)
             cfg = EstimatorConfig(p=1.0)
-            mat = grid_p_laplace(field, grid, cfg, make_rng(seed + 100))
+            [mat] = grid_p_laplace(field, grid, [cfg], make_rng(seed + 100))
             mem_val = estimate_boundary(field, scenario.memorized_point, cfg, make_rng(seed + 200)).value
             hits += percentile_rank(mat, mem_val) < 10.0
         assert hits >= 2
