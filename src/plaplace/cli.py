@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 
-from .config import build_gmm, load_config, resolve_config
+from .config import MAX_SEED, build_gmm, load_config, resolve_config
 from .errors import CheckpointError, ConfigError
 from .experiments import run_bounds, run_fidelity, run_memorization, sample_artifact, train_model_artifact
 from .score_model import load_checkpoint
@@ -41,12 +42,12 @@ def _load(args) -> dict:
     return cfg
 
 
-def _int_at_least(low: int):
-    """argparse type: a plain decimal integer no smaller than low."""
+def _int_in(low: int, high: float = math.inf):
+    """argparse type: a plain decimal integer from low to high."""
 
     def parse(text: str) -> int:
-        if not text.isdecimal() or int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        if not text.isdecimal() or not low <= int(text) <= high:
+            raise argparse.ArgumentTypeError(f"must be an integer from {low} to {high}, got {text!r}")
         return int(text)
 
     return parse
@@ -54,7 +55,7 @@ def _int_at_least(low: int):
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; defaults used when omitted")
-    parser.add_argument("--seed", type=_int_at_least(0), help="override: run this single seed")
+    parser.add_argument("--seed", type=_int_in(0, MAX_SEED), help="override: run this single seed")
     parser.add_argument("--out", help="override: output directory")
 
 
@@ -74,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         if name == "sample":
             p.add_argument("--checkpoint", help="model checkpoint to sample from (trains one if omitted)")
-            p.add_argument("--n", type=_int_at_least(1), default=1000, help="number of samples")
+            p.add_argument("--n", type=_int_in(1), default=1000, help="number of samples")
     return parser
 
 

@@ -19,10 +19,18 @@ from .estimators import EstimatorConfig
 from .gmm import GmmParams, draw_gmm
 from .score_model import NoiseSchedule
 
-__all__ = ["DEFAULT_CONFIG", "load_config", "resolve_config", "build_gmm", "build_schedule", "build_estimator_config"]
+__all__ = ["DEFAULT_CONFIG", "MAX_SEED", "load_config", "resolve_config", "build_gmm", "build_schedule", "build_estimator_config"]
 
 # The one declaration of every key: its type, its range and its default.
 # ``experiment`` alone has no default: the subcommand names the study.
+# Every integer leaf has a maximum, so a value too large to run fails at load
+# rather than in every seed.  Counts of points, samples, repeats and steps stop
+# at _MAX_COUNT; dimensions, widths and the grid side at 10_000; t_steps at
+# 100_000, as training tabulates one embedding row per step.  A seed stays at
+# or below MAX_SEED, so ``seed_<seed>`` is a usable directory name.
+_MAX_COUNT = 10**8
+MAX_SEED = 2**64 - 1
+_SEED = {"type": "integer", "minimum": 0, "maximum": MAX_SEED}
 _P_VALUES = {
     "type": "array", "items": {"type": "number", "minimum": 1}, "minItems": 1, "uniqueItems": True,
     "default": [1.0, 2.0, 3.0],
@@ -44,18 +52,18 @@ _SCHEMA = {
                 },
                 "weights": {"type": ["array", "null"], "items": {"type": "number"}, "default": None},
                 "sigma2": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
-                "n_components": {"type": "integer", "minimum": 1, "default": 3},
-                "dim": {"type": "integer", "minimum": 1, "default": 2},
+                "n_components": {"type": "integer", "minimum": 1, "maximum": 10_000, "default": 3},
+                "dim": {"type": "integer", "minimum": 1, "maximum": 10_000, "default": 2},
                 "low": {"type": "number", "default": -5.0},
                 "high": {"type": "number", "default": 5.0},
-                "seed": {"type": "integer", "default": 7},
+                "seed": {**_SEED, "default": 7},
             },
         },
         "schedule": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "t_steps": {"type": "integer", "minimum": 1, "default": 100},
+                "t_steps": {"type": "integer", "minimum": 1, "maximum": 100_000, "default": 100},
                 "beta_min": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1, "default": 1e-4},
                 "beta_max": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1, "default": 0.02},
             },
@@ -64,12 +72,12 @@ _SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "epochs": {"type": "integer", "minimum": 1, "default": 500},
+                "epochs": {"type": "integer", "minimum": 1, "maximum": _MAX_COUNT, "default": 500},
                 "learning_rate": {"type": "number", "exclusiveMinimum": 0, "default": 1e-3},
-                "batch_size": {"type": "integer", "minimum": 1, "default": 32},
-                "n_train": {"type": "integer", "minimum": 1, "default": 1000},
-                "hidden_width": {"type": "integer", "minimum": 1, "default": 128},
-                "embed_dim": {"type": "integer", "minimum": 2, "multipleOf": 2, "default": 32},
+                "batch_size": {"type": "integer", "minimum": 1, "maximum": _MAX_COUNT, "default": 32},
+                "n_train": {"type": "integer", "minimum": 1, "maximum": _MAX_COUNT, "default": 1000},
+                "hidden_width": {"type": "integer", "minimum": 1, "maximum": 10_000, "default": 128},
+                "embed_dim": {"type": "integer", "minimum": 2, "maximum": 10_000, "multipleOf": 2, "default": 32},
             },
         },
         "estimator": {
@@ -77,7 +85,7 @@ _SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "radius": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
-                "n_samples": {"type": "integer", "minimum": 1, "default": 100},
+                "n_samples": {"type": "integer", "minimum": 1, "maximum": _MAX_COUNT, "default": 100},
                 "fd_step": {"type": "number", "exclusiveMinimum": 0, "default": 1e-3},
                 "p_values": _P_VALUES,
             },
@@ -86,31 +94,31 @@ _SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "n_repeats": {"type": "integer", "minimum": 2, "default": 100},
-                "n_dense": {"type": "integer", "minimum": 100, "default": 1_000_000},
+                "n_repeats": {"type": "integer", "minimum": 2, "maximum": _MAX_COUNT, "default": 100},
+                "n_dense": {"type": "integer", "minimum": 100, "maximum": _MAX_COUNT, "default": 1_000_000},
             },
         },
         "memorization": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "n_base": {"type": "integer", "minimum": 1, "default": 1000},
-                "n_replicas": {"type": "integer", "minimum": 0, "default": 250},
-                "grid_size": {"type": "integer", "minimum": 1, "default": 40},
+                "n_base": {"type": "integer", "minimum": 1, "maximum": _MAX_COUNT, "default": 1000},
+                "n_replicas": {"type": "integer", "minimum": 0, "maximum": _MAX_COUNT, "default": 250},
+                "grid_size": {"type": "integer", "minimum": 1, "maximum": 10_000, "default": 40},
                 "pad_sigma": {"type": "number", "minimum": 0, "default": 2.0},
-                "n_background": {"type": "integer", "minimum": 1, "default": 50},
+                "n_background": {"type": "integer", "minimum": 1, "maximum": _MAX_COUNT, "default": 50},
             },
         },
         "bounds": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "n_anchors": {"type": "integer", "minimum": 1, "default": 50},
+                "n_anchors": {"type": "integer", "minimum": 1, "maximum": _MAX_COUNT, "default": 50},
                 "p_values": _P_VALUES,
             },
         },
         "seeds": {
-            "type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1, "uniqueItems": True,
+            "type": "array", "items": _SEED, "minItems": 1, "uniqueItems": True,
             "default": [0, 1, 2, 3, 4],
         },
         "output_dir": {"type": "string", "default": "out"},
@@ -133,7 +141,7 @@ def _type(validator, types, instance, schema):
     """The ``type`` keyword, with ``number`` narrowed to what a float holds: every number leaf is used as a float.
 
     A JSON integer has no size limit, so ``1`` followed by 400 zeros is a schema ``number``.  An
-    ``integer`` leaf (a seed, say) keeps arbitrary size.
+    ``integer`` leaf has its own ``maximum``.
     """
     yield from _DRAFT.VALIDATORS["type"](validator, types, instance, schema)
     if "number" in types and isinstance(instance, int) and not isinstance(instance, bool):

@@ -7,13 +7,19 @@ predict the noise.  The learned score at noise level t is
 denoising step (t = 0, the smallest trained noise level).
 
 Everything is plain numpy with hand-written backpropagation; training is
-deterministic given (data, config, seed).
+deterministic given (data, config, seed).  Training is SGD over tables
+built once per call: each step gathers its timestep embeddings and
+corruption factors by t, fills preallocated batch buffers and updates one
+flat parameter buffer in place.  Its weights are bitwise those of the
+textbook loop that re-embeds, concatenates and updates each weight array
+per step; the tests keep that loop as the reference.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,12 +133,16 @@ class MlpScoreModel:
         return sinusoidal_embed(t, self.embed_dim, self.freq_base)
 
     def predict_noise(self, x, t) -> np.ndarray:
-        """eps_hat(x, t); ``x`` is (d,) or (n, d), ``t`` an index or (n,) of indices."""
+        """eps_hat(x, t); ``x`` is (d,) or (n, d), ``t`` an index or (n,) of indices.
+
+        A scalar ``t`` is embedded once and its row broadcast to every point.
+        """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         xb = np.atleast_2d(x)
-        tb = np.broadcast_to(np.asarray(t, dtype=float), (xb.shape[0],))
-        z = np.concatenate([xb, self.embed(tb)], axis=1)
+        z = np.empty((xb.shape[0], self.input_dim + self.embed_dim))
+        z[:, : self.input_dim] = xb
+        z[:, self.input_dim :] = self.embed(t)
         y, _ = _mlp_forward(self.w1, self.b1, self.w2, self.b2, z)
         return y[0] if single else y
 
@@ -164,32 +174,50 @@ def forward_perturb(
     alpha = np.asarray(schedule.alphas[t], dtype=float)
     eps = rng.standard_normal(x0.shape)
     a = alpha[..., None] if alpha.ndim else alpha
-    return np.sqrt(1.0 - a) * x0 + np.sqrt(a) * eps, eps
+    return _corrupt(x0, np.sqrt(1.0 - a), np.sqrt(a), eps), eps
 
 
-def _mlp_forward(w1, b1, w2, b2, z):
-    """Forward pass; returns (prediction, hidden activations)."""
-    h = np.tanh(z @ w1 + b1)
-    return h @ w2 + b2, h
+def _corrupt(x0, signal, noise, eps, out=None):
+    """x_t = signal * x0 + noise * eps, written into ``out`` when one is given."""
+    x_t = np.multiply(signal, x0, out=out)
+    x_t += noise * eps
+    return x_t
 
 
-def _mlp_loss_and_grads(w1, b1, w2, b2, z, eps):
+def _mlp_forward(w1, b1, w2, b2, z, h=None, y=None):
+    """Forward pass; returns (prediction, hidden activations), written into ``y`` and ``h`` when given."""
+    h = np.tanh(np.add(np.matmul(z, w1, out=h), b1, out=h), out=h)
+    return np.add(np.matmul(h, w2, out=y), b2, out=y), h
+
+
+def _mlp_loss_and_grads(w1, b1, w2, b2, z, eps, grads=None, work=None):
     """Mean squared noise-prediction error and its parameter gradients.
 
     The loss is mean over the batch of the squared norm of (prediction - eps),
-    so a zero predictor scores about the data dimension.
+    so a zero predictor scores about the data dimension.  ``grads`` (arrays
+    shaped like w1, b1, w2, b2) receives the gradients and ``work`` (arrays
+    shaped (n, hidden), (n, d), (n, hidden)) the intermediates, so a training
+    loop can run without allocating; either may be omitted, and the
+    arithmetic is the same.
     """
     n = z.shape[0]
-    y, h = _mlp_forward(w1, b1, w2, b2, z)
-    resid = y - eps
+    dw1, db1, dw2, db2 = (None,) * 4 if grads is None else grads
+    h, y, dh = (None,) * 3 if work is None else work
+    y, h = _mlp_forward(w1, b1, w2, b2, z, h, y)
+    resid = np.subtract(y, eps, out=y)
     loss = float(np.sum(resid * resid) / n)
-    dy = 2.0 * resid / n
-    dw2 = h.T @ dy
-    db2 = dy.sum(axis=0)
-    dh = dy @ w2.T
-    da = dh * (1.0 - h * h)
-    dw1 = z.T @ da
-    db1 = da.sum(axis=0)
+    dy = resid  # 2 * resid / n, formed in place
+    dy *= 2.0
+    dy /= n
+    dw2 = np.matmul(h.T, dy, out=dw2)
+    db2 = np.sum(dy, axis=0, out=db2)
+    dh = np.matmul(dy, w2.T, out=dh)
+    # h is spent once dw2 is formed: it becomes the tanh derivative 1 - h^2 in place.
+    h *= h
+    np.subtract(1.0, h, out=h)
+    da = np.multiply(dh, h, out=dh)
+    dw1 = np.matmul(z.T, da, out=dw1)
+    db1 = np.sum(da, axis=0, out=db1)
     return loss, (dw1, db1, dw2, db2)
 
 
@@ -206,6 +234,13 @@ def train(
     Weight init is scaled-uniform fan-in for the hidden layer and zeros for
     the output layer, so the untrained model predicts zero noise.  Raises
     :class:`TrainingDivergedError` if the loss becomes non-finite.
+
+    Everything a step cannot change is built once per call: the embedding
+    row and the sqrt(1 - alpha_t), sqrt(alpha_t) factors of every timestep,
+    the batch buffers, and one flat parameter and gradient buffer that the
+    weights view.  A step gathers its rows by t and updates every weight
+    with one subtraction, in the same float operations as the per-array
+    textbook loop, so the weights are bitwise those of that loop.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.size == 0:
@@ -215,12 +250,24 @@ def train(
 
     in_dim = d + embed_dim
     bound = 1.0 / np.sqrt(in_dim)
-    w1 = rng.uniform(-bound, bound, size=(in_dim, hidden_width))
-    b1 = np.zeros(hidden_width)
-    w2 = np.zeros((hidden_width, d))
-    b2 = np.zeros(d)
+    shapes = ((in_dim, hidden_width), (hidden_width,), (hidden_width, d), (d,))
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    params = np.zeros(ends[-1])
+    grads = np.empty_like(params)
+    w1, b1, w2, b2 = (part.reshape(shape) for part, shape in zip(np.split(params, ends[:-1]), shapes))
+    grad_views = tuple(part.reshape(shape) for part, shape in zip(np.split(grads, ends[:-1]), shapes))
+    w1[...] = rng.uniform(-bound, bound, size=(in_dim, hidden_width))
+
+    embeddings = sinusoidal_embed(np.arange(schedule.t_steps), embed_dim, freq_base)
+    signal = np.sqrt(1.0 - schedule.alphas)[:, None]
+    noise = np.sqrt(schedule.alphas)[:, None]
 
     batch = min(cfg.batch_size, n)
+    z_buf = np.empty((batch, in_dim))
+    x0_buf = np.empty((batch, d))
+    eps_buf = np.empty((batch, d))
+    work_bufs = (np.empty((batch, hidden_width)), np.empty((batch, d)), np.empty((batch, hidden_width)))
+    lr = cfg.learning_rate
     for epoch in range(cfg.epochs):
         if batch == n:
             order = np.arange(n)
@@ -230,18 +277,17 @@ def train(
         n_batches = 0
         for start in range(0, n, batch):
             idx = order[start : start + batch]
-            x0 = data[idx]
-            t = rng.integers(0, schedule.t_steps, size=idx.shape[0])
-            x_t, eps = forward_perturb(x0, t, schedule, rng)
-            z = np.concatenate([x_t, sinusoidal_embed(t, embed_dim, freq_base)], axis=1)
-            loss, (dw1, db1, dw2, db2) = _mlp_loss_and_grads(w1, b1, w2, b2, z, eps)
-            if not np.isfinite(loss):
+            m = idx.shape[0]  # the last batch of an epoch may be short: it uses the buffers' first m rows
+            z, x0, eps = z_buf[:m], x0_buf[:m], eps_buf[:m]
+            np.take(data, idx, axis=0, out=x0)
+            t = rng.integers(0, schedule.t_steps, size=m)
+            rng.standard_normal(out=eps)
+            _corrupt(x0, signal[t], noise[t], eps, out=z[:, :d])
+            np.take(embeddings, t, axis=0, out=z[:, d:])
+            loss, _ = _mlp_loss_and_grads(w1, b1, w2, b2, z, eps, grad_views, tuple(buf[:m] for buf in work_bufs))
+            if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch, loss)
-            lr = cfg.learning_rate
-            w1 -= lr * dw1
-            b1 -= lr * db1
-            w2 -= lr * dw2
-            b2 -= lr * db2
+            params -= lr * grads
             epoch_loss += loss
             n_batches += 1
         logger.debug("epoch %d: loss %.6f", epoch, epoch_loss / n_batches)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from plaplace import NoiseSchedule, TrainConfig, draw_gmm, make_rng, sample_gmm, train
@@ -15,7 +16,23 @@ def schedule():
 
 
 @pytest.fixture(scope="session")
-def trained_model(default_gmm, schedule):
+def train_once():
+    """``train``, memoized for the session: a model is immutable, so tests that fit the same data with
+    the same betas, ``TrainConfig`` and widths share one fit."""
+    models = {}
+
+    def fit(data, schedule, cfg, hidden_width=128, embed_dim=32):
+        data = np.ascontiguousarray(data, dtype=float)
+        key = (data.shape, data.tobytes(), schedule.betas.tobytes(), cfg, hidden_width, embed_dim)
+        if key not in models:
+            models[key] = train(data, schedule, cfg, hidden_width, embed_dim)
+        return models[key]
+
+    return fit
+
+
+@pytest.fixture(scope="session")
+def trained_model(default_gmm, schedule, train_once):
     """Default-recipe model on 1000 mixture draws; shared across tests."""
     data = sample_gmm(default_gmm, 1000, make_rng(0))
-    return train(data, schedule, TrainConfig(seed=0))
+    return train_once(data, schedule, TrainConfig(seed=0))

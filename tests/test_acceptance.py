@@ -25,7 +25,6 @@ from plaplace.score_model import (
     _mlp_loss_and_grads,
     learned_score,
     reverse_sample,
-    train,
 )
 from plaplace.score_model import score_field as model_score_field
 from plaplace.experiments import fidelity_anchors
@@ -152,12 +151,12 @@ def test_criterion_3_divergence_theorem(default_gmm):
         info["detail"] = f"worst z {worst_z:.2f} over 60 comparisons"
 
 
-def test_criterion_4_bound_dominance(default_gmm, schedule):
+def test_criterion_4_bound_dominance(default_gmm, schedule, train_once):
     """Zero violations of the error bound at 50 model-sampled anchors, for every p."""
     with report("4 bound-dominance") as info:
         t0 = time.monotonic()
         data = sample_gmm(default_gmm, 1000, make_rng(0))
-        model = train(data, schedule, TrainConfig(seed=0))
+        model = train_once(data, schedule, TrainConfig(seed=0))
         anchors = reverse_sample(model, schedule, 50, make_rng(99))
         oracle = gmm_score_field(default_gmm)
         learned = model_score_field(model, schedule, 0)
@@ -191,7 +190,7 @@ def test_criterion_4_bound_dominance(default_gmm, schedule):
         )
 
 
-def test_criterion_5_memorization_detection(default_gmm, schedule):
+def test_criterion_5_memorization_detection(default_gmm, schedule, train_once):
     """Replica injection detected by the 1-Laplace percentile; clean null; AUC > 0.8."""
     with report("5 memorization-detection") as info:
         seeds = range(5)
@@ -202,7 +201,7 @@ def test_criterion_5_memorization_detection(default_gmm, schedule):
         pct1, pct3, aucs = [], [], []
         for seed in seeds:
             scenario = build_scenario(default_gmm, 1000, 250, seed)
-            model = train(scenario.training_set(), schedule, TrainConfig(seed=seed))
+            model = train_once(scenario.training_set(), schedule, TrainConfig(seed=seed))
             field = model_score_field(model, schedule, 0)
             mem = scenario.memorized_point
 
@@ -227,7 +226,7 @@ def test_criterion_5_memorization_detection(default_gmm, schedule):
         null_hits = 0
         for seed in seeds:
             scenario = build_scenario(default_gmm, 1000, 0, seed)
-            model = train(scenario.training_set(), schedule, TrainConfig(seed=seed))
+            model = train_once(scenario.training_set(), schedule, TrainConfig(seed=seed))
             field = model_score_field(model, schedule, 0)
             [mat] = grid_p_laplace(field, grid, [cfg1], make_rng(seed + 100_000))
             val = estimate_boundary(field, scenario.memorized_point, cfg1, make_rng(seed + 200_000)).value

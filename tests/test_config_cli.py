@@ -68,17 +68,33 @@ class TestConfigValidation:
         cfg = load_config(path)
         assert cfg["experiment"] == "memorization" and cfg["seeds"] == [3]
 
-    def test_number_leaves_hold_floats_integer_leaves_any_int(self):
-        """A ``number`` leaf rejects an int no float holds; a seed may be any non-negative int."""
+    def test_number_leaves_hold_floats_integer_leaves_bounded(self):
+        """A ``number`` leaf rejects an int no float holds; a seed may be any int from 0 to 2**64 - 1."""
         for block, key in (("estimator", "radius"), ("training", "learning_rate"), ("gmm", "sigma2")):
             with pytest.raises(ConfigError, match=f"{block}/{key}: integer too large for a float"):
                 resolve_config({block: {key: 10**400}})
         with pytest.raises(ConfigError, match="bounds/p_values/1"):
             resolve_config({"bounds": {"p_values": [1, 10**400]}})
         assert resolve_config({"estimator": {"radius": 2}})["estimator"]["radius"] == 2
-        assert resolve_config({"seeds": [10**40]})["seeds"] == [10**40]
-        with pytest.raises(ConfigError, match="seeds/0"):
-            resolve_config({"seeds": [-(10**400)]})
+        assert resolve_config({"seeds": [2**64 - 1]})["seeds"] == [2**64 - 1]
+        for seed in (-(10**400), 2**64, 10**40):
+            with pytest.raises(ConfigError, match="seeds/0"):
+                resolve_config({"seeds": [seed]})
+        with pytest.raises(ConfigError, match="gmm/seed"):
+            resolve_config({"gmm": {"seed": 2**64}})
+
+    def test_every_integer_leaf_has_a_maximum(self):
+        """An integer leaf without a maximum lets a count such as 1e20 through, to fail in every seed."""
+
+        def integer_leaves(node, path):
+            for key, sub in node.get("properties", {}).items():
+                yield from integer_leaves(sub, f"{path}{key}/")
+            if node.get("type") == "integer" or node.get("items", {}).get("type") == "integer":
+                yield path, node.get("items", node)
+
+        leaves = dict(integer_leaves(_SCHEMA, ""))
+        assert "estimator/n_samples/" in leaves and "seeds/" in leaves
+        assert [path for path, leaf in leaves.items() if "maximum" not in leaf] == []
 
     def test_load_config_bad_json(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -265,13 +281,16 @@ class TestCli:
         ("bounds", '{"estimator": {"radius": 1e400}}'),
         ("bounds", '{"estimator": {"radius": 1' + "0" * 400 + '}}'),
         ("bounds", '{"seeds": [1' + "0" * 5000 + ']}'),
+        ("bounds", {"estimator": {"n_samples": 10**20}}),
+        ("bounds", {"seeds": [2**64]}),
         ("fidelity", {"gmm": {"low": float("-inf")}}),
         ("fidelity", {"gmm": {"low": -1e308, "high": 1e308}}),
     ], ids=["ragged_means", "weights_sum", "odd_embed_dim", "memorize_3d", "one_repeat", "experiment_mismatch",
             "weights_without_means", "negative_seed", "negative_seed_train", "duplicate_p", "duplicate_bounds_p",
             "normalize_by_volume", "schedule_noise_reaches_one", "schedule_noise_reaches_one_train",
             "schedule_zero_least_noise", "duplicate_seeds", "null_batch_size", "nan_beta_min", "nan_mean",
-            "radius_overflows", "radius_int_overflows", "int_past_digit_limit", "infinite_low", "range_overflows"])
+            "radius_overflows", "radius_int_overflows", "int_past_digit_limit", "n_samples_past_maximum",
+            "seed_past_2_64", "infinite_low", "range_overflows"])
     def test_bad_config_rejected_at_load(self, small_config, tmp_path, capsys, command, override):
         path, cfg = small_config
         if isinstance(override, str):
@@ -295,6 +314,15 @@ class TestCli:
         path, _ = small_config
         with pytest.raises(SystemExit) as exc:
             main(["bounds", "--config", str(path), "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "argument --seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_rejects_seed_flag_past_max_seed(self, small_config, tmp_path, capsys):
+        """A seed names a directory, so the flag takes the schema's bound: 2**64 - 1 at most."""
+        path, _ = small_config
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--config", str(path), "--seed", str(2**64)])
         assert exc.value.code == 2
         assert "argument --seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -17,7 +17,7 @@ from plaplace.memorization import (
     score_norm_criterion,
     write_grid_csv,
 )
-from plaplace.score_model import TrainConfig, train
+from plaplace.score_model import TrainConfig
 from plaplace.score_model import score_field as model_score_field
 
 
@@ -98,7 +98,7 @@ class TestGrid:
             with pytest.raises(ValueError):
                 grid_p_laplace(score_field(default_gmm), grid, cfgs, make_rng(0))
 
-    def test_learned_field_flags_memorized_point(self, default_gmm, schedule):
+    def test_learned_field_flags_memorized_point(self, default_gmm, schedule, train_once):
         """Replica injection drives the memorized point into the bottom decile.
 
         The grid minimum itself sits in the sharpest learned density peak,
@@ -109,7 +109,7 @@ class TestGrid:
         hits = 0
         for seed in range(3):
             scenario = build_scenario(default_gmm, 1000, 250, seed)
-            model = train(scenario.training_set(), schedule, TrainConfig(seed=seed))
+            model = train_once(scenario.training_set(), schedule, TrainConfig(seed=seed))
             field = model_score_field(model, schedule, 0)
             cfg = EstimatorConfig(p=1.0)
             [mat] = grid_p_laplace(field, grid, [cfg], make_rng(seed + 100))

@@ -223,6 +223,59 @@ class TestTraining:
             train(np.empty((0, 2)), schedule, TrainConfig())
 
 
+def textbook_train(data, schedule, cfg, hidden_width, embed_dim, freq_base=1.0e4):
+    """The plain SGD loop ``train`` must match bit for bit: every step corrupts its batch with
+    ``forward_perturb``, embeds t and concatenates, and updates each weight array on its own."""
+    n, d = data.shape
+    rng = make_rng(cfg.seed)
+    in_dim = d + embed_dim
+    bound = 1.0 / np.sqrt(in_dim)
+    w1 = rng.uniform(-bound, bound, size=(in_dim, hidden_width))
+    b1, w2, b2 = np.zeros(hidden_width), np.zeros((hidden_width, d)), np.zeros(d)
+    batch = min(cfg.batch_size, n)
+    for _ in range(cfg.epochs):
+        order = np.arange(n) if batch == n else rng.permutation(n)
+        for start in range(0, n, batch):
+            idx = order[start : start + batch]
+            t = rng.integers(0, schedule.t_steps, size=idx.shape[0])
+            x_t, eps = forward_perturb(data[idx], t, schedule, rng)
+            z = np.concatenate([x_t, sinusoidal_embed(t, embed_dim, freq_base)], axis=1)
+            _, (dw1, db1, dw2, db2) = _mlp_loss_and_grads(w1, b1, w2, b2, z, eps)
+            w1 -= cfg.learning_rate * dw1
+            b1 -= cfg.learning_rate * db1
+            w2 -= cfg.learning_rate * dw2
+            b2 -= cfg.learning_rate * db2
+    return {"w1": w1, "b1": b1, "w2": w2, "b2": b2}
+
+
+@pytest.mark.parametrize("n,d,batch_size,embed_dim", [(50, 2, 32, 32), (50, 2, 64, 32), (40, 3, 16, 32), (40, 2, 16, 8)],
+                         ids=["ragged_last_batch", "full_batch", "d3", "embed8"])
+def test_train_is_bitwise_the_textbook_loop(schedule, n, d, batch_size, embed_dim):
+    data = make_rng(11).standard_normal((n, d))
+    cfg = TrainConfig(epochs=15, learning_rate=1e-2, batch_size=batch_size, seed=3)
+    model = train(data, schedule, cfg, hidden_width=16, embed_dim=embed_dim)
+    expected = textbook_train(data, schedule, cfg, hidden_width=16, embed_dim=embed_dim)
+    for name, weights in expected.items():
+        assert np.array_equal(getattr(model, name), weights), name
+
+
+def concatenated_predict(model, x, t):
+    """eps_hat through a per-row embedding concatenated to the points: the path a scalar t now skips."""
+    xb = np.atleast_2d(np.asarray(x, dtype=float))
+    tb = np.broadcast_to(np.asarray(t, dtype=float), (xb.shape[0],))
+    z = np.concatenate([xb, sinusoidal_embed(tb, model.embed_dim, model.freq_base)], axis=1)
+    return np.tanh(z @ model.w1 + model.b1) @ model.w2 + model.b2
+
+
+@pytest.mark.parametrize("t,row_t", [(7, 7), (np.array(7), np.array(7)), (np.array([0, 7, 13, 99, 42]), np.array([13]))],
+                         ids=["int", "0-d", "per-row"])
+def test_predict_noise_is_bitwise_the_concatenated_path(trained_model, t, row_t):
+    x = make_rng(4).standard_normal((5, 2))
+    np.testing.assert_array_equal(trained_model.predict_noise(x, t), concatenated_predict(trained_model, x, t))
+    np.testing.assert_array_equal(trained_model.predict_noise(x[2], row_t),
+                                  concatenated_predict(trained_model, x[2], row_t)[0])
+
+
 class TestLearnedScore:
     def test_zero_predictor_zero_score(self, schedule):
         model = zero_model()
