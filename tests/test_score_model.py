@@ -260,7 +260,7 @@ def test_train_is_bitwise_the_textbook_loop(schedule, n, d, batch_size, embed_di
 
 
 def concatenated_predict(model, x, t):
-    """eps_hat through a per-row embedding concatenated to the points: the path a scalar t now skips."""
+    """eps_hat from a per-row embedding concatenated to the points: the reference a broadcast t row must match."""
     xb = np.atleast_2d(np.asarray(x, dtype=float))
     tb = np.broadcast_to(np.asarray(t, dtype=float), (xb.shape[0],))
     z = np.concatenate([xb, sinusoidal_embed(tb, model.embed_dim, model.freq_base)], axis=1)
