@@ -127,13 +127,11 @@ def validate_bound(
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     dim = anchors.shape[1]
     factor = dim / radius
-    subs = split_rng(rng, anchors.shape[0])
     reports: list[list[BoundReport]] = [[] for _ in ps]
     for start in range(0, anchors.shape[0], SPHERE_BLOCK):
         block = anchors[start : start + SPHERE_BLOCK]
-        (sv, hv), (flux_s, flux_h) = _sphere_fluxes(
-            [s, s_hat], block, radius, n_samples, ps, subs[start : start + SPHERE_BLOCK]
-        )
+        subs = split_rng(rng, block.shape[0])
+        (sv, hv), (flux_s, flux_h) = _sphere_fluxes([s, s_hat], block, radius, n_samples, ps, subs)
         all_samples = _constants_from_values(sv, hv)
         rows = list(block)  # one view per anchor, shared by its reports at every p
         for p, (fs, sing_s), (fh, sing_h), out in zip(ps, flux_s, flux_h, reports):

@@ -18,7 +18,7 @@ import math
 import os
 import sys
 
-from .config import MAX_SEED, build_gmm, load_config, resolve_config
+from .config import _MAX_COUNT, MAX_SEED, build_gmm, load_config, resolve_config
 from .errors import CheckpointError, ConfigError
 from .experiments import run_bounds, run_fidelity, run_memorization, sample_artifact, train_model_artifact
 from .score_model import load_checkpoint
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         if name == "sample":
             p.add_argument("--checkpoint", help="model checkpoint to sample from (trains one if omitted)")
-            p.add_argument("--n", type=_int_in(1), default=1000, help="number of samples")
+            p.add_argument("--n", type=_int_in(1, _MAX_COUNT), default=1000, help="number of samples")
     return parser
 
 

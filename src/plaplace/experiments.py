@@ -156,17 +156,16 @@ def run_fidelity(cfg: dict) -> dict:
 
         estimate_rows = []
         summary_rows = []
-        rep_rngs = split_rng(make_rng(seed + 500_000), len(fields) * anchors.shape[0] * len(p_values) * 2 * n_repeats)
-        ridx = 0
+        # One substream per repeat, spawned cell by cell.
+        rep_rng = make_rng(seed + 500_000)
         for field_name, field in fields.items():
             for i, anchor in enumerate(anchors):
                 for p in p_values:
                     ecfg = build_estimator_config(cfg, p)
                     for formulation, estimator in formulations:
                         values = np.empty(n_repeats)
-                        for rep in range(n_repeats):
-                            est = estimator(field, anchor, ecfg, rep_rngs[ridx])
-                            ridx += 1
+                        for rep, sub in enumerate(split_rng(rep_rng, n_repeats)):
+                            est = estimator(field, anchor, ecfg, sub)
                             values[rep] = est.value
                             estimate_rows.append([*anchor, p, formulation, ecfg.n_samples, ecfg.radius, seed,
                                                   est.value, est.std_error, est.singular_hits])

@@ -25,7 +25,11 @@ def make_rng(seed: int | None = None) -> np.random.Generator:
 
 
 def split_rng(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """n independent child generators; one substream per estimation call."""
+    """n independent child generators; one substream per estimation call.
+
+    Successive calls on one generator continue its key sequence, so a loop may
+    split per block and get the substreams that one up-front split would give.
+    """
     return rng.spawn(n)
 
 

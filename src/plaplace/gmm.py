@@ -202,14 +202,18 @@ def averaged_p_laplace_dense(
 
     The reference value for the ball-averaged p-Laplace: one draw of n
     uniform ball samples serves every p in ``p_values``.  The mixture parts
-    are evaluated once, ``CHUNK`` rows at a time, and each p is derived from
-    them.  Points where a p < 2 evaluation is singular are skipped and
-    counted; :class:`EstimationError` if every one is.  Returns one
+    are evaluated once, ``CHUNK`` rows at a time, into arrays allocated up
+    front, and each p is derived from them once the samples are dropped.
+    Points where a p < 2 evaluation is singular are skipped and counted;
+    :class:`EstimationError` if every one is.  Returns one
     ``(mean, std_error, n_used, singular_hits)`` per p, in order.
     """
     xs = sample_ball_uniform(x0, radius, n, rng)
-    chunks = (_p_laplace_parts(g, xs[i : i + CHUNK]) for i in range(0, n, CHUNK))
-    parts = [np.concatenate(part) for part in zip(*chunks)]
+    parts = (np.empty((n, g.dim)), np.empty(n), np.empty(n))  # score, Laplacian, s^T H s
+    for i in range(0, n, CHUNK):
+        for part, chunk in zip(parts, _p_laplace_parts(g, xs[i : i + CHUNK])):
+            part[i : i + CHUNK] = chunk
+    del xs  # the reductions below need only the parts
     ests = (_reduce(*_p_laplace_values(*parts, p), 1.0, "dense") for p in p_values)
     return [(est.value, est.std_error, est.n_used, est.singular_hits) for est in ests]
 

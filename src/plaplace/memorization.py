@@ -110,11 +110,12 @@ def boundary_at_points(
     """
     radius, n_samples, ps = _shared_sphere(cfgs)
     factor = points.shape[1] / radius
-    subs = split_rng(rng, points.shape[0])
     values = np.empty((len(ps), points.shape[0]))
     for start in range(0, points.shape[0], SPHERE_BLOCK):
         block = slice(start, start + SPHERE_BLOCK)
-        _, [fluxes] = _sphere_fluxes([field], points[block], radius, n_samples, ps, subs[block])
+        centers = points[block]
+        subs = split_rng(rng, centers.shape[0])
+        _, [fluxes] = _sphere_fluxes([field], centers, radius, n_samples, ps, subs)
         for out, (vals, singular) in zip(values, fluxes):
             out[block] = factor * vals.mean(axis=1)
             for i in np.flatnonzero(singular.any(axis=1)):

@@ -44,6 +44,9 @@ __all__ = [
     "load_checkpoint",
 ]
 
+# Rows per block of the inference forward pass: bounds its (rows, hidden) scratch.
+PREDICT_BLOCK = 256
+
 CHECKPOINT_SCHEMA_VERSION = 1
 _CHECKPOINT_FIELDS = ("input_dim", "hidden_width", "embed_dim", "freq_base", "betas", "w1", "b1", "w2", "b2")
 
@@ -135,15 +138,31 @@ class MlpScoreModel:
     def predict_noise(self, x, t) -> np.ndarray:
         """eps_hat(x, t); ``x`` is (d,) or (n, d), ``t`` an index or (n,) of indices.
 
-        A scalar ``t`` is embedded once and its row broadcast to every point.
+        Runs ``PREDICT_BLOCK`` rows at a time through one input and one hidden
+        scratch array allocated per call, writing each block into the output,
+        so the working set does not grow with n.  A scalar ``t`` is embedded
+        once and its row broadcast to every point.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         xb = np.atleast_2d(x)
-        z = np.empty((xb.shape[0], self.input_dim + self.embed_dim))
-        z[:, : self.input_dim] = xb
-        z[:, self.input_dim :] = self.embed(t)
-        y, _ = _mlp_forward(self.w1, self.b1, self.w2, self.b2, z)
+        n, d = xb.shape[0], self.input_dim
+        t = np.asarray(t)
+        rows = min(n, PREDICT_BLOCK)
+        z = np.empty((rows, d + self.embed_dim))
+        h = np.empty((rows, self.hidden_width))
+        y = np.empty((n, d))
+        if t.ndim == 0:
+            z[:, d:] = self.embed(t)
+        else:
+            t = np.broadcast_to(t, (n,))
+        for start in range(0, n, PREDICT_BLOCK):
+            block = slice(start, start + PREDICT_BLOCK)
+            m = min(n - start, PREDICT_BLOCK)
+            z[:m, :d] = xb[block]
+            if t.ndim:
+                z[:m, d:] = self.embed(t[block])
+            _mlp_forward(self.w1, self.b1, self.w2, self.b2, z[:m], h[:m], y[block])
         return y[0] if single else y
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,3 +38,18 @@ def trained_model(default_gmm, schedule, train_once):
     """Default-recipe model on 1000 mixture draws; shared across tests."""
     data = sample_gmm(default_gmm, 1000, make_rng(0))
     return train_once(data, schedule, TrainConfig(seed=0))
+
+
+@pytest.fixture
+def traced_peak():
+    """Peak bytes that Python allocators (numpy included) hold during one call: deterministic, unlike RSS."""
+
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -336,6 +336,15 @@ class TestCli:
         assert "argument --n" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_sample_rejects_n_past_max_count(self, small_config, tmp_path, capsys):
+        """``--n`` takes the bound of every count leaf, so a count no array can hold exits 2 before training."""
+        path, _ = small_config
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--config", str(path), "--n", str(10**14)])
+        assert exc.value.code == 2
+        assert "argument --n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_sample_accepts_minimal_checkpoint(self, small_config, tmp_path):
         """The base of the bad-checkpoint cases below is itself a valid checkpoint."""
         path, _ = small_config

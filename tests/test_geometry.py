@@ -119,3 +119,11 @@ class TestDeterminism:
         for d1, d2 in zip(draws1, draws2):
             np.testing.assert_array_equal(d1, d2)
         assert not np.array_equal(draws1[0], draws1[1])
+
+    def test_per_block_spawns_continue_one_split(self):
+        """Successive splits of one generator hand out consecutive keys, so splitting per block changes no stream."""
+        rng = make_rng(0)
+        per_block = split_rng(rng, 32) + split_rng(rng, 32) + split_rng(rng, 5)
+        up_front = split_rng(make_rng(0), 69)
+        for a, b in zip(per_block, up_front, strict=True):
+            np.testing.assert_array_equal(a.standard_normal(4), b.standard_normal(4))

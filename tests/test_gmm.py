@@ -268,3 +268,10 @@ class TestDenseAverage:
             est = _reduce(*_p_laplace_values(*parts, p), 1.0, "dense")
             assert got == (est.value, est.std_error, est.n_used, est.singular_hits)
             assert got[2] + got[3] == n
+
+    def test_working_set_per_point(self, default_gmm, traced_peak):
+        """The parts are filled in place and the samples dropped before the reductions: at most 70 bytes per point."""
+        n = 100_000
+        peak = traced_peak(averaged_p_laplace_dense, default_gmm, default_gmm.means[0], [1.0, 2.0, 3.0], 1.0, n,
+                           make_rng(20))
+        assert peak <= 70 * n

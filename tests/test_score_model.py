@@ -8,6 +8,7 @@ from plaplace.errors import CheckpointError, SamplingError, TrainingDivergedErro
 from plaplace.geometry import make_rng
 from plaplace.gmm import GmmParams, perturb, sample_gmm, score
 from plaplace.score_model import (
+    PREDICT_BLOCK,
     MlpScoreModel,
     NoiseSchedule,
     TrainConfig,
@@ -275,6 +276,30 @@ def test_predict_noise_is_bitwise_the_concatenated_path(trained_model, t, row_t)
     np.testing.assert_array_equal(trained_model.predict_noise(x[2], row_t),
                                   concatenated_predict(trained_model, x[2], row_t)[0])
 
+
+
+@pytest.mark.parametrize("per_row_t", [False, True], ids=["scalar-t", "per-row-t"])
+def test_predict_noise_blocks_are_bitwise_one_pass(trained_model, per_row_t):
+    """Over a ragged last block, the row-blocked forward equals one pass over all rows and its own per-block calls."""
+    n, block = 2 * PREDICT_BLOCK + 17, PREDICT_BLOCK
+    x = make_rng(5).standard_normal((n, 2))
+    t = make_rng(6).integers(0, 100, n) if per_row_t else 7
+    got = trained_model.predict_noise(x, t)
+    np.testing.assert_array_equal(got, concatenated_predict(trained_model, x, t))
+    rows_t = np.broadcast_to(t, (n,))
+    per_block = [trained_model.predict_noise(x[i : i + block], rows_t[i : i + block]) for i in range(0, n, block)]
+    np.testing.assert_array_equal(got, np.concatenate(per_block))
+
+
+def test_predict_noise_empty_batch(trained_model):
+    for t in (3, np.empty(0, dtype=int)):
+        assert trained_model.predict_noise(np.empty((0, 2)), t).shape == (0, 2)
+
+
+def test_predict_noise_working_set_is_bounded(trained_model, traced_peak):
+    """A 2000-row call holds its output and one block's scratch, not three (2000, hidden) temporaries (4.7 MB)."""
+    x = make_rng(7).standard_normal((2000, 2))
+    assert traced_peak(trained_model.predict_noise, x, 0) <= 1_000_000
 
 class TestLearnedScore:
     def test_zero_predictor_zero_score(self, schedule):
