@@ -277,7 +277,6 @@ def test_predict_noise_is_bitwise_the_concatenated_path(trained_model, t, row_t)
                                   concatenated_predict(trained_model, x[2], row_t)[0])
 
 
-
 @pytest.mark.parametrize("per_row_t", [False, True], ids=["scalar-t", "per-row-t"])
 def test_predict_noise_blocks_are_bitwise_one_pass(trained_model, per_row_t):
     """Over a ragged last block, the row-blocked forward equals one pass over all rows and its own per-block calls."""
@@ -300,6 +299,7 @@ def test_predict_noise_working_set_is_bounded(trained_model, traced_peak):
     """A 2000-row call holds its output and one block's scratch, not three (2000, hidden) temporaries (4.7 MB)."""
     x = make_rng(7).standard_normal((2000, 2))
     assert traced_peak(trained_model.predict_noise, x, 0) <= 1_000_000
+
 
 class TestLearnedScore:
     def test_zero_predictor_zero_score(self, schedule):
