@@ -1,40 +1,41 @@
 """Command-line driver for the experiment suite.
 
-Subcommands: ``fidelity``, ``memorize``, ``bounds``, ``train``, ``sample``.
-Each accepts ``--config <path>`` (JSON; defaults apply when omitted),
-``--seed <int>`` to override the configured seed list, and ``--out <dir>``
-to override the output directory.  A config's optional ``experiment`` key
-must name the study of the subcommand it is run with.  Exit code 0 means
-every requested run completed; partial failures are enumerated in
-``errors.json``; a bad config, an unreadable ``sample --checkpoint`` or an
-output directory that cannot be created exits with 2 before any run starts.
+Subcommands: ``fidelity``, ``memorize``, ``bounds``, one per study.  Each
+accepts ``--config <path>`` (JSON; defaults apply when omitted), ``--seed
+<int>`` to override the configured seed list, and ``--out <dir>`` to override
+the output directory.  A config's optional ``experiment`` key must name the
+study of the subcommand it is run with.  Exit code 0 means every requested
+run completed; a run with failures lists them in the study's ``errors.json``
+and exits with 1; a bad config or an output directory that cannot be created
+exits with 2 before any run starts.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import sys
 
-from .config import _MAX_COUNT, MAX_SEED, build_gmm, load_config, resolve_config
-from .errors import CheckpointError, ConfigError
-from .experiments import run_bounds, run_fidelity, run_memorization, sample_artifact, train_model_artifact
-from .score_model import load_checkpoint
+from .config import MAX_SEED, build_gmm, load_config, resolve_config
+from .errors import ConfigError
+from .experiments import run_bounds, run_fidelity, run_memorization
 
-# Study subcommand -> the config's optional ``experiment`` value.
-_STUDIES = {"fidelity": "fidelity", "memorize": "memorization", "bounds": "bounds"}
+# Subcommand -> (the config's optional ``experiment`` value, help text, study driver).
+_STUDIES = {
+    "fidelity": ("fidelity", "estimator-vs-exact study on the analytic mixture", run_fidelity),
+    "memorize": ("memorization", "replica-injection memorization detection", run_memorization),
+    "bounds": ("bounds", "error-bound dominance validation", run_bounds),
+}
 
 
 def _load(args) -> dict:
     cfg = resolve_config({}) if args.config is None else load_config(args.config)
-    study = _STUDIES.get(args.command)
-    if study is not None:
-        if cfg.setdefault("experiment", study) != study:
-            raise ConfigError(f"config experiment {cfg['experiment']!r} does not match subcommand {args.command!r}")
-        if study == "memorization" and build_gmm(cfg).dim != 2:
-            raise ConfigError("memorize evaluates a 2-d grid; the mixture must be 2-d")
+    study = _STUDIES[args.command][0]
+    if cfg.setdefault("experiment", study) != study:
+        raise ConfigError(f"config experiment {cfg['experiment']!r} does not match subcommand {args.command!r}")
+    if study == "memorization" and build_gmm(cfg).dim != 2:
+        raise ConfigError("memorize evaluates a 2-d grid; the mixture must be 2-d")
     if args.seed is not None:
         cfg["seeds"] = [args.seed]
     if args.out is not None:
@@ -42,7 +43,7 @@ def _load(args) -> dict:
     return cfg
 
 
-def _int_in(low: int, high: float = math.inf):
+def _int_in(low: int, high: int):
     """argparse type: a plain decimal integer from low to high."""
 
     def parse(text: str) -> int:
@@ -53,29 +54,15 @@ def _int_in(low: int, high: float = math.inf):
     return parse
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; defaults used when omitted")
-    parser.add_argument("--seed", type=_int_in(0, MAX_SEED), help="override: run this single seed")
-    parser.add_argument("--out", help="override: output directory")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="plaplace", description=__doc__)
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in [
-        ("fidelity", "estimator-vs-exact study on the analytic mixture"),
-        ("memorize", "replica-injection memorization detection"),
-        ("bounds", "error-bound dominance validation"),
-        ("train", "train a score model and write a checkpoint"),
-        ("sample", "draw reverse-time samples from a model"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        if name == "sample":
-            p.add_argument("--checkpoint", help="model checkpoint to sample from (trains one if omitted)")
-            p.add_argument("--n", type=_int_in(1, _MAX_COUNT), default=1000, help="number of samples")
+    for name, (_, help_text, _) in _STUDIES.items():
+        study = sub.add_parser(name, help=help_text)
+        study.add_argument("--config", help="JSON config file; defaults used when omitted")
+        study.add_argument("--seed", type=_int_in(0, MAX_SEED), help="override: run this single seed")
+        study.add_argument("--out", help="override: output directory")
     return parser
 
 
@@ -87,25 +74,12 @@ def main(argv=None) -> int:
     )
     try:
         cfg = _load(args)
-        checkpoint = None
-        if args.command == "sample" and args.checkpoint is not None:
-            checkpoint = load_checkpoint(args.checkpoint)
         os.makedirs(cfg["output_dir"], exist_ok=True)
-    except (CheckpointError, ConfigError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.command == "fidelity":
-        result = run_fidelity(cfg)
-    elif args.command == "memorize":
-        result = run_memorization(cfg)
-    elif args.command == "bounds":
-        result = run_bounds(cfg)
-    elif args.command == "train":
-        result = train_model_artifact(cfg)
-    else:
-        result = sample_artifact(cfg, checkpoint=checkpoint, n=args.n)
-
+    result = _STUDIES[args.command][2](cfg)
     if result["failed_seeds"]:
         print(f"failed seeds: {sorted(result['failed_seeds'])}", file=sys.stderr)
         return 1

@@ -156,7 +156,8 @@ _VALIDATOR = jsonschema.validators.extend(_DRAFT, validators={"type": _type})(_S
 
 
 def resolve_config(raw: dict) -> dict:
-    """Validate against the schema, fill in defaults for all missing keys, and check the mixture and schedule build.
+    """Validate against the schema, fill in defaults for all missing keys, and check that the p values name distinct
+    artifacts and that the mixture and schedule build.
 
     Raises :class:`ConfigError` naming the offending path.
     """
@@ -170,6 +171,13 @@ def resolve_config(raw: dict) -> dict:
             resolved[key].update(value)
         else:
             resolved[key] = copy.deepcopy(value)
+    # Artifacts and summary keys name each p as p{p:g}: two values with one name would overwrite each other.
+    for block in ("estimator", "bounds"):
+        named: dict[str, float] = {}
+        for p in resolved[block]["p_values"]:
+            first = named.setdefault(f"p{p:g}", p)
+            if first != p:
+                raise ConfigError(f"config invalid at {block}/p_values: {first} and {p} share the artifact name p{p:g}")
     for block, build in (("gmm", build_gmm), ("schedule", build_schedule)):
         try:
             build(resolved)

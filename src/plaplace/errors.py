@@ -28,7 +28,3 @@ class SamplingError(PlaplaceError):
 
 class ConfigError(PlaplaceError):
     """Raised when an experiment config file fails schema validation."""
-
-
-class CheckpointError(PlaplaceError):
-    """Raised when a model checkpoint file is not JSON, not in the checkpoint schema, or inconsistent."""

@@ -18,19 +18,19 @@ from . import estimators
 from . import memorization as M
 from . import svgplot
 from .config import build_estimator_config, build_gmm, build_schedule, config_header
+from .errors import EstimationError
 from .estimators import estimate_boundary, write_estimates_csv
 from .geometry import make_rng, split_rng
 from .gmm import averaged_p_laplace_dense, log_density, perturb, sample_gmm
 from .gmm import score_field as gmm_score_field
 from .memorization import auc, build_scenario, grid_p_laplace, make_grid, percentile_rank, score_norm_criterion
-from .score_model import MlpScoreModel, NoiseSchedule, TrainConfig, learned_score, load_checkpoint
-from .score_model import reverse_sample, save_checkpoint, train
+from .score_model import TrainConfig, learned_score, reverse_sample, train
 from .score_model import score_field as model_score_field
 from .tables import write_table
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["run_fidelity", "run_memorization", "run_bounds", "train_model_artifact", "sample_artifact"]
+__all__ = ["run_fidelity", "run_memorization", "run_bounds"]
 
 
 def _outdir(cfg: dict, *parts: str) -> str:
@@ -54,9 +54,14 @@ def _per_seed(cfg: dict, fn) -> dict:
         except Exception as exc:  # deliberate: a bad seed must not sink the others
             logger.exception("seed %d failed", seed)
             failed[str(seed)] = f"{type(exc).__name__}: {exc}"
-    result = {"completed_seeds": completed, "failed_seeds": failed, "ok": not failed}
-    if failed:
-        _write_json(os.path.join(_outdir(cfg), "errors.json"), result)
+    return {"completed_seeds": completed, "failed_seeds": failed, "ok": not failed}
+
+
+def _write_result(out: str, cfg: dict, result: dict) -> dict:
+    """The study's result.json, with errors.json beside it when a seed failed; returns result."""
+    if not result["ok"]:
+        _write_json(os.path.join(out, "errors.json"), result)
+    _write_json(os.path.join(out, "result.json"), {**result, "config": cfg})
     return result
 
 
@@ -107,9 +112,15 @@ def run_fidelity(cfg: dict) -> dict:
     exact: dict[tuple[int, float], tuple[float, float]] = {}
     exact_rows = []
     for i, (anchor, label) in enumerate(zip(anchors, labels)):
-        dense = averaged_p_laplace_dense(
-            gmm, anchor, p_values, cfg["estimator"]["radius"], cfg["fidelity"]["n_dense"], dense_rng
-        )
+        try:
+            dense = averaged_p_laplace_dense(
+                gmm, anchor, p_values, cfg["estimator"]["radius"], cfg["fidelity"]["n_dense"], dense_rng
+            )
+        except EstimationError as exc:  # every seed compares with the reference, so each one fails with it
+            reason = f"dense reference at anchor {i}: EstimationError: {exc}"
+            logger.error("%s", reason)
+            failed = {str(seed): reason for seed in cfg["seeds"]}
+            return _write_result(out, cfg, {"completed_seeds": [], "failed_seeds": failed, "ok": False})
         for p, (mean, se, n_used, _) in zip(p_values, dense):
             exact[(i, p)] = (mean, se)
             exact_rows.append([i, label, *anchor, p, mean, se, n_used])
@@ -186,9 +197,7 @@ def run_fidelity(cfg: dict) -> dict:
             summary_rows, config_header(cfg, seed),
         )
 
-    result = _per_seed(cfg, one_seed)
-    _write_json(os.path.join(out, "result.json"), {**result, "config": cfg})
-    return result
+    return _write_result(out, cfg, _per_seed(cfg, one_seed))
 
 
 def run_memorization(cfg: dict) -> dict:
@@ -268,8 +277,7 @@ def run_memorization(cfg: dict) -> dict:
         auc_summary[name] = {"per_seed": vals, "mean": float(np.mean(vals)) if vals else None}
     _write_json(os.path.join(out, "auc_summary.json"), {"auc": auc_summary, "config": cfg})
     _write_json(os.path.join(out, "detection.json"), {"config": cfg, "results": detections})
-    _write_json(os.path.join(out, "result.json"), {**result, "config": cfg})
-    return result
+    return _write_result(out, cfg, result)
 
 
 def run_bounds(cfg: dict) -> dict:
@@ -328,38 +336,4 @@ def run_bounds(cfg: dict) -> dict:
         {"per_seed": dominance, "max_error_bound_ratio": worst,
          "dominance_holds": None if worst is None else worst <= 1.0, "config": cfg},
     )
-    _write_json(os.path.join(out, "result.json"), {**result, "config": cfg})
-    return result
-
-
-def train_model_artifact(cfg: dict) -> dict:
-    """Train on mixture draws and write a reloadable checkpoint."""
-    gmm = build_gmm(cfg)
-    schedule = build_schedule(cfg)
-    seed = cfg["seeds"][0]
-    out = _outdir(cfg, "model")
-    model = _train(cfg, sample_gmm(gmm, cfg["training"]["n_train"], make_rng(seed)), schedule, seed)
-    path = os.path.join(out, "checkpoint.json")
-    save_checkpoint(model, schedule, path)
-    _write_json(os.path.join(out, "train_meta.json"), {"config": cfg, "seed": seed, "checkpoint": path})
-    return {"ok": True, "completed_seeds": [seed], "failed_seeds": {}, "checkpoint": path}
-
-
-def sample_artifact(
-    cfg: dict, checkpoint: tuple[MlpScoreModel, NoiseSchedule] | None = None, n: int = 1000
-) -> dict:
-    """Reverse-time samples from a loaded checkpoint's (model, schedule), or from a freshly trained model."""
-    seed = cfg["seeds"][0]
-    out = _outdir(cfg, "samples")
-    if checkpoint is None:
-        checkpoint = load_checkpoint(train_model_artifact(cfg)["checkpoint"])
-    model, schedule = checkpoint
-    samples = reverse_sample(model, schedule, n, make_rng(seed))
-    path = os.path.join(out, "samples.csv")
-    write_table(path, [f"x_{i}" for i in range(samples.shape[1])], samples, config_header(cfg, seed))
-    if samples.shape[1] == 2:
-        svgplot.scatter(
-            os.path.join(out, "samples.svg"), [("model samples", samples, "#4878a8")],
-            title=f"{n} reverse-time samples", comment=config_header(cfg, seed),
-        )
-    return {"ok": True, "completed_seeds": [seed], "failed_seeds": {}, "samples": path}
+    return _write_result(out, cfg, result)

@@ -17,14 +17,13 @@ per step; the tests keep that loop as the reference.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CheckpointError, SamplingError, TrainingDivergedError
+from .errors import SamplingError, TrainingDivergedError
 from .fields import ScoreField
 from .geometry import make_rng
 
@@ -40,15 +39,13 @@ __all__ = [
     "learned_score",
     "score_field",
     "reverse_sample",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 # Rows per block of the inference forward pass: bounds its (rows, hidden) scratch.
 PREDICT_BLOCK = 256
 
-CHECKPOINT_SCHEMA_VERSION = 1
-_CHECKPOINT_FIELDS = ("input_dim", "hidden_width", "embed_dim", "freq_base", "betas", "w1", "b1", "w2", "b2")
+# Base of the timestep embedding's geometric frequency ladder.
+EMBED_BASE = 1.0e4
 
 
 @dataclass(frozen=True)
@@ -86,18 +83,18 @@ class NoiseSchedule:
         return cls(np.linspace(beta_min, beta_max, t_steps))
 
 
-def sinusoidal_embed(t, dim: int, base: float = 1.0e4) -> np.ndarray:
+def sinusoidal_embed(t, dim: int) -> np.ndarray:
     """Sinusoidal embedding of a timestep index.
 
     Pairs (sin(t * w_j), cos(t * w_j)) with geometrically spaced frequencies
-    w_j = base^(-j / (dim/2)).  ``t`` may be a scalar or an array; the output
-    gains a trailing axis of length ``dim``.
+    w_j = EMBED_BASE^(-j / (dim/2)).  ``t`` may be a scalar or an array; the
+    output gains a trailing axis of length ``dim``.
     """
     if dim <= 0 or dim % 2 != 0:
         raise ValueError(f"embedding dim must be a positive even integer, got {dim}")
     t = np.asarray(t, dtype=float)
     half = dim // 2
-    freqs = base ** (-np.arange(half) / half)
+    freqs = EMBED_BASE ** (-np.arange(half) / half)
     angles = t[..., None] * freqs
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
 
@@ -114,7 +111,6 @@ class MlpScoreModel:
     input_dim: int
     hidden_width: int
     embed_dim: int
-    freq_base: float
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
@@ -133,7 +129,7 @@ class MlpScoreModel:
             object.__setattr__(self, name, frozen)
 
     def embed(self, t) -> np.ndarray:
-        return sinusoidal_embed(t, self.embed_dim, self.freq_base)
+        return sinusoidal_embed(t, self.embed_dim)
 
     def predict_noise(self, x, t) -> np.ndarray:
         """eps_hat(x, t); ``x`` is (d,) or (n, d), ``t`` an index or (n,) of indices.
@@ -246,7 +242,6 @@ def train(
     cfg: TrainConfig,
     hidden_width: int = 128,
     embed_dim: int = 32,
-    freq_base: float = 1.0e4,
 ) -> MlpScoreModel:
     """Fit the noise predictor with plain SGD on fresh (t, eps) draws each epoch.
 
@@ -277,7 +272,7 @@ def train(
     grad_views = tuple(part.reshape(shape) for part, shape in zip(np.split(grads, ends[:-1]), shapes))
     w1[...] = rng.uniform(-bound, bound, size=(in_dim, hidden_width))
 
-    embeddings = sinusoidal_embed(np.arange(schedule.t_steps), embed_dim, freq_base)
+    embeddings = sinusoidal_embed(np.arange(schedule.t_steps), embed_dim)
     signal = np.sqrt(1.0 - schedule.alphas)[:, None]
     noise = np.sqrt(schedule.alphas)[:, None]
 
@@ -315,7 +310,6 @@ def train(
         input_dim=d,
         hidden_width=hidden_width,
         embed_dim=embed_dim,
-        freq_base=freq_base,
         w1=w1,
         b1=b1,
         w2=w2,
@@ -356,60 +350,3 @@ def reverse_sample(model, schedule: NoiseSchedule, n: int, rng: np.random.Genera
         if not np.all(np.isfinite(x)):
             raise SamplingError(f"non-finite state during reverse integration at t={t}")
     return x
-
-
-def save_checkpoint(model: MlpScoreModel, schedule: NoiseSchedule, path) -> None:
-    """Write model and schedule as JSON; float64 values round-trip bit-exactly.
-
-    Fields: schema_version, input_dim, hidden_width, embed_dim, freq_base,
-    betas, and row-major weight arrays w1, b1, w2, b2.
-    """
-    payload = {
-        "schema_version": CHECKPOINT_SCHEMA_VERSION,
-        "input_dim": model.input_dim,
-        "hidden_width": model.hidden_width,
-        "embed_dim": model.embed_dim,
-        "freq_base": model.freq_base,
-        "betas": schedule.betas.tolist(),
-        "w1": model.w1.tolist(),
-        "b1": model.b1.tolist(),
-        "w2": model.w2.tolist(),
-        "b2": model.b2.tolist(),
-    }
-    with open(path, "w") as f:
-        json.dump(payload, f)
-
-
-def load_checkpoint(path) -> tuple[MlpScoreModel, NoiseSchedule]:
-    """Inverse of :func:`save_checkpoint`.
-
-    Raises :class:`CheckpointError` for a file that is not JSON, lacks a
-    field, holds betas that make no schedule, or holds weights whose shapes
-    do not match ``input_dim``, ``embed_dim`` and ``hidden_width``.
-    """
-    with open(path) as f:
-        try:
-            payload = json.load(f)
-        except ValueError as exc:  # not JSON, or not text
-            raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    version = payload.get("schema_version") if isinstance(payload, dict) else None
-    if version != CHECKPOINT_SCHEMA_VERSION:
-        raise CheckpointError(f"unsupported checkpoint schema in {path}: {version}")
-    missing = [key for key in _CHECKPOINT_FIELDS if key not in payload]
-    if missing:
-        raise CheckpointError(f"checkpoint {path} lacks {', '.join(missing)}")
-    try:
-        schedule = NoiseSchedule(payload["betas"])
-        model = MlpScoreModel(
-            input_dim=int(payload["input_dim"]),
-            hidden_width=int(payload["hidden_width"]),
-            embed_dim=int(payload["embed_dim"]),
-            freq_base=float(payload["freq_base"]),
-            w1=payload["w1"],
-            b1=payload["b1"],
-            w2=payload["w2"],
-            b2=payload["b2"],
-        )
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"invalid checkpoint {path}: {exc}") from exc
-    return model, schedule

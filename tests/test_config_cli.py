@@ -124,13 +124,6 @@ class TestBuilders:
         assert ecfg.p == 1.0 and ecfg.n_samples == 100
 
 
-# input_dim 2, embed_dim 2, hidden_width 3: w1 is (4, 3), b1 (3,), w2 (3, 2), b2 (2,).
-MINIMAL_CHECKPOINT = {
-    "schema_version": 1, "input_dim": 2, "hidden_width": 3, "embed_dim": 2, "freq_base": 1e4,
-    "betas": [0.01, 0.02], "w1": [[0.0] * 3] * 4, "b1": [0.0] * 3, "w2": [[0.0] * 2] * 3, "b2": [0.0] * 2,
-}
-
-
 @pytest.fixture
 def small_config(tmp_path):
     cfg = {
@@ -186,15 +179,6 @@ class TestCli:
         assert DEFAULT_CONFIG["memorization"]["n_replicas"] == 250
         assert DEFAULT_CONFIG["memorization"]["n_base"] == 1000
 
-    def test_train_and_sample_round_trip(self, small_config, tmp_path):
-        path, cfg = small_config
-        assert main(["train", "--config", str(path)]) == 0
-        ckpt = tmp_path / "out" / "model" / "checkpoint.json"
-        assert ckpt.exists()
-        assert main(["sample", "--config", str(path), "--checkpoint", str(ckpt), "--n", "50"]) == 0
-        samples = (tmp_path / "out" / "samples" / "samples.csv").read_text().splitlines()
-        assert len(samples) == 2 + 50  # comment + header + rows
-
     def test_seed_and_out_overrides(self, small_config, tmp_path):
         path, _ = small_config
         alt = tmp_path / "alt"
@@ -214,8 +198,21 @@ class TestCli:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["memorize", "--config", str(path)]) == 1
-        errors = json.loads((tmp_path / "out" / "errors.json").read_text())
+        errors = json.loads((tmp_path / "out" / "memorization" / "errors.json").read_text())
         assert set(errors["failed_seeds"]) == {"0", "1"}
+
+    def test_dense_reference_failure_fails_every_seed(self, small_config, tmp_path, capsys):
+        """A mixture so wide that every dense sample is singular fails the run like a failed seed, not a crash."""
+        path, cfg = small_config
+        path.write_text(json.dumps({**cfg, "gmm": {"sigma2": 1e12}, "seeds": [0, 1]}))
+        assert main(["fidelity", "--config", str(path)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        out = tmp_path / "out" / "fidelity"
+        errors = json.loads((out / "errors.json").read_text())["failed_seeds"]
+        assert set(errors) == {"0", "1"}
+        assert all(reason.startswith("dense reference at anchor 0: EstimationError") for reason in errors.values())
+        result = json.loads((out / "result.json").read_text())
+        assert result["ok"] is False and result["completed_seeds"] == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_bounds_summary_without_completed_seed(self, small_config, tmp_path):
@@ -241,7 +238,7 @@ class TestCli:
         monkeypatch.setattr(svgplot, "heatmap", heatmap)
         assert main(["memorize", "--config", str(path)]) == 1
         out = tmp_path / "out" / "memorization"
-        assert set(json.loads((tmp_path / "out" / "errors.json").read_text())["failed_seeds"]) == {"1"}
+        assert set(json.loads((out / "errors.json").read_text())["failed_seeds"]) == {"1"}
         with open(out / "percentiles.csv", newline="") as f:
             rows = list(csv.DictReader(line for line in f if not line.startswith("#")))
         assert {row["seed"] for row in rows} == {"0"} and len(rows) == 3  # p=1, score_norm, p=2
@@ -267,12 +264,12 @@ class TestCli:
         ("memorize", {"experiment": "bounds"}),
         ("fidelity", {"gmm": {"weights": [0.9, 0.05, 0.05]}}),
         ("bounds", {"seeds": [-1]}),
-        ("train", {"seeds": [-2]}),
         ("fidelity", {"estimator": {"p_values": [1.0, 1.0]}}),
         ("bounds", {"bounds": {"p_values": [1.0, 1]}}),
+        ("bounds", {"bounds": {"p_values": [1.5, 1.5000001]}}),
+        ("memorize", {"estimator": {"p_values": [1.0, 1.0000001]}}),
         ("bounds", {"estimator": {"normalize_by_volume": False}}),
         ("fidelity", {"schedule": {"beta_min": 0.5, "beta_max": 0.9}}),
-        ("train", {"schedule": {"beta_min": 0.5, "beta_max": 0.9}}),
         ("fidelity", {"schedule": {"beta_min": 1e-20}}),
         ("memorize", {"seeds": [0, 0]}),
         ("fidelity", {"training": {"batch_size": None}}),
@@ -286,8 +283,8 @@ class TestCli:
         ("fidelity", {"gmm": {"low": float("-inf")}}),
         ("fidelity", {"gmm": {"low": -1e308, "high": 1e308}}),
     ], ids=["ragged_means", "weights_sum", "odd_embed_dim", "memorize_3d", "one_repeat", "experiment_mismatch",
-            "weights_without_means", "negative_seed", "negative_seed_train", "duplicate_p", "duplicate_bounds_p",
-            "normalize_by_volume", "schedule_noise_reaches_one", "schedule_noise_reaches_one_train",
+            "weights_without_means", "negative_seed", "duplicate_p", "duplicate_bounds_p",
+            "bounds_p_names_collide", "estimator_p_names_collide", "normalize_by_volume", "schedule_noise_reaches_one",
             "schedule_zero_least_noise", "duplicate_seeds", "null_batch_size", "nan_beta_min", "nan_mean",
             "radius_overflows", "radius_int_overflows", "int_past_digit_limit", "n_samples_past_maximum",
             "seed_past_2_64", "infinite_low", "range_overflows"])
@@ -327,45 +324,13 @@ class TestCli:
         assert "argument --seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("n", ["0", "-3"])
-    def test_sample_rejects_non_positive_n(self, small_config, tmp_path, capsys, n):
+    @pytest.mark.parametrize("command", ["train", "sample"])
+    def test_removed_subcommands_are_invalid_choices(self, small_config, tmp_path, capsys, command):
         path, _ = small_config
         with pytest.raises(SystemExit) as exc:
-            main(["sample", "--config", str(path), "--n", n])
+            main([command, "--config", str(path)])
         assert exc.value.code == 2
-        assert "argument --n" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_sample_rejects_n_past_max_count(self, small_config, tmp_path, capsys):
-        """``--n`` takes the bound of every count leaf, so a count no array can hold exits 2 before training."""
-        path, _ = small_config
-        with pytest.raises(SystemExit) as exc:
-            main(["sample", "--config", str(path), "--n", str(10**14)])
-        assert exc.value.code == 2
-        assert "argument --n" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_sample_accepts_minimal_checkpoint(self, small_config, tmp_path):
-        """The base of the bad-checkpoint cases below is itself a valid checkpoint."""
-        path, _ = small_config
-        ckpt = tmp_path / "checkpoint.json"
-        ckpt.write_text(json.dumps(MINIMAL_CHECKPOINT))
-        assert main(["sample", "--config", str(path), "--checkpoint", str(ckpt), "--n", "5"]) == 0
-
-    @pytest.mark.parametrize("content", [
-        None, "{not json", "[1]", '{"betas": [0.1]}', '{"schema_version": 1}',
-        json.dumps({**MINIMAL_CHECKPOINT, "betas": [2.0]}),
-        json.dumps({**MINIMAL_CHECKPOINT, "w1": [[0.0] * 3] * 3}),
-        json.dumps({**MINIMAL_CHECKPOINT, "betas": [0.0, 0.02]}),
-    ], ids=["missing", "not_json", "not_object", "no_schema_version", "no_fields", "bad_betas", "w1_rows",
-            "zero_least_noise"])
-    def test_sample_rejects_bad_checkpoint(self, small_config, tmp_path, capsys, content):
-        path, _ = small_config
-        ckpt = tmp_path / "checkpoint.json"
-        if content is not None:
-            ckpt.write_text(content)
-        assert main(["sample", "--config", str(path), "--checkpoint", str(ckpt)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert "invalid choice" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("gmm", [{"dim": 1}, {"n_components": 1}], ids=["dim_1", "one_component"])
@@ -377,13 +342,18 @@ class TestCli:
     def test_every_numeric_csv_cell_parses(self, small_config, tmp_path):
         """Every CSV cell outside the label columns reads back with float()."""
         path, _ = small_config
-        for command in ("fidelity", "memorize", "bounds", "sample"):
+        for command in ("fidelity", "memorize", "bounds"):
             assert main([command, "--config", str(path)]) == 0
         labels = {"field", "anchor_kind", "formulation", "criterion"}
-        tables = sorted((tmp_path / "out").rglob("*.csv"))
-        assert len(tables) >= 9
+        out = tmp_path / "out"
+        tables = sorted(table.relative_to(out).as_posix() for table in out.rglob("*.csv"))
+        assert tables == [
+            "bounds/seed_0/bound_reports_p1.csv", "bounds/seed_0/bound_surface_p1.csv",
+            "fidelity/exact.csv", "fidelity/seed_0/estimates.csv", "fidelity/seed_0/field_errors.csv",
+            "fidelity/seed_0/summary.csv", "memorization/percentiles.csv", "memorization/seed_0/grid_p1.csv",
+        ]
         for table in tables:
-            with open(table, newline="") as f:
+            with open(out / table, newline="") as f:
                 rows = list(csv.DictReader(line for line in f if not line.startswith("#")))
             assert rows, table
             for row in rows:

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from plaplace.errors import CheckpointError, SamplingError, TrainingDivergedError
+from plaplace.errors import SamplingError, TrainingDivergedError
 from plaplace.geometry import make_rng
 from plaplace.gmm import GmmParams, perturb, sample_gmm, score
 from plaplace.score_model import (
@@ -15,9 +15,7 @@ from plaplace.score_model import (
     _mlp_loss_and_grads,
     forward_perturb,
     learned_score,
-    load_checkpoint,
     reverse_sample,
-    save_checkpoint,
     score_field,
     sinusoidal_embed,
     train,
@@ -32,7 +30,6 @@ def zero_model(d=2, hidden=8, embed=4):
         input_dim=d,
         hidden_width=hidden,
         embed_dim=embed,
-        freq_base=1e4,
         w1=rng.uniform(-0.1, 0.1, size=(in_dim, hidden)),
         b1=np.zeros(hidden),
         w2=np.zeros((hidden, d)),
@@ -46,8 +43,7 @@ def test_model_weight_shapes_checked(name, shape):
     model = zero_model()
     arrays = {key: getattr(model, key) for key in ("w1", "b1", "w2", "b2")}
     with pytest.raises(ValueError, match=name):
-        MlpScoreModel(model.input_dim, model.hidden_width, model.embed_dim, model.freq_base,
-                      **{**arrays, name: np.zeros(shape)})
+        MlpScoreModel(model.input_dim, model.hidden_width, model.embed_dim, **{**arrays, name: np.zeros(shape)})
 
 
 def test_model_arrays_read_only():
@@ -56,8 +52,7 @@ def test_model_arrays_read_only():
         with pytest.raises(ValueError):
             getattr(model, name)[0] = 9.0
     w1 = np.ones((6, 8))
-    frozen = MlpScoreModel(input_dim=2, hidden_width=8, embed_dim=4, freq_base=1e4,
-                           w1=w1, b1=model.b1, w2=model.w2, b2=model.b2)
+    frozen = MlpScoreModel(input_dim=2, hidden_width=8, embed_dim=4, w1=w1, b1=model.b1, w2=model.w2, b2=model.b2)
     w1[0, 0] = 9.0  # the caller's own array is copied, not frozen
     assert frozen.w1[0, 0] == 1.0
 
@@ -95,6 +90,11 @@ class TestSinusoidalEmbed:
         np.testing.assert_array_equal(e[:8], 0.0)
         np.testing.assert_array_equal(e[8:], 1.0)
         assert np.linalg.norm(e) == pytest.approx(np.sqrt(8.0), rel=1e-14)
+
+    def test_frequencies_are_the_base_1e4_ladder(self):
+        """The trained weights depend on the ladder w_j = 1e4^(-j / (dim/2)), bit for bit."""
+        angles = 3.0 * 1.0e4 ** (-np.arange(4) / 4)
+        np.testing.assert_array_equal(sinusoidal_embed(3, 8), np.concatenate([np.sin(angles), np.cos(angles)]))
 
     def test_distinct_over_schedule(self):
         embs = sinusoidal_embed(np.arange(100), 32)
@@ -224,7 +224,7 @@ class TestTraining:
             train(np.empty((0, 2)), schedule, TrainConfig())
 
 
-def textbook_train(data, schedule, cfg, hidden_width, embed_dim, freq_base=1.0e4):
+def textbook_train(data, schedule, cfg, hidden_width, embed_dim):
     """The plain SGD loop ``train`` must match bit for bit: every step corrupts its batch with
     ``forward_perturb``, embeds t and concatenates, and updates each weight array on its own."""
     n, d = data.shape
@@ -240,7 +240,7 @@ def textbook_train(data, schedule, cfg, hidden_width, embed_dim, freq_base=1.0e4
             idx = order[start : start + batch]
             t = rng.integers(0, schedule.t_steps, size=idx.shape[0])
             x_t, eps = forward_perturb(data[idx], t, schedule, rng)
-            z = np.concatenate([x_t, sinusoidal_embed(t, embed_dim, freq_base)], axis=1)
+            z = np.concatenate([x_t, sinusoidal_embed(t, embed_dim)], axis=1)
             _, (dw1, db1, dw2, db2) = _mlp_loss_and_grads(w1, b1, w2, b2, z, eps)
             w1 -= cfg.learning_rate * dw1
             b1 -= cfg.learning_rate * db1
@@ -264,7 +264,7 @@ def concatenated_predict(model, x, t):
     """eps_hat from a per-row embedding concatenated to the points: the reference a broadcast t row must match."""
     xb = np.atleast_2d(np.asarray(x, dtype=float))
     tb = np.broadcast_to(np.asarray(t, dtype=float), (xb.shape[0],))
-    z = np.concatenate([xb, sinusoidal_embed(tb, model.embed_dim, model.freq_base)], axis=1)
+    z = np.concatenate([xb, sinusoidal_embed(tb, model.embed_dim)], axis=1)
     return np.tanh(z @ model.w1 + model.b1) @ model.w2 + model.b2
 
 
@@ -388,7 +388,6 @@ class TestReverseSample:
             input_dim=model.input_dim,
             hidden_width=model.hidden_width,
             embed_dim=model.embed_dim,
-            freq_base=model.freq_base,
             w1=model.w1,
             b1=model.b1,
             w2=model.w2,
@@ -397,33 +396,6 @@ class TestReverseSample:
         with pytest.raises(SamplingError):
             with np.errstate(over="ignore", invalid="ignore"):
                 reverse_sample(broken, schedule, 4, make_rng(0))
-
-
-class TestCheckpoint:
-    def test_round_trip_bit_exact(self, schedule, trained_model, tmp_path):
-        path = tmp_path / "model.json"
-        save_checkpoint(trained_model, schedule, path)
-        loaded, sched2 = load_checkpoint(path)
-        np.testing.assert_array_equal(loaded.w1, trained_model.w1)
-        np.testing.assert_array_equal(loaded.b1, trained_model.b1)
-        np.testing.assert_array_equal(loaded.w2, trained_model.w2)
-        np.testing.assert_array_equal(loaded.b2, trained_model.b2)
-        np.testing.assert_array_equal(sched2.betas, schedule.betas)
-        x = make_rng(1).standard_normal((5, 2))
-        np.testing.assert_array_equal(
-            loaded.predict_noise(x, 0), trained_model.predict_noise(x, 0)
-        )
-
-    def test_schema_version_checked(self, schedule, trained_model, tmp_path):
-        import json
-
-        path = tmp_path / "model.json"
-        save_checkpoint(trained_model, schedule, path)
-        payload = json.loads(path.read_text())
-        payload["schema_version"] = 99
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
 
 
 def test_score_field_binds_level(default_gmm, schedule, trained_model):

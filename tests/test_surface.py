@@ -1,6 +1,6 @@
-"""The public surface: every ``__all__`` name resolves, the README quick start runs as written, the
-benchmark tracer finds every function it wraps and sees every layer a workload runs, and the runtime
-imports nothing outside its declared dependencies."""
+"""The public surface: every ``__all__`` name resolves, the README quick start runs as written and its CLI
+block lists the parser's subcommands, the benchmark tracer finds every function it wraps and sees every
+layer a workload runs, and the runtime imports nothing outside its declared dependencies."""
 
 import importlib
 import json
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import plaplace
+from plaplace import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -32,6 +33,17 @@ def test_all_names_resolve_and_quick_start_runs(capsys):
     exec(compile(block.group(1), str(README), "exec"), {})
     printed = capsys.readouterr().out.split()
     assert len(printed) == 2 and np.all(np.isfinite([float(v) for v in printed]))
+
+
+def test_readme_cli_block_names_every_subcommand():
+    """The README's CLI block shows one line per subcommand: exactly those the parser accepts, in its order."""
+    section = re.search(r"^## CLI\n(.*?)^## ", README.read_text(), re.S | re.M)
+    assert section is not None
+    block = re.search(r"^```sh\n(.*?)^```", section.group(1), re.S | re.M)
+    assert block is not None
+    shown = re.findall(r"^plaplace (\S+)", block.group(1), re.M)
+    [subcommands] = [action.choices for action in cli.build_parser()._actions if action.dest == "command"]
+    assert shown == list(subcommands)
 
 
 def test_benchmark_tracer_installs():
