@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError
-from .estimators import SPHERE_BLOCK, EstimatorConfig, _shared_sphere, _sphere_fluxes
+from .estimators import EstimatorConfig, _shared_sphere, _sphere_blocks
 from .fields import ScoreField
-from .geometry import split_rng
 from .tables import write_table
 
 __all__ = [
@@ -117,8 +116,8 @@ def validate_bound(
     Sharing the samples makes the empirical error the Monte Carlo estimate of
     the integral difference the bound controls, so dominance is a theorem for
     the discretized quantities, not a statistical statement.  Each anchor draws
-    one sphere from its own ``split_rng`` substream, and that draw serves every
-    config, so the configs must share ``radius`` and ``n_samples``
+    one sphere from its own substream (``estimators._sphere_blocks``), and that
+    draw serves every config, so the configs must share ``radius`` and ``n_samples``
     (``ValueError`` otherwise) and an anchor's reports at different p are
     correlated.  ``(delta, m, M, segment_min)`` is measured once per anchor and
     again only for a p whose singular samples it must skip.
@@ -128,12 +127,9 @@ def validate_bound(
     dim = anchors.shape[1]
     factor = dim / radius
     reports: list[list[BoundReport]] = [[] for _ in ps]
-    for start in range(0, anchors.shape[0], SPHERE_BLOCK):
-        block = anchors[start : start + SPHERE_BLOCK]
-        subs = split_rng(rng, block.shape[0])
-        (sv, hv), (flux_s, flux_h) = _sphere_fluxes([s, s_hat], block, radius, n_samples, ps, subs)
+    for start, (sv, hv), (flux_s, flux_h) in _sphere_blocks([s, s_hat], anchors, radius, n_samples, ps, rng):
         all_samples = _constants_from_values(sv, hv)
-        rows = list(block)  # one view per anchor, shared by its reports at every p
+        rows = list(anchors[start : start + sv.shape[0]])  # one view per anchor, shared by its reports at every p
         for p, (fs, sing_s), (fh, sing_h), out in zip(ps, flux_s, flux_h, reports):
             keep = ~(sing_s | sing_h)
             errors = np.mean(fs - fh, axis=1)

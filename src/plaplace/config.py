@@ -138,15 +138,17 @@ _DRAFT = jsonschema.validators.validator_for(_SCHEMA)
 
 
 def _type(validator, types, instance, schema):
-    """The ``type`` keyword, with ``number`` narrowed to what a float holds: every number leaf is used as a float.
+    """The ``type`` keyword, with ``number`` narrowed to finite floats: every number leaf is used as a float.
 
-    A JSON integer has no size limit, so ``1`` followed by 400 zeros is a schema ``number``.  An
+    The one finiteness check for files and dicts alike: a JSON file may spell NaN, Infinity or 1e400 (read as
+    inf), and a JSON integer has no size limit, so ``1`` followed by 400 zeros is a schema ``number``.  An
     ``integer`` leaf has its own ``maximum``.
     """
     yield from _DRAFT.VALIDATORS["type"](validator, types, instance, schema)
-    if "number" in types and isinstance(instance, int) and not isinstance(instance, bool):
+    if "number" in types and isinstance(instance, (int, float)) and not isinstance(instance, bool):
         try:
-            float(instance)
+            if not math.isfinite(instance):
+                yield jsonschema.exceptions.ValidationError("non-finite number")
         except OverflowError:
             yield jsonschema.exceptions.ValidationError("integer too large for a float")
 
@@ -186,19 +188,11 @@ def resolve_config(raw: dict) -> dict:
     return resolved
 
 
-def _finite_number(text: str) -> float:
-    """JSON number hook: NaN, Infinity and literals that overflow a float are not config values."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ConfigError(f"config holds the non-finite number {text}")
-    return value
-
-
 def load_config(path) -> dict:
     """Read, validate, and resolve a JSON config file."""
     try:
         with open(path) as f:
-            raw = json.load(f, parse_float=_finite_number, parse_constant=_finite_number)
+            raw = json.load(f)
     except ValueError as exc:  # a JSONDecodeError, or an integer literal past Python's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return resolve_config(raw)

@@ -16,7 +16,8 @@ on it for every p, through one kernel that ``estimate_boundary`` also runs.
 
 For p < 2 the integrand is undefined where the score vanishes; samples
 whose score norm falls below ``fields.EPS_GRAD`` are skipped and counted rather
-than interpolated (they carry negligible mass).
+than interpolated (they carry negligible mass).  The singular mask alone marks
+them: a value under it is not the integrand, and no caller reads it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import EstimationError
 from .fields import ScoreField, p_weight
-from .geometry import sample_ball_uniform, sample_sphere_uniform
+from .geometry import sample_ball_uniform, sample_sphere_uniform, split_rng
 from .tables import write_table
 
 __all__ = [
@@ -78,8 +79,7 @@ class PLaplaceEstimate:
 def _flux_values(s: np.ndarray, normals: np.ndarray, p: float):
     """Flux integrand |s|^(p-2) (s . n) of score values s; returns (values, singular mask)."""
     _, weight, singular = p_weight(s, p)
-    vals = weight * np.sum(s * normals, axis=1)
-    return np.where(singular, np.nan, vals), singular
+    return weight * np.sum(s * normals, axis=1), singular
 
 
 def _shared_sphere(cfgs) -> tuple[float, int, list[float]]:
@@ -112,6 +112,19 @@ def _sphere_fluxes(fields, centers, radius: float, n_samples: int, ps, rngs):
     return [v.reshape(*rows, -1) for v in values], fluxes
 
 
+def _sphere_blocks(fields, centers: np.ndarray, radius: float, n_samples: int, ps, rng: np.random.Generator):
+    """:func:`_sphere_fluxes` over the rows of ``centers``, ``SPHERE_BLOCK`` at a time.
+
+    Yields ``(start, values, fluxes)`` per block, ``start`` being its first
+    row.  Each block spawns one ``split_rng`` substream per center from
+    ``rng``, in row order, as it is drawn, so a center's draw does not depend
+    on the block size and only one block's substreams are alive at a time.
+    """
+    for start in range(0, centers.shape[0], SPHERE_BLOCK):
+        block = centers[start : start + SPHERE_BLOCK]
+        yield start, *_sphere_fluxes(fields, block, radius, n_samples, ps, split_rng(rng, block.shape[0]))
+
+
 def _divergence_values(field: ScoreField, xs: np.ndarray, p: float, h: float):
     """Central-difference divergence of |s|^(p-2) s at each row of xs.
 
@@ -128,8 +141,7 @@ def _divergence_values(field: ScoreField, xs: np.ndarray, p: float, h: float):
     v = v.reshape(n, 2, d, d)  # (row, +/-, coordinate axis j, vector component)
     jj = np.arange(d)
     div = np.sum(v[:, 0, jj, jj] - v[:, 1, jj, jj], axis=1) / (2.0 * h)
-    singular = singular_pts.reshape(n, 2 * d).any(axis=1)
-    return np.where(singular, np.nan, div), singular
+    return div, singular_pts.reshape(n, 2 * d).any(axis=1)
 
 
 def _reduce(vals: np.ndarray, singular: np.ndarray, factor: float, what: str) -> PLaplaceEstimate:

@@ -58,9 +58,12 @@ def _per_seed(cfg: dict, fn) -> dict:
 
 
 def _write_result(out: str, cfg: dict, result: dict) -> dict:
-    """The study's result.json, with errors.json beside it when a seed failed; returns result."""
+    """The study's result.json, with errors.json beside it exactly when a seed failed; returns result."""
+    errors = os.path.join(out, "errors.json")
     if not result["ok"]:
-        _write_json(os.path.join(out, "errors.json"), result)
+        _write_json(errors, result)
+    elif os.path.exists(errors):
+        os.remove(errors)
     _write_json(os.path.join(out, "result.json"), {**result, "config": cfg})
     return result
 

@@ -161,16 +161,15 @@ def _p_laplace_parts(g: GmmParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _p_laplace_values(s: np.ndarray, lap: np.ndarray, quad: np.ndarray, p: float):
-    """|s|^(p-2) * (lap + (p-2) * s^T H s / |s|^2) from the parts; NaN where singular.
+    """|s|^(p-2) * (lap + (p-2) * s^T H s / |s|^2) from the parts; returns (values, singular mask).
 
     quad = s^T H s vanishes quadratically with |s|, so the floored norm is
-    safe for p >= 2 as well: the ratio quad / |s|^2 stays bounded.  Returns
-    (values, singular mask).
+    safe for p >= 2 as well: the ratio quad / |s|^2 stays bounded.  A value
+    under the mask is not the operator, and callers skip it.
     """
     norm, weight, singular = p_weight(s, p)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = weight * (lap + (p - 2.0) * quad / norm**2)
-    return np.where(singular, np.nan, vals), singular
+        return weight * (lap + (p - 2.0) * quad / norm**2), singular
 
 
 def pointwise_p_laplace_exact(g: GmmParams, x, p: float) -> np.ndarray | float:

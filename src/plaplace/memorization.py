@@ -14,10 +14,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import SPHERE_BLOCK, EstimatorConfig, _reduce, _shared_sphere, _sphere_fluxes
+from .estimators import EstimatorConfig, _reduce, _shared_sphere, _sphere_blocks
 from .estimators import estimate_boundary  # noqa: F401  the benchmark tracer rebinds it by this module's name
 from .fields import ScoreField
-from .geometry import make_rng, split_rng
+from .geometry import make_rng
 from .gmm import GmmParams, sample_gmm
 from .tables import write_table
 
@@ -102,22 +102,18 @@ def boundary_at_points(
 ) -> np.ndarray:
     """Boundary-formulation estimates at every row of ``points``, one row per config: ``(len(cfgs), n)``.
 
-    Each point draws one sphere from its own ``split_rng`` substream, in row
-    order, and that draw serves every config, so the configs must share
-    ``radius`` and ``n_samples`` (``ValueError`` otherwise).  Each value is
+    Each point draws one sphere from its own substream, in row order
+    (``estimators._sphere_blocks``), and that draw serves every config, so the
+    configs must share ``radius`` and ``n_samples`` (``ValueError`` otherwise).  Each value is
     bitwise the ``estimate_boundary`` value on that substream; the values of
     one point at different p are correlated.
     """
     radius, n_samples, ps = _shared_sphere(cfgs)
     factor = points.shape[1] / radius
     values = np.empty((len(ps), points.shape[0]))
-    for start in range(0, points.shape[0], SPHERE_BLOCK):
-        block = slice(start, start + SPHERE_BLOCK)
-        centers = points[block]
-        subs = split_rng(rng, centers.shape[0])
-        _, [fluxes] = _sphere_fluxes([field], centers, radius, n_samples, ps, subs)
+    for start, _, [fluxes] in _sphere_blocks([field], points, radius, n_samples, ps, rng):
         for out, (vals, singular) in zip(values, fluxes):
-            out[block] = factor * vals.mean(axis=1)
+            out[start : start + vals.shape[0]] = factor * vals.mean(axis=1)
             for i in np.flatnonzero(singular.any(axis=1)):
                 out[start + i] = _reduce(vals[i], singular[i], factor, "boundary").value
     return values

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,36 +129,27 @@ class MlpScoreModel:
             frozen.setflags(write=False)
             object.__setattr__(self, name, frozen)
 
-    def embed(self, t) -> np.ndarray:
-        return sinusoidal_embed(t, self.embed_dim)
-
     def predict_noise(self, x, t) -> np.ndarray:
-        """eps_hat(x, t); ``x`` is (d,) or (n, d), ``t`` an index or (n,) of indices.
+        """eps_hat(x, t); ``x`` is (d,) or (n, d) and ``t`` one timestep index for every row.
 
         Runs ``PREDICT_BLOCK`` rows at a time through one input and one hidden
         scratch array allocated per call, writing each block into the output,
-        so the working set does not grow with n.  A scalar ``t`` is embedded
-        once and its row broadcast to every point.
+        so the working set does not grow with n.  ``t`` is embedded once and
+        its row shared by every point; an array ``t`` raises ``TypeError``.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         xb = np.atleast_2d(x)
         n, d = xb.shape[0], self.input_dim
-        t = np.asarray(t)
         rows = min(n, PREDICT_BLOCK)
         z = np.empty((rows, d + self.embed_dim))
         h = np.empty((rows, self.hidden_width))
         y = np.empty((n, d))
-        if t.ndim == 0:
-            z[:, d:] = self.embed(t)
-        else:
-            t = np.broadcast_to(t, (n,))
+        z[:, d:] = sinusoidal_embed(operator.index(t), self.embed_dim)
         for start in range(0, n, PREDICT_BLOCK):
             block = slice(start, start + PREDICT_BLOCK)
             m = min(n - start, PREDICT_BLOCK)
             z[:m, :d] = xb[block]
-            if t.ndim:
-                z[:m, d:] = self.embed(t[block])
             _mlp_forward(self.w1, self.b1, self.w2, self.b2, z[:m], h[:m], y[block])
         return y[0] if single else y
 

@@ -69,10 +69,19 @@ class TestConfigValidation:
         assert cfg["experiment"] == "memorization" and cfg["seeds"] == [3]
 
     def test_number_leaves_hold_floats_integer_leaves_bounded(self):
-        """A ``number`` leaf rejects an int no float holds; a seed may be any int from 0 to 2**64 - 1."""
+        """A ``number`` leaf rejects a non-finite float and an int no float holds; a seed may be any int from 0 to
+        2**64 - 1."""
         for block, key in (("estimator", "radius"), ("training", "learning_rate"), ("gmm", "sigma2")):
             with pytest.raises(ConfigError, match=f"{block}/{key}: integer too large for a float"):
                 resolve_config({block: {key: 10**400}})
+        for raw, path in (
+            ({"gmm": {"means": [[0.0, 0.0], [1.0, float("nan")]]}}, "gmm/means/1/1"),
+            ({"estimator": {"p_values": [float("inf")]}}, "estimator/p_values/0"),
+            ({"memorization": {"pad_sigma": float("inf")}}, "memorization/pad_sigma"),
+            ({"gmm": {"low": float("-inf")}}, "gmm/low"),
+        ):
+            with pytest.raises(ConfigError, match=f"{path}: non-finite number"):
+                resolve_config(raw)
         with pytest.raises(ConfigError, match="bounds/p_values/1"):
             resolve_config({"bounds": {"p_values": [1, 10**400]}})
         assert resolve_config({"estimator": {"radius": 2}})["estimator"]["radius"] == 2
@@ -198,8 +207,13 @@ class TestCli:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["memorize", "--config", str(path)]) == 1
-        errors = json.loads((tmp_path / "out" / "memorization" / "errors.json").read_text())
-        assert set(errors["failed_seeds"]) == {"0", "1"}
+        errors_path = tmp_path / "out" / "memorization" / "errors.json"
+        assert set(json.loads(errors_path.read_text())["failed_seeds"]) == {"0", "1"}
+        # A good run into the same directory leaves no errors.json from the failed one beside its ok result.
+        path.write_text(json.dumps({**cfg, "training": {"epochs": 20, "n_train": 30}}))
+        assert main(["memorize", "--config", str(path)]) == 0
+        assert json.loads((errors_path.parent / "result.json").read_text())["ok"] is True
+        assert not errors_path.exists()
 
     def test_dense_reference_failure_fails_every_seed(self, small_config, tmp_path, capsys):
         """A mixture so wide that every dense sample is singular fails the run like a failed seed, not a crash."""

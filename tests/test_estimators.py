@@ -72,8 +72,9 @@ class TestFluxDensity:
         assert val == pytest.approx(15.0, rel=1e-12)
 
     def test_singularity(self):
-        vals, singular = _flux_values(np.zeros((1, 2)), np.array([[1.0, 0.0]]), 1.0)
-        assert singular.tolist() == [True] and np.isnan(vals[0])
+        """A vanished score is marked by the mask alone; the value beside it is never read."""
+        _, singular = _flux_values(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[1.0, 0.0]] * 2), 1.0)
+        assert singular.tolist() == [True, False]
 
     def test_p1_bit_stable_under_positive_rescale(self, oracle_field):
         """Pointwise rescaling by a positive function never moves p=1 flux values."""

@@ -169,6 +169,13 @@ class TestPointwisePLaplace:
         x = np.array([0.3, 0.4])
         assert pointwise_p_laplace_exact(g, x, 2.0) == pytest.approx(-2 / 0.5, rel=1e-12)
 
+    @pytest.mark.parametrize("p,expected", [(2.0, -1.0), (3.0, 0.0)])
+    def test_critical_point_p_at_least_2(self, p, expected):
+        """At a zero of the score, p = 2 gives the Laplacian and p > 2 gives 0: |s|^2 must not underflow to 0/0."""
+        g = GmmParams(means=[[-1.0, 0.0], [1.0, 0.0]], sigma2=1.0, weights=[0.5, 0.5])
+        assert np.array_equal(score(g, [0.0, 0.0]), [0.0, 0.0])
+        assert pointwise_p_laplace_exact(g, [0.0, 0.0], p) == pytest.approx(expected, abs=1e-100)
+
     def test_p2_equals_hessian_trace(self, random_gmm):
         xs = make_rng(8).uniform(-5, 5, size=(30, 2))
         np.testing.assert_allclose(

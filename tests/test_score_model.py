@@ -169,7 +169,7 @@ class TestBackprop:
         rng = make_rng(4)
         t = rng.integers(0, schedule.t_steps, size=data.shape[0])
         x_t, eps = forward_perturb(data, t, schedule, rng)
-        z = np.concatenate([x_t, model.embed(t)], axis=1)
+        z = np.concatenate([x_t, sinusoidal_embed(t, model.embed_dim)], axis=1)
         loss, _ = _mlp_loss_and_grads(model.w1, model.b1, model.w2, model.b2, z, eps)
         assert loss == pytest.approx(2.0, abs=0.25)
 
@@ -261,38 +261,40 @@ def test_train_is_bitwise_the_textbook_loop(schedule, n, d, batch_size, embed_di
 
 
 def concatenated_predict(model, x, t):
-    """eps_hat from a per-row embedding concatenated to the points: the reference a broadcast t row must match."""
+    """eps_hat from t's embedding repeated on every row and concatenated to the points: the one-pass reference."""
     xb = np.atleast_2d(np.asarray(x, dtype=float))
     tb = np.broadcast_to(np.asarray(t, dtype=float), (xb.shape[0],))
     z = np.concatenate([xb, sinusoidal_embed(tb, model.embed_dim)], axis=1)
     return np.tanh(z @ model.w1 + model.b1) @ model.w2 + model.b2
 
 
-@pytest.mark.parametrize("t,row_t", [(7, 7), (np.array(7), np.array(7)), (np.array([0, 7, 13, 99, 42]), np.array([13]))],
-                         ids=["int", "0-d", "per-row"])
-def test_predict_noise_is_bitwise_the_concatenated_path(trained_model, t, row_t):
+@pytest.mark.parametrize("t", [7, np.array(7)], ids=["int", "0-d"])
+def test_predict_noise_is_bitwise_the_concatenated_path(trained_model, t):
     x = make_rng(4).standard_normal((5, 2))
     np.testing.assert_array_equal(trained_model.predict_noise(x, t), concatenated_predict(trained_model, x, t))
-    np.testing.assert_array_equal(trained_model.predict_noise(x[2], row_t),
-                                  concatenated_predict(trained_model, x[2], row_t)[0])
+    np.testing.assert_array_equal(trained_model.predict_noise(x[2], t), concatenated_predict(trained_model, x[2], t)[0])
 
 
-@pytest.mark.parametrize("per_row_t", [False, True], ids=["scalar-t", "per-row-t"])
-def test_predict_noise_blocks_are_bitwise_one_pass(trained_model, per_row_t):
+@pytest.mark.parametrize("t", [7], ids=["scalar-t"])
+def test_predict_noise_blocks_are_bitwise_one_pass(trained_model, t):
     """Over a ragged last block, the row-blocked forward equals one pass over all rows and its own per-block calls."""
     n, block = 2 * PREDICT_BLOCK + 17, PREDICT_BLOCK
     x = make_rng(5).standard_normal((n, 2))
-    t = make_rng(6).integers(0, 100, n) if per_row_t else 7
     got = trained_model.predict_noise(x, t)
     np.testing.assert_array_equal(got, concatenated_predict(trained_model, x, t))
-    rows_t = np.broadcast_to(t, (n,))
-    per_block = [trained_model.predict_noise(x[i : i + block], rows_t[i : i + block]) for i in range(0, n, block)]
+    per_block = [trained_model.predict_noise(x[i : i + block], t) for i in range(0, n, block)]
     np.testing.assert_array_equal(got, np.concatenate(per_block))
 
 
 def test_predict_noise_empty_batch(trained_model):
-    for t in (3, np.empty(0, dtype=int)):
-        assert trained_model.predict_noise(np.empty((0, 2)), t).shape == (0, 2)
+    assert trained_model.predict_noise(np.empty((0, 2)), 3).shape == (0, 2)
+
+
+@pytest.mark.parametrize("t", [np.array([1, 2]), np.array([1]), 1.0], ids=["array", "one-element-array", "float"])
+def test_predict_noise_takes_one_timestep_index(trained_model, t):
+    """One call evaluates one noise level: an array of timesteps or a float index is a TypeError, not a per-row t."""
+    with pytest.raises(TypeError):
+        trained_model.predict_noise(np.zeros((2, 2)), t)
 
 
 def test_predict_noise_working_set_is_bounded(trained_model, traced_peak):
