@@ -5,10 +5,6 @@ class PlaplaceError(Exception):
     """Base class for all package-specific errors."""
 
 
-class SingularGradientError(PlaplaceError):
-    """Raised when a p < 2 operator is evaluated where the score norm is below the gradient floor."""
-
-
 class EstimationError(PlaplaceError):
     """Raised when a Monte Carlo estimate cannot be formed (e.g. every sample was singular)."""
 

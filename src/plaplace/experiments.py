@@ -124,9 +124,9 @@ def run_fidelity(cfg: dict) -> dict:
             logger.error("%s", reason)
             failed = {str(seed): reason for seed in cfg["seeds"]}
             return _write_result(out, cfg, {"completed_seeds": [], "failed_seeds": failed, "ok": False})
-        for p, (mean, se, n_used, _) in zip(p_values, dense):
-            exact[(i, p)] = (mean, se)
-            exact_rows.append([i, label, *anchor, p, mean, se, n_used])
+        for p, est in zip(p_values, dense):
+            exact[(i, p)] = (est.value, est.std_error)
+            exact_rows.append([i, label, *anchor, p, est.value, est.std_error, est.n_used])
     write_table(
         os.path.join(out, "exact.csv"),
         ["anchor_idx", "anchor_kind", *(f"x0_{i}" for i in range(gmm.dim)), "p", "exact_mean", "exact_std_error",

@@ -1,8 +1,8 @@
 """Analytic Gaussian mixture oracle.
 
 Isotropic, shared-variance mixtures with closed forms for the log-density,
-its gradient (the score), the Hessian, and the pointwise p-Laplace.  These
-serve as ground truth against which learned score fields are judged.
+its gradient (the score), and the Laplacian and s^T H s parts behind the
+dense p-Laplace reference: the ground truth for learned score fields.
 
 All evaluation functions are vectorized: ``x`` may be a single point of
 shape ``(d,)`` or a batch of shape ``(n, d)``.
@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularGradientError
-from .estimators import _reduce
-from .fields import EPS_GRAD, ScoreField, p_weight
+from .estimators import PLaplaceEstimate, _reduce
+from .fields import ScoreField, p_weight
 from .geometry import sample_ball_uniform
 
 # Rows per block of the dense reference: bounds its (rows, K, d) temporaries.
@@ -28,8 +27,6 @@ __all__ = [
     "draw_gmm",
     "log_density",
     "score",
-    "hessian",
-    "pointwise_p_laplace_exact",
     "averaged_p_laplace_dense",
     "sample_gmm",
     "score_field",
@@ -133,18 +130,6 @@ def _moments(g: GmmParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return resp, gk, np.einsum("...k,...kd->...d", resp, gk)
 
 
-def hessian(g: GmmParams, x) -> np.ndarray:
-    """Hessian of the log-density, shape (..., d, d).
-
-    Uses the responsibility-weighted moment formula
-    H = sum_k r_k (g_k g_k^T - I/sigma2) - s s^T with g_k = (mean_k - x)/sigma2.
-    """
-    resp, gk, s = _moments(g, np.asarray(x, dtype=float))
-    outer = np.einsum("...k,...ki,...kj->...ij", resp, gk, gk)
-    eye = np.eye(g.dim) / g.sigma2
-    return outer - eye - np.einsum("...i,...j->...ij", s, s)
-
-
 def _p_laplace_parts(g: GmmParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Score s, Laplacian, and quadratic form s^T H s, all batched."""
     resp, gk, s = _moments(g, x)
@@ -172,31 +157,9 @@ def _p_laplace_values(s: np.ndarray, lap: np.ndarray, quad: np.ndarray, p: float
         return weight * (lap + (p - 2.0) * quad / norm**2), singular
 
 
-def pointwise_p_laplace_exact(g: GmmParams, x, p: float) -> np.ndarray | float:
-    """Exact pointwise p-Laplace of the log-density.
-
-    Evaluates |grad|^(p-2) * (lap + (p-2) * grad^T H grad / |grad|^2) from the
-    analytic gradient and Hessian.  For p < 2 the operator is singular where
-    the gradient norm falls below the floor ``EPS_GRAD``; such points raise
-    :class:`SingularGradientError` instead of returning a number.
-    """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    out, singular = _p_laplace_values(*_p_laplace_parts(g, np.asarray(x, dtype=float)), p)
-    n_singular = int(np.count_nonzero(singular))
-    if n_singular:
-        raise SingularGradientError(f"gradient norm below {EPS_GRAD} at {n_singular} point(s) with p={p}")
-    return float(out) if out.ndim == 0 else out
-
-
 def averaged_p_laplace_dense(
-    g: GmmParams,
-    x0,
-    p_values,
-    radius: float,
-    n: int,
-    rng: np.random.Generator,
-) -> list[tuple[float, float, int, int]]:
+    g: GmmParams, x0, p_values, radius: float, n: int, rng: np.random.Generator
+) -> list[PLaplaceEstimate]:
     """Dense Monte Carlo average of the exact pointwise operator over a ball, for every p.
 
     The reference value for the ball-averaged p-Laplace: one draw of n
@@ -204,17 +167,19 @@ def averaged_p_laplace_dense(
     are evaluated once, ``CHUNK`` rows at a time, into arrays allocated up
     front, and each p is derived from them once the samples are dropped.
     Points where a p < 2 evaluation is singular are skipped and counted;
-    :class:`EstimationError` if every one is.  Returns one
-    ``(mean, std_error, n_used, singular_hits)`` per p, in order.
+    :class:`EstimationError` if every one is.  Returns one estimate per p,
+    in order; ``ValueError`` before any draw if a p is below 1.
     """
+    for p in p_values:
+        if p < 1:
+            raise ValueError(f"p must be >= 1, got {p}")
     xs = sample_ball_uniform(x0, radius, n, rng)
     parts = (np.empty((n, g.dim)), np.empty(n), np.empty(n))  # score, Laplacian, s^T H s
     for i in range(0, n, CHUNK):
         for part, chunk in zip(parts, _p_laplace_parts(g, xs[i : i + CHUNK])):
             part[i : i + CHUNK] = chunk
     del xs  # the reductions below need only the parts
-    ests = (_reduce(*_p_laplace_values(*parts, p), 1.0, "dense") for p in p_values)
-    return [(est.value, est.std_error, est.n_used, est.singular_hits) for est in ests]
+    return [_reduce(*_p_laplace_values(*parts, p), 1.0, "dense") for p in p_values]
 
 
 def sample_gmm(g: GmmParams, n: int, rng: np.random.Generator) -> np.ndarray:

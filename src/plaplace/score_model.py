@@ -35,7 +35,6 @@ __all__ = [
     "MlpScoreModel",
     "TrainConfig",
     "sinusoidal_embed",
-    "forward_perturb",
     "train",
     "learned_score",
     "score_field",
@@ -173,24 +172,6 @@ class TrainConfig:
             raise ValueError("epochs, learning_rate and batch_size must be positive")
 
 
-def forward_perturb(
-    x0, t, schedule: NoiseSchedule, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Variance-preserving corruption of x0 to timestep t of the schedule; returns (x_t, eps)."""
-    x0 = np.asarray(x0, dtype=float)
-    alpha = np.asarray(schedule.alphas[t], dtype=float)
-    eps = rng.standard_normal(x0.shape)
-    a = alpha[..., None] if alpha.ndim else alpha
-    return _corrupt(x0, np.sqrt(1.0 - a), np.sqrt(a), eps), eps
-
-
-def _corrupt(x0, signal, noise, eps, out=None):
-    """x_t = signal * x0 + noise * eps, written into ``out`` when one is given."""
-    x_t = np.multiply(signal, x0, out=out)
-    x_t += noise * eps
-    return x_t
-
-
 def _mlp_forward(w1, b1, w2, b2, z, h=None, y=None):
     """Forward pass; returns (prediction, hidden activations), written into ``y`` and ``h`` when given."""
     h = np.tanh(np.add(np.matmul(z, w1, out=h), b1, out=h), out=h)
@@ -288,7 +269,8 @@ def train(
             np.take(data, idx, axis=0, out=x0)
             t = rng.integers(0, schedule.t_steps, size=m)
             rng.standard_normal(out=eps)
-            _corrupt(x0, signal[t], noise[t], eps, out=z[:, :d])
+            np.multiply(signal[t], x0, out=z[:, :d])  # x_t = sqrt(1 - alpha_t) x0 + sqrt(alpha_t) eps
+            z[:, :d] += noise[t] * eps
             np.take(embeddings, t, axis=0, out=z[:, d:])
             loss, _ = _mlp_loss_and_grads(w1, b1, w2, b2, z, eps, grad_views, tuple(buf[:m] for buf in work_bufs))
             if not math.isfinite(loss):
@@ -309,13 +291,23 @@ def train(
     )
 
 
+def _level(schedule: NoiseSchedule, t) -> int:
+    """The timestep index t; ``ValueError`` unless it names a level of the schedule."""
+    t = operator.index(t)
+    if not 0 <= t < schedule.t_steps:
+        raise ValueError(f"timestep must be in [0, {schedule.t_steps}), got {t}")
+    return t
+
+
 def learned_score(model: MlpScoreModel, schedule: NoiseSchedule, x, t: int) -> np.ndarray:
     """Score of the learned noise-level-t density: -eps_hat(x, t) / sqrt(alpha_t)."""
+    t = _level(schedule, t)
     return -model.predict_noise(x, t) / np.sqrt(schedule.alphas[t])
 
 
 def score_field(model: MlpScoreModel, schedule: NoiseSchedule, t: int = 0) -> ScoreField:
     """The learned score bound to one noise level (default: last denoising step)."""
+    t = _level(schedule, t)
 
     def field(x: np.ndarray) -> np.ndarray:
         return learned_score(model, schedule, x, t)

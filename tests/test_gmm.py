@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from plaplace.errors import SingularGradientError
 from plaplace.estimators import _divergence_values, _reduce
 from plaplace.geometry import make_rng, sample_ball_uniform
 from plaplace.gmm import (
@@ -9,10 +8,8 @@ from plaplace.gmm import (
     GmmParams,
     averaged_p_laplace_dense,
     draw_gmm,
-    hessian,
     log_density,
     perturb,
-    pointwise_p_laplace_exact,
     sample_gmm,
     score,
     score_field,
@@ -28,6 +25,18 @@ def random_gmm():
 
 def single(mean, sigma2=1.0):
     return GmmParams(means=[mean], sigma2=sigma2, weights=[1.0])
+
+
+def fd_hessian(g, x, h=1e-5):
+    """Central difference of the analytic score: entry [..., i, j] is d s_i / d x_j."""
+    return np.stack([(score(g, x + e) - score(g, x - e)) / (2 * h) for e in h * np.eye(g.dim)], axis=-1)
+
+
+def pointwise(g, x, p):
+    """The exact pointwise p-Laplace: the kernel the dense reference averages, at points where it is regular."""
+    values, singular = _p_laplace_values(*_p_laplace_parts(g, np.asarray(x, dtype=float)), p)
+    assert not singular.any()
+    return float(values) if values.ndim == 0 else values
 
 
 class TestValidation:
@@ -141,46 +150,48 @@ class TestScore:
 
 
 class TestHessian:
+    """The Laplacian and s^T H s parts against a central difference of the score, which shares none of their code."""
+
     def test_single_component_is_isotropic(self):
         g = single([0.0, 0.0], sigma2=2.0)
-        h = hessian(g, np.array([0.7, -0.3]))
-        np.testing.assert_allclose(h, -np.eye(2) / 2.0, atol=1e-14)
+        x = np.array([0.7, -0.3])
+        s, lap, quad = _p_laplace_parts(g, x)
+        assert lap == pytest.approx(-2 / 2.0, rel=1e-14)
+        assert quad == pytest.approx(-(s @ s) / 2.0, rel=1e-14)
+        np.testing.assert_allclose(fd_hessian(g, x), -np.eye(2) / 2.0, atol=1e-9)
 
-    def test_symmetric_and_trace(self, random_gmm):
-        xs = make_rng(6).uniform(-5, 5, size=(20, 2))
-        h = hessian(random_gmm, xs)
-        np.testing.assert_allclose(h, np.swapaxes(h, -1, -2), atol=1e-12)
-        np.testing.assert_allclose(np.trace(h, axis1=-2, axis2=-1), _p_laplace_parts(random_gmm, xs)[1], atol=1e-12)
-        # the shared kernel: its Laplacian is trace(H) and its quadratic form s.H.s, batched and at one point
+    def test_symmetric_and_trace(self):
+        """Batched and at one point: the difference Hessian is symmetric, its trace is the Laplacian and its
+        quadratic form in s is s^T H s."""
         for d in (1, 2, 3):
             for k in (1, 3):
                 g = draw_gmm(n_components=k, dim=d, sigma2=0.7, seed=d + 10 * k)
                 xs = make_rng(7).uniform(-4, 4, size=(25, d))
                 for x in (xs, xs[0]):
                     s, lap, quad = _p_laplace_parts(g, x)
-                    h = hessian(g, x)
-                    np.testing.assert_allclose(lap, np.trace(h, axis1=-2, axis2=-1), rtol=1e-12)
-                    np.testing.assert_allclose(quad, np.einsum("...i,...ij,...j->...", s, h, s), rtol=1e-12)
+                    h = fd_hessian(g, x)
+                    np.testing.assert_allclose(h, np.swapaxes(h, -1, -2), rtol=1e-6, atol=1e-9)
+                    np.testing.assert_allclose(lap, np.trace(h, axis1=-2, axis2=-1), rtol=1e-6)
+                    np.testing.assert_allclose(quad, np.einsum("...i,...ij,...j->...", s, h, s), rtol=1e-6)
 
 
 class TestPointwisePLaplace:
     def test_p2_single_gaussian(self):
         g = single([1.0, 2.0], sigma2=0.5)
         x = np.array([0.3, 0.4])
-        assert pointwise_p_laplace_exact(g, x, 2.0) == pytest.approx(-2 / 0.5, rel=1e-12)
+        assert pointwise(g, x, 2.0) == pytest.approx(-2 / 0.5, rel=1e-12)
 
     @pytest.mark.parametrize("p,expected", [(2.0, -1.0), (3.0, 0.0)])
     def test_critical_point_p_at_least_2(self, p, expected):
         """At a zero of the score, p = 2 gives the Laplacian and p > 2 gives 0: |s|^2 must not underflow to 0/0."""
         g = GmmParams(means=[[-1.0, 0.0], [1.0, 0.0]], sigma2=1.0, weights=[0.5, 0.5])
         assert np.array_equal(score(g, [0.0, 0.0]), [0.0, 0.0])
-        assert pointwise_p_laplace_exact(g, [0.0, 0.0], p) == pytest.approx(expected, abs=1e-100)
+        assert pointwise(g, [0.0, 0.0], p) == pytest.approx(expected, abs=1e-100)
 
     def test_p2_equals_hessian_trace(self, random_gmm):
         xs = make_rng(8).uniform(-5, 5, size=(30, 2))
-        np.testing.assert_allclose(
-            pointwise_p_laplace_exact(random_gmm, xs, 2.0), _p_laplace_parts(random_gmm, xs)[1], atol=1e-10
-        )
+        trace = np.trace(fd_hessian(random_gmm, xs), axis1=-2, axis2=-1)
+        np.testing.assert_allclose(pointwise(random_gmm, xs, 2.0), trace, rtol=1e-6, atol=1e-8)
 
     def test_p1_single_gaussian_closed_form(self):
         """For one Gaussian the 1-Laplace is -(d-1)/distance; also agrees with FD divergence."""
@@ -188,7 +199,7 @@ class TestPointwisePLaplace:
         g = single(mu, sigma2=0.8)
         x = np.array([2.5, 0.5])
         r = np.linalg.norm(x - mu)
-        val = pointwise_p_laplace_exact(g, x, 1.0)
+        val = pointwise(g, x, 1.0)
         assert val == pytest.approx(-1.0 / r, rel=1e-12)
         [fd], [singular] = _divergence_values(score_field(g), x[None, :], 1.0, 1e-3)
         assert not singular and val == pytest.approx(fd, rel=1e-3)
@@ -203,7 +214,7 @@ class TestPointwisePLaplace:
             if np.linalg.norm(score(random_gmm, x)) <= 0.1:
                 continue
             count += 1
-            exact = pointwise_p_laplace_exact(random_gmm, x, p)
+            exact = pointwise(random_gmm, x, p)
             [fd], [singular] = _divergence_values(field, x[None, :], p, 1e-3)
             assert not singular and exact == pytest.approx(fd, rel=1e-3)
 
@@ -212,20 +223,23 @@ class TestPointwisePLaplace:
     def test_homogeneity(self, random_gmm, a, p):
         """The integrand of the potential a*u: score a*s, Laplacian a*lap, quadratic form a^3*quad."""
         xs = make_rng(12).uniform(-5, 5, size=(20, 2))
-        base = pointwise_p_laplace_exact(random_gmm, xs, p)
+        base = pointwise(random_gmm, xs, p)
         s, lap, quad = _p_laplace_parts(random_gmm, xs)
         scaled, singular = _p_laplace_values(a * s, a * lap, a**3 * quad, p)
         assert not singular.any()
         np.testing.assert_allclose(scaled, a * abs(a) ** (p - 2.0) * base, rtol=1e-8)
 
     def test_singularity_flagged(self):
-        g = single([0.0, 0.0])
-        with pytest.raises(SingularGradientError):
-            pointwise_p_laplace_exact(g, np.zeros(2), 1.0)
+        """At a zero of the score the mask marks p < 2 and only p < 2: the dense reference skips those rows."""
+        parts = _p_laplace_parts(single([0.0, 0.0]), np.zeros((1, 2)))
+        assert [bool(_p_laplace_values(*parts, p)[1][0]) for p in (1.0, 1.5, 2.0, 3.0)] == [True, True, False, False]
 
     def test_p_below_one_rejected(self, random_gmm):
-        with pytest.raises(ValueError):
-            pointwise_p_laplace_exact(random_gmm, np.ones(2), 0.5)
+        """The dense reference rejects a p below 1 anywhere in its list, as EstimatorConfig does, before any draw."""
+        rng = make_rng(0)
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            averaged_p_laplace_dense(random_gmm, np.ones(2), [2.0, 0.5], 1.0, 1000, rng)
+        assert rng.bit_generator.state == make_rng(0).bit_generator.state
 
 
 class TestPerturbed:
@@ -259,10 +273,10 @@ class TestSamplingAndSerialization:
 class TestDenseAverage:
     def test_constant_integrand_single_gaussian(self):
         g = single([0.0, 0.0], sigma2=0.5)
-        [(mean, se, n_used, singular)] = averaged_p_laplace_dense(g, [3.0, 0.0], [2.0], 1.0, 5000, make_rng(18))
-        assert mean == pytest.approx(-4.0, rel=1e-12)
-        assert se == pytest.approx(0.0, abs=1e-10)
-        assert n_used == 5000 and singular == 0
+        [est] = averaged_p_laplace_dense(g, [3.0, 0.0], [2.0], 1.0, 5000, make_rng(18))
+        assert est.value == pytest.approx(-4.0, rel=1e-12)
+        assert est.std_error == pytest.approx(0.0, abs=1e-10)
+        assert est.n_used == 5000 and est.singular_hits == 0
 
     def test_chunks_and_shared_draw_match_one_piece(self, random_gmm):
         """Every p reduces the same draw, and the chunked parts equal the parts taken in one piece."""
@@ -272,9 +286,8 @@ class TestDenseAverage:
         parts = _p_laplace_parts(random_gmm, xs)
         assert len(dense) == len(p_values)
         for p, got in zip(p_values, dense):
-            est = _reduce(*_p_laplace_values(*parts, p), 1.0, "dense")
-            assert got == (est.value, est.std_error, est.n_used, est.singular_hits)
-            assert got[2] + got[3] == n
+            assert got == _reduce(*_p_laplace_values(*parts, p), 1.0, "dense")
+            assert got.n_used + got.singular_hits == n
 
     def test_working_set_per_point(self, default_gmm, traced_peak):
         """The parts are filled in place and the samples dropped before the reductions: at most 70 bytes per point."""

@@ -13,7 +13,6 @@ from plaplace.score_model import (
     NoiseSchedule,
     TrainConfig,
     _mlp_loss_and_grads,
-    forward_perturb,
     learned_score,
     reverse_sample,
     score_field,
@@ -105,32 +104,6 @@ class TestSinusoidalEmbed:
             sinusoidal_embed(3, 7)
 
 
-class TestForwardPerturb:
-    # forward_perturb reads only schedule.alphas; alpha = 1 is outside any valid NoiseSchedule.
-    alphas = SimpleNamespace(alphas=np.array([0.0, 0.3, 1.0]))
-
-    def test_alpha_zero_identity(self):
-        x0 = np.array([1.0, -2.0])
-        xt, eps = forward_perturb(x0, 0, self.alphas, make_rng(0))
-        np.testing.assert_array_equal(xt, x0)
-
-    def test_alpha_one_pure_noise(self):
-        x0 = np.array([1.0, -2.0])
-        xt, eps = forward_perturb(x0, 2, self.alphas, make_rng(0))
-        np.testing.assert_array_equal(xt, eps)
-
-    def test_variance_identity(self):
-        x0 = np.zeros((100_000, 2))
-        xt, _ = forward_perturb(x0, 1, self.alphas, make_rng(1))
-        np.testing.assert_allclose(xt.var(axis=0), 0.3, atol=0.01)
-
-    def test_schedule_lookup(self, schedule):
-        x0 = np.ones((4, 2))
-        xt, eps = forward_perturb(x0, 10, schedule, make_rng(2))
-        a = schedule.alphas[10]
-        np.testing.assert_allclose(xt, np.sqrt(1 - a) * x0 + np.sqrt(a) * eps, rtol=1e-15)
-
-
 class TestBackprop:
     def test_gradients_match_finite_differences(self):
         """Central-difference check on a spot sample of parameters."""
@@ -168,7 +141,9 @@ class TestBackprop:
         data = make_rng(3).standard_normal((2000, 2))
         rng = make_rng(4)
         t = rng.integers(0, schedule.t_steps, size=data.shape[0])
-        x_t, eps = forward_perturb(data, t, schedule, rng)
+        a = schedule.alphas[t][:, None]
+        eps = rng.standard_normal(data.shape)
+        x_t = np.sqrt(1 - a) * data + np.sqrt(a) * eps
         z = np.concatenate([x_t, sinusoidal_embed(t, model.embed_dim)], axis=1)
         loss, _ = _mlp_loss_and_grads(model.w1, model.b1, model.w2, model.b2, z, eps)
         assert loss == pytest.approx(2.0, abs=0.25)
@@ -225,8 +200,8 @@ class TestTraining:
 
 
 def textbook_train(data, schedule, cfg, hidden_width, embed_dim):
-    """The plain SGD loop ``train`` must match bit for bit: every step corrupts its batch with
-    ``forward_perturb``, embeds t and concatenates, and updates each weight array on its own."""
+    """The plain SGD loop ``train`` must match bit for bit: every step corrupts its batch to
+    sqrt(1 - alpha_t) x0 + sqrt(alpha_t) eps, embeds t and concatenates, and updates each weight array on its own."""
     n, d = data.shape
     rng = make_rng(cfg.seed)
     in_dim = d + embed_dim
@@ -239,7 +214,9 @@ def textbook_train(data, schedule, cfg, hidden_width, embed_dim):
         for start in range(0, n, batch):
             idx = order[start : start + batch]
             t = rng.integers(0, schedule.t_steps, size=idx.shape[0])
-            x_t, eps = forward_perturb(data[idx], t, schedule, rng)
+            a = schedule.alphas[t][:, None]
+            eps = rng.standard_normal((idx.shape[0], d))
+            x_t = np.sqrt(1 - a) * data[idx] + np.sqrt(a) * eps
             z = np.concatenate([x_t, sinusoidal_embed(t, embed_dim)], axis=1)
             _, (dw1, db1, dw2, db2) = _mlp_loss_and_grads(w1, b1, w2, b2, z, eps)
             w1 -= cfg.learning_rate * dw1
@@ -307,6 +284,21 @@ class TestLearnedScore:
     def test_zero_predictor_zero_score(self, schedule):
         model = zero_model()
         np.testing.assert_array_equal(learned_score(model, schedule, np.ones((3, 2)), 0), 0.0)
+
+    @pytest.mark.parametrize("t", [-1, 100])
+    def test_timestep_outside_schedule_rejected(self, schedule, trained_model, t):
+        """t = -1 would embed -1 but divide by the noise of the last step; t = T has no alpha at all."""
+        with pytest.raises(ValueError, match=r"\[0, 100\)"):
+            learned_score(trained_model, schedule, np.ones((3, 2)), t)
+        with pytest.raises(ValueError, match=r"\[0, 100\)"):
+            score_field(trained_model, schedule, t)
+
+    @pytest.mark.parametrize("t", [0, 99])
+    def test_first_and_last_timestep_unchanged(self, schedule, trained_model, t):
+        x = make_rng(3).standard_normal((4, 2))
+        expected = -trained_model.predict_noise(x, t) / np.sqrt(schedule.alphas[t])
+        np.testing.assert_array_equal(learned_score(trained_model, schedule, x, t), expected)
+        np.testing.assert_array_equal(score_field(trained_model, schedule, t)(x), expected)
 
     def test_alpha_zero_guard(self):
         """alpha_t = 0 has no score; the schedule cannot hold one, so learned_score never sees it."""

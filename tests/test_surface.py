@@ -1,7 +1,9 @@
-"""The public surface: every ``__all__`` name resolves, the README quick start runs as written and its CLI
-block lists the parser's subcommands, the benchmark tracer finds every function it wraps and sees every
-layer a workload runs, and the runtime imports nothing outside its declared dependencies."""
+"""The public surface: every ``__all__`` name resolves, every top-level function and class is used by the
+package itself, the README quick start runs as written and its CLI block lists the parser's subcommands, the
+benchmark tracer finds every function it wraps and sees every layer a workload runs, and the runtime imports
+nothing outside its declared dependencies."""
 
+import ast
 import importlib
 import json
 import os
@@ -33,6 +35,38 @@ def test_all_names_resolve_and_quick_start_runs(capsys):
     exec(compile(block.group(1), str(README), "exec"), {})
     printed = capsys.readouterr().out.split()
     assert len(printed) == 2 and np.all(np.isfinite([float(v) for v in printed]))
+
+
+def _referenced_names(tree: ast.AST) -> set[str]:
+    """Names a syntax tree uses: loaded or stored names, attributes, and imported names (before any ``as``)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def unused_definitions(package: Path) -> list[str]:
+    """``module.name`` of every top-level function and class that no code of the package uses outside its own
+    definition.  ``__all__`` entries and docstrings are strings, so they do not count as a use."""
+    defined, used = [], {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            own = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+            if own is not None:
+                defined.append((path.stem, own))
+            for name in _referenced_names(node):
+                used.setdefault(name, set()).add((path.stem, own))
+    return [f"{module}.{name}" for module, name in defined if not used.get(name, set()) - {(module, name)}]
+
+
+def test_every_definition_is_used_by_the_package():
+    """A function or class that only the tests call is a second route through the code: delete it, or call it."""
+    assert unused_definitions(ROOT / "src" / "plaplace") == []
 
 
 def test_readme_cli_block_names_every_subcommand():
