@@ -62,7 +62,7 @@ def bound_constant(
     give a float.  Continuous in p at p = 2, where both branches reduce to
     (dim/radius) * delta.
     """
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
     if np.any(np.less(delta, 0)):
         raise ValueError(f"delta must be nonnegative, got {delta}")

@@ -56,7 +56,7 @@ class EstimatorConfig:
     fd_step: float = 1e-3
 
     def __post_init__(self):
-        if self.p < 1:
+        if not self.p >= 1:
             raise ValueError(f"p must be >= 1, got {self.p}")
         if self.radius <= 0:
             raise ValueError(f"radius must be positive, got {self.radius}")

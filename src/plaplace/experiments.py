@@ -44,17 +44,19 @@ def _write_json(path, payload: dict) -> None:
         json.dump({"schema_version": 1, **payload}, f, indent=2, sort_keys=True)
 
 
-def _per_seed(cfg: dict, fn) -> dict:
-    """Run fn(seed) for every configured seed, collecting failures instead of aborting."""
-    completed, failed = [], {}
+def _per_seed(cfg: dict, fn) -> tuple[dict, dict]:
+    """Run fn(seed) for every configured seed, collecting failures instead of aborting.
+
+    Returns the run's status and ``{seed: fn(seed)}`` over the completed seeds, in seed order.
+    """
+    outputs, failed = {}, {}
     for seed in cfg["seeds"]:
         try:
-            fn(seed)
-            completed.append(seed)
+            outputs[seed] = fn(seed)
         except Exception as exc:  # deliberate: a bad seed must not sink the others
             logger.exception("seed %d failed", seed)
             failed[str(seed)] = f"{type(exc).__name__}: {exc}"
-    return {"completed_seeds": completed, "failed_seeds": failed, "ok": not failed}
+    return {"completed_seeds": list(outputs), "failed_seeds": failed, "ok": not failed}, outputs
 
 
 def _write_result(out: str, cfg: dict, result: dict) -> dict:
@@ -135,16 +137,9 @@ def run_fidelity(cfg: dict) -> dict:
     )
 
     if gmm.dim == 2:
-        extent = (
-            float(gmm.means[:, 0].min() - 2), float(gmm.means[:, 0].max() + 2),
-            float(gmm.means[:, 1].min() - 2), float(gmm.means[:, 1].max() + 2),
-        )
-        gx = np.linspace(extent[0], extent[1], 60)
-        gy = np.linspace(extent[2], extent[3], 60)
-        mx, my = np.meshgrid(gx, gy)
-        dens = log_density(gmm, np.column_stack([mx.ravel(), my.ravel()])).reshape(60, 60)
+        grid = make_grid(gmm, 60, 2.0)
         svgplot.heatmap(
-            os.path.join(out, "density.svg"), dens, extent,
+            os.path.join(out, "density.svg"), log_density(gmm, grid.points).reshape(grid.shape), grid.extent,
             title="oracle log-density with anchors", comment=config_header(cfg),
             markers=[(float(a[0]), float(a[1]), "red" if l == "maximum" else "white") for a, l in zip(anchors, labels)],
         )
@@ -200,25 +195,25 @@ def run_fidelity(cfg: dict) -> dict:
             summary_rows, config_header(cfg, seed),
         )
 
-    return _write_result(out, cfg, _per_seed(cfg, one_seed))
+    return _write_result(out, cfg, _per_seed(cfg, one_seed)[0])
 
 
 def run_memorization(cfg: dict) -> dict:
-    """Replica-injection study: percentile tables, grids, and AUC summary."""
+    """Replica-injection study: percentile tables, grids, and AUC summary.
+
+    Every criterion ranks one way: a lower value at the memorized point flags memorization.
+    """
     gmm = build_gmm(cfg)
     schedule = build_schedule(cfg)
     mem_cfg = cfg["memorization"]
     p_values = cfg["estimator"]["p_values"]
     out = _outdir(cfg, "memorization")
+    grid = make_grid(gmm, mem_cfg["grid_size"], mem_cfg["pad_sigma"])
+    ecfgs = [build_estimator_config(cfg, p) for p in p_values]
+    lowest = p_values.index(min(p_values))  # the p-Laplace detection reads the smallest p
 
-    percentile_rows = []
-    detections = []
-
-    def one_seed(seed: int) -> None:
-        # This seed's rows join the aggregates only once the whole seed has completed.
-        seed_rows, seed_detections = [], []
+    def one_seed(seed: int) -> tuple[list, list]:
         seed_out = _outdir(cfg, "memorization", f"seed_{seed}")
-        grid = make_grid(gmm, mem_cfg["grid_size"], mem_cfg["pad_sigma"])
         scenario = build_scenario(gmm, mem_cfg["n_base"], mem_cfg["n_replicas"], seed)
         _write_json(os.path.join(seed_out, "scenario.json"), {"config": cfg, "scenario": scenario.to_dict()})
         model = _train(cfg, scenario.training_set(), schedule, seed)
@@ -231,49 +226,45 @@ def run_memorization(cfg: dict) -> dict:
             title=f"training set, seed {seed}", comment=config_header(cfg, seed),
         )
 
-        ecfgs = [build_estimator_config(cfg, p) for p in p_values]
+        rows, mem_vals = [], []
         matrices = grid_p_laplace(field, grid, ecfgs, make_rng(seed + 100_000))
         for p, ecfg, matrix in zip(p_values, ecfgs, matrices):
             mem_val = estimate_boundary(field, mem_pt, ecfg, make_rng(seed + 200_000)).value
             pct = percentile_rank(matrix, mem_val)
-            seed_rows.append([seed, "p_laplace", p, mem_val, pct])
+            rows.append([seed, "p_laplace", p, mem_val, pct])
+            mem_vals.append(mem_val)
             M.write_grid_csv(
                 os.path.join(seed_out, f"grid_p{p:g}.csv"), grid, matrix, header_comment=config_header(cfg, seed)
             )
             svgplot.heatmap(
-                os.path.join(seed_out, f"grid_p{p:g}.svg"), matrix,
-                (float(grid.xs[0]), float(grid.xs[-1]), float(grid.ys[0]), float(grid.ys[-1])),
+                os.path.join(seed_out, f"grid_p{p:g}.svg"), matrix, grid.extent,
                 title=f"p={p:g} averaged operator, memorized pct {pct:.1f}%",
                 comment=config_header(cfg, seed),
                 markers=[(float(mem_pt[0]), float(mem_pt[1]), "red")],
             )
-            if p == min(p_values):
-                background = sample_gmm(gmm, mem_cfg["n_background"], make_rng(seed + 300_000))
-                [bg_vals] = M.boundary_at_points(field, background, [ecfg], make_rng(seed + 400_000))
-                seed_detections.append({
-                    "seed": seed, "criterion": "p_laplace", "percentile": pct,
-                    "auc": auc([mem_val], bg_vals, "lower_is_positive"),
-                    "values_memorized": [float(mem_val)], "values_background": [float(v) for v in bg_vals],
-                })
-                mem_norm = score_norm_criterion(field, mem_pt)
-                bg_norms = score_norm_criterion(field, background)
-                norm_grid = score_norm_criterion(field, grid.points).reshape(grid.shape)
-                # rank from the top: a large score norm is the suspicious direction here
-                pct_norm = 100.0 - percentile_rank(norm_grid, mem_norm)
-                seed_detections.append({
-                    "seed": seed, "criterion": "score_norm", "percentile": pct_norm,
-                    "auc": auc([mem_norm], bg_norms, "higher_is_positive"),
-                    "values_memorized": [float(mem_norm)], "values_background": [float(v) for v in bg_norms],
-                })
-                seed_rows.append([seed, "score_norm", p, mem_norm, pct_norm])
-        percentile_rows.extend(seed_rows)
-        detections.extend(seed_detections)
 
-    result = _per_seed(cfg, one_seed)
+        background = sample_gmm(gmm, mem_cfg["n_background"], make_rng(seed + 300_000))
+        [bg_vals] = M.boundary_at_points(field, background, [ecfgs[lowest]], make_rng(seed + 400_000))
+        criteria = {
+            "p_laplace": (mem_vals[lowest], matrices[lowest], bg_vals),
+            "score_norm": (score_norm_criterion(field, mem_pt), score_norm_criterion(field, grid.points),
+                           score_norm_criterion(field, background)),
+        }
+        detections = [
+            {"seed": seed, "criterion": name, "percentile": percentile_rank(grid_values, mem), "auc": auc([mem], bg),
+             "values_memorized": [float(mem)], "values_background": [float(v) for v in bg]}
+            for name, (mem, grid_values, bg) in criteria.items()
+        ]
+        baseline = detections[-1]  # score_norm, the last criterion
+        rows.append([seed, "score_norm", p_values[lowest], baseline["values_memorized"][0], baseline["percentile"]])
+        return rows, detections
+
+    result, outputs = _per_seed(cfg, one_seed)
     write_table(
         os.path.join(out, "percentiles.csv"), ["seed", "criterion", "p", "value_at_memorized", "percentile"],
-        percentile_rows, config_header(cfg),
+        (row for rows, _ in outputs.values() for row in rows), config_header(cfg),
     )
+    detections = [d for _, seed_detections in outputs.values() for d in seed_detections]
     auc_summary = {}
     for name in ("p_laplace", "score_norm"):
         vals = [d["auc"] for d in detections if d["criterion"] == name]
@@ -289,24 +280,22 @@ def run_bounds(cfg: dict) -> dict:
     schedule = build_schedule(cfg)
     out = _outdir(cfg, "bounds")
     p_values = cfg["bounds"]["p_values"]
-    dominance: dict[str, dict] = {}
+    ecfgs = [build_estimator_config(cfg, p) for p in p_values]
+    oracle = gmm_score_field(gmm)
 
-    def one_seed(seed: int) -> None:
+    def one_seed(seed: int) -> dict:
         seed_out = _outdir(cfg, "bounds", f"seed_{seed}")
         model = _train(cfg, sample_gmm(gmm, cfg["training"]["n_train"], make_rng(seed)), schedule, seed)
         anchors = reverse_sample(model, schedule, cfg["bounds"]["n_anchors"], make_rng(seed + 700_000))
-        oracle = gmm_score_field(gmm)
         learned = model_score_field(model, schedule, 0)
-        seed_summaries = {}
-        ecfgs = [build_estimator_config(cfg, p) for p in p_values]
+        summaries = {}
         all_reports = B.validate_bound(oracle, learned, anchors, ecfgs, make_rng(seed + 800_000))
         for p, ecfg in zip(p_values, ecfgs):
             reports = [r for r in all_reports if r.p == p]
             B.write_bound_reports_csv(
                 os.path.join(seed_out, f"bound_reports_p{p:g}.csv"), reports, header_comment=config_header(cfg, seed)
             )
-            summary = B.bound_summary(reports)
-            seed_summaries[f"p{p:g}"] = summary
+            summaries[f"p{p:g}"] = B.bound_summary(reports)
 
             ok = [r for r in reports if r.assumptions_ok]
             if ok:
@@ -328,9 +317,10 @@ def run_bounds(cfg: dict) -> dict:
                     comment=config_header(cfg, seed),
                     markers=[(r.delta, r.m, "red") for r in ok],
                 )
-        dominance[str(seed)] = seed_summaries
+        return summaries
 
-    result = _per_seed(cfg, one_seed)
+    result, outputs = _per_seed(cfg, one_seed)
+    dominance = {str(seed): summaries for seed, summaries in outputs.items()}
     # With no completed seed there is no evidence either way: both fields are null.
     ratios = [summary["max_error_bound_ratio"] for per_p in dominance.values() for summary in per_p.values()]
     worst = max(ratios, default=None)

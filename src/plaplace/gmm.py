@@ -171,7 +171,7 @@ def averaged_p_laplace_dense(
     in order; ``ValueError`` before any draw if a p is below 1.
     """
     for p in p_values:
-        if p < 1:
+        if not p >= 1:
             raise ValueError(f"p must be >= 1, got {p}")
     xs = sample_ball_uniform(x0, radius, n, rng)
     parts = (np.empty((n, g.dim)), np.empty(n), np.empty(n))  # score, Laplacian, s^T H s

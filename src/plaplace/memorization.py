@@ -2,9 +2,12 @@
 
 A controlled scenario replicates one training sample many times, a score
 model is trained on the inflated set, and the learned 1-Laplace is read
-off a grid: the replicated point should sit in the lowest percentiles
-(sharp local maximum of the learned density).  A score-norm criterion is
-kept as the promptless baseline.
+off a grid.  A score-norm criterion is kept as the promptless baseline.
+Both criteria rank one way: a lower value flags memorization, because a
+sharp learned peak at the replicated point makes the score vanish and the
+1-Laplace very negative there.  Each AUC ranks one memorized value against
+the background values, so it is a rank in steps of 1/n_background, not a
+ROC area.
 """
 
 from __future__ import annotations
@@ -83,6 +86,10 @@ class Grid(NamedTuple):
     def shape(self) -> tuple[int, int]:
         return (self.ys.shape[0], self.xs.shape[0])
 
+    @property
+    def extent(self) -> tuple[float, float, float, float]:
+        return (float(self.xs[0]), float(self.xs[-1]), float(self.ys[0]), float(self.ys[-1]))
+
 
 def make_grid(gmm: GmmParams, n: int = 40, pad_sigma: float = 2.0) -> Grid:
     """n x n lattice over the bounding box of the means, inflated by pad_sigma std devs."""
@@ -138,24 +145,16 @@ def percentile_rank(grid_values, value_at_point: float) -> float:
     return 100.0 * (below + 0.5 * ties) / vals.size
 
 
-def auc(memorized_values, background_values, orientation: str = "lower_is_positive") -> float:
-    """Mann-Whitney rank AUC of memorized against background values.
+def auc(memorized_values, background_values) -> float:
+    """Mann-Whitney rank AUC of memorized against background values, lower values positive.
 
-    ``lower_is_positive`` treats smaller criterion values as evidence of
-    memorization (the p-Laplace convention); ``higher_is_positive`` the
-    opposite (score-norm baseline).  Invariant under strictly monotone
-    transforms of the values.
+    Invariant under strictly monotone increasing transforms of the values.
     """
     mem = np.asarray(memorized_values, dtype=float).ravel()
     bg = np.asarray(background_values, dtype=float).ravel()
     if mem.size == 0 or bg.size == 0:
         raise ValueError("both value lists must be nonempty")
-    if orientation == "lower_is_positive":
-        wins = (mem[:, None] < bg[None, :]).sum()
-    elif orientation == "higher_is_positive":
-        wins = (mem[:, None] > bg[None, :]).sum()
-    else:
-        raise ValueError(f"unknown orientation {orientation!r}")
+    wins = (mem[:, None] < bg[None, :]).sum()
     ties = (mem[:, None] == bg[None, :]).sum()
     return float((wins + 0.5 * ties) / (mem.size * bg.size))
 

@@ -215,7 +215,7 @@ def test_criterion_5_memorization_detection(default_gmm, schedule, train_once):
             background = sample_gmm(default_gmm, 50, make_rng(seed + 300_000))
             bg_rngs = split_rng(make_rng(seed + 400_000), 50)
             bg_vals = [estimate_boundary(field, b, cfg1, r).value for b, r in zip(background, bg_rngs)]
-            aucs.append(auc([val1], bg_vals, "lower_is_positive"))
+            aucs.append(auc([val1], bg_vals))
 
         hits = sum(p < 10.0 for p in pct1)
         assert hits >= 4, f"bottom-decile hits {hits}/5, percentiles {pct1}"

@@ -62,8 +62,9 @@ class TestBoundConstant:
         assert isinstance(bound_constant(1.0, 0.1, 0.5, 2.0, 2, 1.0), float)
 
     def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            bound_constant(0.5, 0.1, 0.5, 2.0, 2, 1.0)
+        for p in (0.5, float("nan")):
+            with pytest.raises(ValueError):
+                bound_constant(p, 0.1, 0.5, 2.0, 2, 1.0)
         with pytest.raises(ValueError):
             bound_constant(2.0, 0.1, 2.0, 0.5, 2, 1.0)
         with pytest.raises(ValueError):

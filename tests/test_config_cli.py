@@ -18,6 +18,7 @@ from plaplace.config import (
     resolve_config,
 )
 from plaplace.errors import ConfigError
+from plaplace.memorization import auc
 
 
 class TestConfigValidation:
@@ -255,11 +256,16 @@ class TestCli:
         assert set(json.loads((out / "errors.json").read_text())["failed_seeds"]) == {"1"}
         with open(out / "percentiles.csv", newline="") as f:
             rows = list(csv.DictReader(line for line in f if not line.startswith("#")))
-        assert {row["seed"] for row in rows} == {"0"} and len(rows) == 3  # p=1, score_norm, p=2
+        assert {row["seed"] for row in rows} == {"0"} and len(rows) == 3  # p=1, p=2, score_norm
         auc_summary = json.loads((out / "auc_summary.json").read_text())["auc"]
         assert all(len(block["per_seed"]) == 1 for block in auc_summary.values())
         detections = json.loads((out / "detection.json").read_text())["results"]
         assert {d["seed"] for d in detections} == {0}
+        # Every criterion ranks low values first; each detection reads the smallest p's row of percentiles.csv.
+        percentiles = {row["criterion"]: float(row["percentile"]) for row in rows if float(row["p"]) == 1.0}
+        for d in detections:
+            assert d["auc"] == auc(d["values_memorized"], d["values_background"])
+            assert d["percentile"] == percentiles[d["criterion"]]
 
     def test_rerun_is_byte_identical(self, small_config, tmp_path):
         path, cfg = small_config

@@ -31,8 +31,9 @@ class TestConfig:
         assert cfg.radius == 1.0 and cfg.n_samples == 100 and cfg.fd_step == 1e-3
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            EstimatorConfig(p=0.5)
+        for p in (0.5, float("nan")):
+            with pytest.raises(ValueError):
+                EstimatorConfig(p=p)
         with pytest.raises(ValueError):
             EstimatorConfig(p=1.0, radius=0.0)
         with pytest.raises(ValueError):

@@ -235,11 +235,12 @@ class TestPointwisePLaplace:
         assert [bool(_p_laplace_values(*parts, p)[1][0]) for p in (1.0, 1.5, 2.0, 3.0)] == [True, True, False, False]
 
     def test_p_below_one_rejected(self, random_gmm):
-        """The dense reference rejects a p below 1 anywhere in its list, as EstimatorConfig does, before any draw."""
-        rng = make_rng(0)
-        with pytest.raises(ValueError, match="p must be >= 1"):
-            averaged_p_laplace_dense(random_gmm, np.ones(2), [2.0, 0.5], 1.0, 1000, rng)
-        assert rng.bit_generator.state == make_rng(0).bit_generator.state
+        """The dense reference rejects a p below 1 or NaN anywhere in its list, as EstimatorConfig does, before any draw."""
+        for p in (0.5, float("nan")):
+            rng = make_rng(0)
+            with pytest.raises(ValueError, match="p must be >= 1"):
+                averaged_p_laplace_dense(random_gmm, np.ones(2), [2.0, p], 1.0, 1000, rng)
+            assert rng.bit_generator.state == make_rng(0).bit_generator.state
 
 
 class TestPerturbed:

@@ -152,19 +152,16 @@ class TestPercentileRank:
 
 class TestAuc:
     def test_perfect_separation(self):
-        assert auc([1.0, 2.0], [3.0, 4.0], "lower_is_positive") == 1.0
+        assert auc([1.0, 2.0], [3.0, 4.0]) == 1.0
 
     def test_identical_lists(self):
-        assert auc([1.0, 2.0], [1.0, 2.0], "lower_is_positive") == 0.5
+        assert auc([1.0, 2.0], [1.0, 2.0]) == 0.5
 
     def test_exhaustive_pair_count(self):
         # pairs: (1,3),(1,4),(2,3),(2,4) all ordered -> 4/4
-        assert auc([1, 2], [3, 4], "lower_is_positive") == pytest.approx(1.0)
-        assert auc([1, 2], [3, 4], "higher_is_positive") == pytest.approx(0.0)
+        assert auc([1, 2], [3, 4]) == pytest.approx(1.0)
 
     def test_orientation_validation(self):
-        with pytest.raises(ValueError):
-            auc([1.0], [2.0], "sideways")
         with pytest.raises(ValueError):
             auc([], [1.0])
 
@@ -177,8 +174,8 @@ class TestAuc:
     )
     @settings(max_examples=80, deadline=None)
     def test_monotone_transform_invariance(self, mem, bg):
-        base = auc(mem, bg, "lower_is_positive")
-        squashed = auc(np.tanh(np.asarray(mem) / 60), np.tanh(np.asarray(bg) / 60), "lower_is_positive")
+        base = auc(mem, bg)
+        squashed = auc(np.tanh(np.asarray(mem) / 60), np.tanh(np.asarray(bg) / 60))
         assert squashed == pytest.approx(base)
 
 

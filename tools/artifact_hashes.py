@@ -1,0 +1,76 @@
+"""Hash every artifact of the three benchmark workloads, to compare two checkouts byte for byte.
+
+Usage:
+    python3 tools/artifact_hashes.py ROOT OUT [--size full|tiny]
+
+Runs the ``fidelity``, ``memorize`` and ``bounds`` workload configs of
+``ROOT/perfbench/run.py`` (``workload_config(workload, 1, size)``) through the
+``plaplace`` CLI of the checkout at ``ROOT``, one fresh process each, with
+``--out OUT``.  Each study's directory under ``OUT`` is cleared first.  Prints
+a JSON map from each artifact path, relative to ``OUT``, to its sha256, hashed as
+the benchmark hashes its calls (``perfbench/checks.py`` ``hash_artifacts``).
+
+Every artifact embeds the resolved config, ``output_dir`` included, so two
+checkouts compare only when both are run with the same ``OUT``, one after the
+other.  At ``--size full`` the three runs take about 20 s on 2 cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEED = 1
+
+
+def _perfbench_run(root: Path):
+    """``ROOT/perfbench/run.py`` as a module; its sibling imports resolve in the same directory."""
+    bench = root / "perfbench"
+    sys.path.insert(0, str(bench))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(bench))
+    return module
+
+
+def artifact_hashes(root: Path, out: Path, size: str = "full") -> dict[str, str]:
+    """Run every workload config of the checkout at ``root`` into ``out``; sha256 of each artifact written."""
+    run = _perfbench_run(root)
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    hashes = {}
+    with tempfile.TemporaryDirectory() as configs:
+        for workload, (subcommand, sub, _) in sorted(run.WORKLOADS.items()):
+            cfg_path = Path(configs) / f"{workload}.json"
+            cfg_path.write_text(json.dumps(run.workload_config(workload, SEED, size)))
+            shutil.rmtree(out / sub, ignore_errors=True)
+            cmd = [sys.executable, "-m", "plaplace.cli", subcommand, "--config", str(cfg_path), "--out", str(out)]
+            proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
+            if proc.returncode != 0:
+                raise RuntimeError(f"plaplace {subcommand} exited {proc.returncode}:\n{proc.stderr}")
+            hashes.update({f"{sub}/{rel}": digest for rel, digest in run.checks.hash_artifacts(str(out / sub)).items()})
+    return hashes
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("root", type=Path, help="checkout whose src and perfbench are run")
+    parser.add_argument("out", type=Path, help="output directory passed to every CLI call as --out")
+    parser.add_argument("--size", choices=("full", "tiny"), default="full")
+    args = parser.parse_args(argv)
+    hashes = artifact_hashes(args.root.resolve(), args.out.resolve(), args.size)
+    print(json.dumps(hashes, indent=2, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
