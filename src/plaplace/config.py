@@ -4,6 +4,12 @@ Unknown keys are rejected everywhere so typos fail loudly instead of
 silently falling back to defaults.  The schema declares each key once,
 with its default; missing keys take it, and the fully resolved config is
 embedded in every artifact.
+
+``_first_error`` reads the JSON Schema keywords the schema uses (``type``, ``enum``,
+``minimum``, ``exclusiveMinimum``, ``maximum``, ``exclusiveMaximum``, ``multipleOf``,
+``minItems``, ``uniqueItems``, ``items``, ``properties``, ``additionalProperties: false``),
+each on values of its own type, with three narrowings: a bool is never a number, an
+``integer`` is a Python int (not ``2.0``), and a ``number`` is finite and fits in a float.
 """
 
 from __future__ import annotations
@@ -11,8 +17,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-
-import jsonschema
+import operator
 
 from .errors import ConfigError
 from .estimators import EstimatorConfig
@@ -134,27 +139,50 @@ def _defaults(node: dict):
 
 
 DEFAULT_CONFIG = _defaults(_SCHEMA)
-_DRAFT = jsonschema.validators.validator_for(_SCHEMA)
+_TYPES = {"object": dict, "array": list, "string": str, "null": type(None), "integer": int, "number": (int, float)}
+# Each bound keyword: the comparison that breaks it, and the relation a value must keep.
+_BOUNDS = {"minimum": (operator.lt, ">="), "exclusiveMinimum": (operator.le, ">"), "maximum": (operator.gt, "<="),
+           "exclusiveMaximum": (operator.ge, "<")}
 
 
-def _type(validator, types, instance, schema):
-    """The ``type`` keyword, with ``number`` narrowed to finite floats: every number leaf is used as a float.
-
-    The one finiteness check for files and dicts alike: a JSON file may spell NaN, Infinity or 1e400 (read as
-    inf), and a JSON integer has no size limit, so ``1`` followed by 400 zeros is a schema ``number``.  An
-    ``integer`` leaf has its own ``maximum``.
-    """
-    yield from _DRAFT.VALIDATORS["type"](validator, types, instance, schema)
-    if "number" in types and isinstance(instance, (int, float)) and not isinstance(instance, bool):
+def _first_error(node: dict, value, path: tuple) -> str | None:
+    """``"<path>: <message>"`` for the first rule of schema ``node`` that ``value`` breaks, or None.  A ``number``
+    must be finite as a float: a JSON file may spell NaN, Infinity or 1e400, and a JSON integer has no size limit."""
+    where = "/".join(map(str, path)) or "<root>"
+    types = [node["type"]] if isinstance(node.get("type"), str) else node.get("type", [])
+    if types and (isinstance(value, bool) or not isinstance(value, tuple(_TYPES[name] for name in types))):
+        return f"{where}: expected {' or '.join(types)}, got {type(value).__name__}"
+    if "enum" in node and value not in node["enum"]:
+        return f"{where}: expected one of {node['enum']}"
+    children = []
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
-            if not math.isfinite(instance):
-                yield jsonschema.exceptions.ValidationError("non-finite number")
+            if "number" in types and not math.isfinite(value):
+                return f"{where}: non-finite number"
         except OverflowError:
-            yield jsonschema.exceptions.ValidationError("integer too large for a float")
-
-
-# Built once: ``jsonschema.validate`` would check the constant schema against its metaschema on every call.
-_VALIDATOR = jsonschema.validators.extend(_DRAFT, validators={"type": _type})(_SCHEMA)
+            return f"{where}: integer too large for a float"
+        for keyword, (breaks, relation) in _BOUNDS.items():
+            if keyword in node and breaks(value, node[keyword]):
+                return f"{where}: must be {relation} {node[keyword]}"
+        if "multipleOf" in node and value % node["multipleOf"]:
+            return f"{where}: must be a multiple of {node['multipleOf']}"
+    elif isinstance(value, list):
+        if len(value) < node.get("minItems", 0):
+            return f"{where}: too few items, at least {node['minItems']} required"
+        children = [(node["items"], i, item) for i, item in enumerate(value)] if "items" in node else []
+    elif isinstance(value, dict):
+        properties = node.get("properties", {})
+        unknown = [key for key in value if key not in properties]
+        if unknown and node.get("additionalProperties") is False:
+            return f"{where}: unknown key {unknown[0]!r}"
+        children = [(properties[key], key, item) for key, item in value.items() if key in properties]
+    for sub, key, item in children:
+        if error := _first_error(sub, item, (*path, key)):
+            return error
+    # Checked after the items, so each is a number: 1 and 1.0 are one value, as in JSON Schema.
+    if isinstance(value, list) and node.get("uniqueItems") and len(set(value)) < len(value):
+        return f"{where}: repeated item"
+    return None
 
 
 def resolve_config(raw: dict) -> dict:
@@ -163,16 +191,12 @@ def resolve_config(raw: dict) -> dict:
 
     Raises :class:`ConfigError` naming the offending path.
     """
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    error = _first_error(_SCHEMA, raw, ())
     if error is not None:
-        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {where}: {error.message}") from error
+        raise ConfigError(f"config invalid at {error}")
     resolved = copy.deepcopy(DEFAULT_CONFIG)
-    for key, value in raw.items():
-        if isinstance(value, dict):
-            resolved[key].update(value)
-        else:
-            resolved[key] = copy.deepcopy(value)
+    for key, value in copy.deepcopy(raw).items():
+        resolved[key] = {**resolved[key], **value} if isinstance(value, dict) else value
     # Artifacts and summary keys name each p as p{p:g}: two values with one name would overwrite each other.
     for block in ("estimator", "bounds"):
         named: dict[str, float] = {}

@@ -1,16 +1,20 @@
 import csv
 import json
+import math
 import os
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plaplace import svgplot
 from plaplace.cli import main
 from plaplace.config import (
     _SCHEMA,
     DEFAULT_CONFIG,
+    _first_error,
     build_estimator_config,
     build_gmm,
     build_schedule,
@@ -19,6 +23,61 @@ from plaplace.config import (
 )
 from plaplace.errors import ConfigError
 from plaplace.memorization import auc
+
+# The JSON Schema keywords ``_first_error`` interprets; ``default`` only feeds DEFAULT_CONFIG.
+INTERPRETED = {"type", "enum", "minimum", "exclusiveMinimum", "maximum", "exclusiveMaximum", "multipleOf", "minItems",
+               "uniqueItems", "items", "properties", "additionalProperties", "default"}
+# The reference: a plain JSON Schema validator, without the three narrowings.
+REFERENCE = jsonschema.validators.validator_for(_SCHEMA)(_SCHEMA)
+
+
+def schema_types(node):
+    return [node["type"]] if isinstance(node.get("type"), str) else node.get("type", [])
+
+
+def schema_nodes(node):
+    yield node
+    for sub in (*node.get("properties", {}).values(), *([node["items"]] if "items" in node else [])):
+        yield from schema_nodes(sub)
+
+
+def schema_leaves(node, path=()):
+    """``(path, node)`` of every key that holds a value rather than a block of keys."""
+    for key, sub in node["properties"].items():
+        if "properties" in sub:
+            yield from schema_leaves(sub, (*path, key))
+        else:
+            yield (*path, key), sub
+
+
+def narrowed(node, value):
+    """Whether a narrowing rejects what JSON Schema accepts: a float at an integer, or a number no finite float
+    holds, anywhere in ``value``.  (JSON Schema already rejects a bool as a number.)"""
+    if isinstance(value, list):
+        return any(narrowed(node.get("items", {}), item) for item in value)
+    if isinstance(value, float):
+        return "integer" in schema_types(node) or not math.isfinite(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        try:
+            float(value)
+        except OverflowError:
+            return True
+    return False
+
+
+SCALARS = st.one_of(
+    st.integers(),
+    st.integers(-2, 12),  # the region of most bounds
+    st.sampled_from([2**64 - 1, 2**64, 10**400, -(10**400)]),
+    st.floats(),  # NaN and +-inf included
+    st.integers(-(10**6), 10**6).map(float),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.sampled_from(["fidelity", "memorization", "bounds"]),
+)
+VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+LEAVES = dict(schema_leaves(_SCHEMA))
 
 
 class TestConfigValidation:
@@ -47,15 +106,8 @@ class TestConfigValidation:
     def test_schema_declares_every_default(self):
         """DEFAULT_CONFIG is the schema's defaults: it validates, and only ``experiment`` has none."""
         jsonschema.validate(DEFAULT_CONFIG, _SCHEMA)
-
-        def without_default(node, path):
-            for key, sub in node["properties"].items():
-                if "properties" in sub:
-                    yield from without_default(sub, f"{path}{key}/")
-                elif "default" not in sub:
-                    yield path + key
-
-        assert list(without_default(_SCHEMA, "")) == ["experiment"]
+        assert _first_error(_SCHEMA, DEFAULT_CONFIG, ()) is None
+        assert [path for path, leaf in LEAVES.items() if "default" not in leaf] == [("experiment",)]
         assert set(DEFAULT_CONFIG) == set(_SCHEMA["properties"]) - {"experiment"}
 
     def test_partial_block_keeps_other_defaults(self):
@@ -95,16 +147,41 @@ class TestConfigValidation:
 
     def test_every_integer_leaf_has_a_maximum(self):
         """An integer leaf without a maximum lets a count such as 1e20 through, to fail in every seed."""
-
-        def integer_leaves(node, path):
-            for key, sub in node.get("properties", {}).items():
-                yield from integer_leaves(sub, f"{path}{key}/")
-            if node.get("type") == "integer" or node.get("items", {}).get("type") == "integer":
-                yield path, node.get("items", node)
-
-        leaves = dict(integer_leaves(_SCHEMA, ""))
-        assert "estimator/n_samples/" in leaves and "seeds/" in leaves
+        leaves = {"/".join(path): leaf.get("items", leaf) for path, leaf in LEAVES.items()
+                  if leaf.get("items", leaf).get("type") == "integer"}
+        assert "estimator/n_samples" in leaves and "seeds" in leaves
         assert [path for path, leaf in leaves.items() if "maximum" not in leaf] == []
+
+    def test_schema_uses_only_interpreted_keywords(self):
+        """A keyword ``_first_error`` does not read would be ignored without a word: the schema may use none."""
+        nodes = list(schema_nodes(_SCHEMA))
+        assert {keyword for node in nodes for keyword in node} <= INTERPRETED
+        assert all(node["additionalProperties"] is False for node in nodes if "additionalProperties" in node)
+        types = {name for node in nodes for name in schema_types(node)}
+        assert types == {"object", "array", "string", "null", "integer", "number"}
+        # uniqueItems hashes the items, so they must be numbers.
+        assert all(node["items"]["type"] in ("integer", "number") for node in nodes if node.get("uniqueItems"))
+
+    @pytest.mark.parametrize("path", sorted(LEAVES), ids="/".join)
+    @settings(max_examples=80, deadline=None)
+    @given(value=VALUES)
+    def test_first_error_agrees_with_json_schema(self, path, value):
+        """At every leaf, a value passes exactly when JSON Schema passes it and no narrowing applies; an error
+        names the leaf's path."""
+        raw = value
+        for key in reversed(path):
+            raw = {key: raw}
+        error = _first_error(_SCHEMA, raw, ())
+        assert (error is None) == (REFERENCE.is_valid(raw) and not narrowed(LEAVES[path], value))
+        assert error is None or error.startswith("/".join(path))
+
+    def test_resolved_config_shares_no_list_with_the_caller(self):
+        raw = {"estimator": {"p_values": [1.0, 2.0]}, "gmm": {"means": [[0.0, 0.0], [1.0, 1.0]]}}
+        cfg = resolve_config(raw)
+        raw["estimator"]["p_values"].append(float("nan"))
+        raw["gmm"]["means"][0][0] = float("inf")
+        assert cfg["estimator"]["p_values"] == [1.0, 2.0]
+        assert cfg["gmm"]["means"] == [[0.0, 0.0], [1.0, 1.0]]
 
     def test_load_config_bad_json(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -302,12 +379,15 @@ class TestCli:
         ("bounds", {"seeds": [2**64]}),
         ("fidelity", {"gmm": {"low": float("-inf")}}),
         ("fidelity", {"gmm": {"low": -1e308, "high": 1e308}}),
+        ("fidelity", {"training": {"epochs": 2.0}}),
+        ("memorize", {"memorization": {"grid_size": 5.0}}),
+        ("bounds", {"seeds": [1.0]}),
     ], ids=["ragged_means", "weights_sum", "odd_embed_dim", "memorize_3d", "one_repeat", "experiment_mismatch",
             "weights_without_means", "negative_seed", "duplicate_p", "duplicate_bounds_p",
             "bounds_p_names_collide", "estimator_p_names_collide", "normalize_by_volume", "schedule_noise_reaches_one",
             "schedule_zero_least_noise", "duplicate_seeds", "null_batch_size", "nan_beta_min", "nan_mean",
             "radius_overflows", "radius_int_overflows", "int_past_digit_limit", "n_samples_past_maximum",
-            "seed_past_2_64", "infinite_low", "range_overflows"])
+            "seed_past_2_64", "infinite_low", "range_overflows", "float_epochs", "float_grid_size", "float_seed"])
     def test_bad_config_rejected_at_load(self, small_config, tmp_path, capsys, command, override):
         path, cfg = small_config
         if isinstance(override, str):

@@ -122,12 +122,14 @@ def test_traced_layers_nonzero(workload, tmp_path):
 
 
 def test_runtime_imports_no_scipy():
-    """scipy is a test dependency only: importing every plaplace module must not load it."""
+    """scipy and jsonschema are test dependencies only: importing every plaplace module must load neither, nor
+    jsonschema's own dependencies."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    test_only = ["scipy", "jsonschema", "referencing", "rpds", "attr", "attrs", "jsonschema_specifications"]
     code = (
         "import importlib, pkgutil, sys, plaplace\n"
         "for info in pkgutil.iter_modules(plaplace.__path__): importlib.import_module(f'plaplace.{info.name}')\n"
-        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))"
+        f"print(sorted(name for name in sys.modules if name.split('.')[0] in {test_only!r}))"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
