@@ -31,7 +31,7 @@ def p_weight(s: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     normal float, so the exact operator's quad / |s|^2 at a critical point
     (s = 0) is 0 / 1e-300 = 0, not 0 / 0.
     """
-    norm = np.linalg.norm(s, axis=-1)
+    norm = np.sqrt(np.add.reduce(s * s, axis=-1))  # np.linalg.norm's arithmetic, without its conjugate copy of s
     singular = norm < EPS_GRAD if p < 2 else np.zeros(norm.shape, dtype=bool)
     norm = np.maximum(norm, 1e-150)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -153,8 +153,14 @@ def _p_laplace_values(s: np.ndarray, lap: np.ndarray, quad: np.ndarray, p: float
     under the mask is not the operator, and callers skip it.
     """
     norm, weight, singular = p_weight(s, p)
+    # In place, in the order of weight * (lap + (p - 2) * quad / norm**2); quad and lap serve every p.
+    values = (p - 2.0) * quad
     with np.errstate(divide="ignore", invalid="ignore"):
-        return weight * (lap + (p - 2.0) * quad / norm**2), singular
+        norm *= norm
+        values /= norm
+        values += lap
+        values *= weight
+    return values, singular
 
 
 def averaged_p_laplace_dense(

@@ -8,11 +8,13 @@ denoising step (t = 0, the smallest trained noise level).
 
 Everything is plain numpy with hand-written backpropagation; training is
 deterministic given (data, config, seed).  Training is SGD over tables
-built once per call: each step gathers its timestep embeddings and
-corruption factors by t, fills preallocated batch buffers and updates one
-flat parameter buffer in place.  Its weights are bitwise those of the
-textbook loop that re-embeds, concatenates and updates each weight array
-per step; the tests keep that loop as the reference.
+built once per call.  Each epoch's inputs are built ``TRAIN_BLOCK`` rows
+(whole batches) at a time: every batch draws its timesteps and noise, then
+one pass gathers the block's data, corruption factors and embeddings into
+preallocated buffers, so a step runs only the MLP kernel and one in-place
+update of a flat parameter buffer.  Its weights are bitwise those of the
+textbook loop that corrupts, embeds, concatenates and updates each weight
+array per step; the tests keep that loop as the reference.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ __all__ = [
 
 # Rows per block of the inference forward pass: bounds its (rows, hidden) scratch.
 PREDICT_BLOCK = 256
+
+# Rows of training inputs built per pass, rounded down to whole batches (at least one batch).
+TRAIN_BLOCK = 4096
 
 # Base of the timestep embedding's geometric frequency ladder.
 EMBED_BASE = 1.0e4
@@ -193,19 +198,19 @@ def _mlp_loss_and_grads(w1, b1, w2, b2, z, eps, grads=None, work=None):
     h, y, dh = (None,) * 3 if work is None else work
     y, h = _mlp_forward(w1, b1, w2, b2, z, h, y)
     resid = np.subtract(y, eps, out=y)
-    loss = float(np.sum(resid * resid) / n)
+    loss = float(np.add.reduce(resid * resid, axis=None) / n)
     dy = resid  # 2 * resid / n, formed in place
     dy *= 2.0
     dy /= n
     dw2 = np.matmul(h.T, dy, out=dw2)
-    db2 = np.sum(dy, axis=0, out=db2)
+    db2 = np.add.reduce(dy, axis=0, out=db2)
     dh = np.matmul(dy, w2.T, out=dh)
     # h is spent once dw2 is formed: it becomes the tanh derivative 1 - h^2 in place.
     h *= h
     np.subtract(1.0, h, out=h)
     da = np.multiply(dh, h, out=dh)
     dw1 = np.matmul(z.T, da, out=dw1)
-    db1 = np.sum(da, axis=0, out=db1)
+    db1 = np.add.reduce(da, axis=0, out=db1)
     return loss, (dw1, db1, dw2, db2)
 
 
@@ -224,10 +229,15 @@ def train(
 
     Everything a step cannot change is built once per call: the embedding
     row and the sqrt(1 - alpha_t), sqrt(alpha_t) factors of every timestep,
-    the batch buffers, and one flat parameter and gradient buffer that the
-    weights view.  A step gathers its rows by t and updates every weight
-    with one subtraction, in the same float operations as the per-array
-    textbook loop, so the weights are bitwise those of that loop.
+    block buffers of at most ``TRAIN_BLOCK`` rows (whole batches, at least
+    one) with each batch's views into them, and one flat parameter and
+    gradient buffer that the weights view.  Each block draws every batch's
+    t and eps in the per-batch order, then builds the corrupted inputs and
+    embedding columns of all its rows in one pass; each step then runs the
+    kernel and updates every weight with one in-place subtraction.  The
+    float operations are those of the per-array textbook loop, so the
+    weights are bitwise those of that loop, and the working set does not
+    grow with the data beyond the epoch's permutation.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.size == 0:
@@ -250,10 +260,25 @@ def train(
     noise = np.sqrt(schedule.alphas)[:, None]
 
     batch = min(cfg.batch_size, n)
-    z_buf = np.empty((batch, in_dim))
-    x0_buf = np.empty((batch, d))
-    eps_buf = np.empty((batch, d))
+    block = max(TRAIN_BLOCK // batch, 1) * batch
+    rows = min(block, n)
+    t_buf = np.empty(rows, dtype=np.int64)
+    x0_buf = np.empty((rows, d))
+    eps_buf = np.empty((rows, d))
+    z_buf = np.empty((rows, in_dim))
     work_bufs = (np.empty((batch, hidden_width)), np.empty((batch, d)), np.empty((batch, hidden_width)))
+
+    def batch_views(size):
+        """(t, z, eps, work) views of each batch of a ``size``-row block; only the last batch may be short."""
+        edges = [(lo, min(lo + batch, size)) for lo in range(0, size, batch)]
+        return [
+            (t_buf[lo:hi], z_buf[lo:hi], eps_buf[lo:hi], tuple(buf[: hi - lo] for buf in work_bufs))
+            for lo, hi in edges
+        ]
+
+    # Every block but an epoch's last is full, so two view lists serve every epoch.
+    views = {size: batch_views(size) for size in {min(block, n - start) for start in range(0, n, block)}}
+    n_batches = -(-n // batch)
     lr = cfg.learning_rate
     for epoch in range(cfg.epochs):
         if batch == n:
@@ -261,23 +286,24 @@ def train(
         else:
             order = rng.permutation(n)
         epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            m = idx.shape[0]  # the last batch of an epoch may be short: it uses the buffers' first m rows
-            z, x0, eps = z_buf[:m], x0_buf[:m], eps_buf[:m]
-            np.take(data, idx, axis=0, out=x0)
-            t = rng.integers(0, schedule.t_steps, size=m)
-            rng.standard_normal(out=eps)
+        for start in range(0, n, block):
+            size = min(block, n - start)
+            steps = views[size]
+            for batch_t, _, batch_eps, _ in steps:  # each batch draws its t, then its eps, as a per-batch loop would
+                batch_t[...] = rng.integers(0, schedule.t_steps, size=batch_t.shape[0])
+                rng.standard_normal(out=batch_eps)
+            t, x0, eps, z = t_buf[:size], x0_buf[:size], eps_buf[:size], z_buf[:size]
+            np.take(data, order[start : start + size], axis=0, out=x0)
             np.multiply(signal[t], x0, out=z[:, :d])  # x_t = sqrt(1 - alpha_t) x0 + sqrt(alpha_t) eps
             z[:, :d] += noise[t] * eps
             np.take(embeddings, t, axis=0, out=z[:, d:])
-            loss, _ = _mlp_loss_and_grads(w1, b1, w2, b2, z, eps, grad_views, tuple(buf[:m] for buf in work_bufs))
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(epoch, loss)
-            params -= lr * grads
-            epoch_loss += loss
-            n_batches += 1
+            for _, batch_z, batch_eps, work in steps:
+                loss, _ = _mlp_loss_and_grads(w1, b1, w2, b2, batch_z, batch_eps, grad_views, work)
+                if not math.isfinite(loss):
+                    raise TrainingDivergedError(epoch, loss)
+                grads *= lr  # params -= lr * grads, with no temporary
+                params -= grads
+                epoch_loss += loss
         logger.debug("epoch %d: loss %.6f", epoch, epoch_loss / n_batches)
 
     return MlpScoreModel(

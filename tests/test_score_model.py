@@ -4,11 +4,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from plaplace import score_model
 from plaplace.errors import SamplingError, TrainingDivergedError
 from plaplace.geometry import make_rng
 from plaplace.gmm import GmmParams, perturb, sample_gmm, score
 from plaplace.score_model import (
     PREDICT_BLOCK,
+    TRAIN_BLOCK,
     MlpScoreModel,
     NoiseSchedule,
     TrainConfig,
@@ -188,11 +190,16 @@ class TestTraining:
         assert np.median(cos) > 0.9
 
     def test_divergence_raises(self, schedule):
+        """Training stops at the same step as the textbook loop: the first non-finite step loss, before its update."""
         data = make_rng(8).standard_normal((64, 2)) * 5
-        with pytest.raises(TrainingDivergedError) as exc_info:
-            with np.errstate(over="ignore", invalid="ignore"):
-                train(data, schedule, TrainConfig(epochs=50, learning_rate=1e12, seed=0))
-        assert exc_info.value.epoch >= 0
+        cfg = TrainConfig(epochs=50, learning_rate=1e12, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError) as got:
+                train(data, schedule, cfg, hidden_width=16, embed_dim=8)
+            with pytest.raises(TrainingDivergedError) as expected:
+                textbook_train(data, schedule, cfg, hidden_width=16, embed_dim=8)
+        assert got.value.epoch == expected.value.epoch > 0
+        np.testing.assert_equal(got.value.loss, expected.value.loss)
 
     def test_empty_data_rejected(self, schedule):
         with pytest.raises(ValueError):
@@ -201,7 +208,10 @@ class TestTraining:
 
 def textbook_train(data, schedule, cfg, hidden_width, embed_dim):
     """The plain SGD loop ``train`` must match bit for bit: every step corrupts its batch to
-    sqrt(1 - alpha_t) x0 + sqrt(alpha_t) eps, embeds t and concatenates, and updates each weight array on its own."""
+    sqrt(1 - alpha_t) x0 + sqrt(alpha_t) eps, embeds t and concatenates, and updates each weight array on its own.
+
+    Returns the weights and each epoch's mean step loss; raises ``TrainingDivergedError`` at the first
+    non-finite step loss, before that step's update."""
     n, d = data.shape
     rng = make_rng(cfg.seed)
     in_dim = d + embed_dim
@@ -209,8 +219,10 @@ def textbook_train(data, schedule, cfg, hidden_width, embed_dim):
     w1 = rng.uniform(-bound, bound, size=(in_dim, hidden_width))
     b1, w2, b2 = np.zeros(hidden_width), np.zeros((hidden_width, d)), np.zeros(d)
     batch = min(cfg.batch_size, n)
-    for _ in range(cfg.epochs):
+    epoch_means = []
+    for epoch in range(cfg.epochs):
         order = np.arange(n) if batch == n else rng.permutation(n)
+        losses = []
         for start in range(0, n, batch):
             idx = order[start : start + batch]
             t = rng.integers(0, schedule.t_steps, size=idx.shape[0])
@@ -218,23 +230,44 @@ def textbook_train(data, schedule, cfg, hidden_width, embed_dim):
             eps = rng.standard_normal((idx.shape[0], d))
             x_t = np.sqrt(1 - a) * data[idx] + np.sqrt(a) * eps
             z = np.concatenate([x_t, sinusoidal_embed(t, embed_dim)], axis=1)
-            _, (dw1, db1, dw2, db2) = _mlp_loss_and_grads(w1, b1, w2, b2, z, eps)
+            loss, (dw1, db1, dw2, db2) = _mlp_loss_and_grads(w1, b1, w2, b2, z, eps)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(epoch, loss)
             w1 -= cfg.learning_rate * dw1
             b1 -= cfg.learning_rate * db1
             w2 -= cfg.learning_rate * dw2
             b2 -= cfg.learning_rate * db2
-    return {"w1": w1, "b1": b1, "w2": w2, "b2": b2}
+            losses.append(loss)
+        epoch_means.append(sum(losses) / len(losses))
+    return {"w1": w1, "b1": b1, "w2": w2, "b2": b2}, epoch_means
 
 
-@pytest.mark.parametrize("n,d,batch_size,embed_dim", [(50, 2, 32, 32), (50, 2, 64, 32), (40, 3, 16, 32), (40, 2, 16, 8)],
-                         ids=["ragged_last_batch", "full_batch", "d3", "embed8"])
-def test_train_is_bitwise_the_textbook_loop(schedule, n, d, batch_size, embed_dim):
+@pytest.mark.parametrize(
+    "n,d,batch_size,embed_dim,train_block",
+    [(50, 2, 32, 32, None), (50, 2, 64, 32, None), (40, 3, 16, 32, None), (40, 2, 16, 8, None), (50, 2, 16, 8, 48)],
+    ids=["ragged_last_batch", "full_batch", "d3", "embed8", "block_edge"],
+)
+def test_train_is_bitwise_the_textbook_loop(schedule, monkeypatch, caplog, n, d, batch_size, embed_dim, train_block):
+    """Same weights and epoch losses; block_edge builds its inputs in blocks of 48 rows, then a 2-row block
+    holding one short batch."""
+    if train_block is not None:
+        monkeypatch.setattr(score_model, "TRAIN_BLOCK", train_block)
     data = make_rng(11).standard_normal((n, d))
     cfg = TrainConfig(epochs=15, learning_rate=1e-2, batch_size=batch_size, seed=3)
-    model = train(data, schedule, cfg, hidden_width=16, embed_dim=embed_dim)
-    expected = textbook_train(data, schedule, cfg, hidden_width=16, embed_dim=embed_dim)
+    with caplog.at_level(logging.DEBUG, logger="plaplace.score_model"):
+        model = train(data, schedule, cfg, hidden_width=16, embed_dim=embed_dim)
+    expected, epoch_means = textbook_train(data, schedule, cfg, hidden_width=16, embed_dim=embed_dim)
     for name, weights in expected.items():
         assert np.array_equal(getattr(model, name), weights), name
+    assert caplog.messages == [f"epoch {epoch}: loss {mean:.6f}" for epoch, mean in enumerate(epoch_means)]
+
+
+def test_train_working_set_is_bounded(schedule, traced_peak):
+    """Inputs are built a block at a time: quadrupling n adds only the epoch permutation's 8 bytes per row."""
+    cfg = TrainConfig(epochs=1, batch_size=256, seed=0)
+    small, big = (make_rng(12).standard_normal((k * TRAIN_BLOCK, 2)) for k in (2, 8))
+    grown = traced_peak(train, big, schedule, cfg, 4, 4) - traced_peak(train, small, schedule, cfg, 4, 4)
+    assert grown <= 8 * (big.shape[0] - small.shape[0]) + 16_384
 
 
 def concatenated_predict(model, x, t):
