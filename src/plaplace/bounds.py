@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError
-from .estimators import EstimatorConfig, _shared_sphere, _sphere_blocks
+from .estimators import EstimatorConfig, _flux_values, _sphere_blocks
 from .fields import ScoreField
 from .tables import write_table
 
@@ -59,11 +59,12 @@ def bound_constant(
     """The flux-difference bound, surface/volume factor included.
 
     ``delta``, ``m`` and ``M`` broadcast against each other; scalar inputs
-    give a float.  Continuous in p at p = 2, where both branches reduce to
-    (dim/radius) * delta.
+    give a float, with the bits of the same entry in an array call.
+    Continuous in p at p = 2, where both branches reduce to (dim/radius) * delta.
     """
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
+    delta, m, M = (np.asarray(a, dtype=float) for a in (delta, m, M))
     if np.any(np.less(delta, 0)):
         raise ValueError(f"delta must be nonnegative, got {delta}")
     if not np.all(np.less(0, m) & np.less_equal(m, M)):
@@ -119,41 +120,35 @@ def validate_bound(
     one sphere from its own substream (``estimators._sphere_blocks``), and that
     draw serves every config, so the configs must share ``radius`` and ``n_samples``
     (``ValueError`` otherwise) and an anchor's reports at different p are
-    correlated.  ``(delta, m, M, segment_min)`` is measured once per anchor and
-    again only for a p whose singular samples it must skip.
+    correlated.  ``(delta, m, M, segment_min)`` is measured once per block of
+    anchors and again only for an anchor whose singular samples a p must skip.
+    Each report's ``anchor`` is a read-only row of one copy of ``anchors``.
     """
-    radius, n_samples, ps = _shared_sphere(cfgs)
-    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+    anchors = np.atleast_2d(np.array(anchors, dtype=float))
+    anchors.setflags(write=False)
     dim = anchors.shape[1]
-    factor = dim / radius
-    reports: list[list[BoundReport]] = [[] for _ in ps]
-    for start, (sv, hv), (flux_s, flux_h) in _sphere_blocks([s, s_hat], anchors, radius, n_samples, ps, rng):
+    reports: list[list[BoundReport]] = [[] for _ in cfgs]
+    for start, normals, (sv, hv) in _sphere_blocks([s, s_hat], anchors, cfgs, rng):
         all_samples = _constants_from_values(sv, hv)
         rows = list(anchors[start : start + sv.shape[0]])  # one view per anchor, shared by its reports at every p
-        for p, (fs, sing_s), (fh, sing_h), out in zip(ps, flux_s, flux_h, reports):
+        for cfg, out in zip(cfgs, reports):
+            fs, sing_s = _flux_values(sv, normals, cfg.p)
+            fh, sing_h = _flux_values(hv, normals, cfg.p)
             keep = ~(sing_s | sing_h)
+            delta, m, M, segment_min = (c.copy() for c in all_samples)
             errors = np.mean(fs - fh, axis=1)
-            for i, anchor in enumerate(rows):
-                constants, error = [c[i] for c in all_samples], errors[i]
-                if not keep[i].all():
-                    kept = keep[i]
-                    if not kept.any():
-                        raise EstimationError("every shared sphere sample was singular")
-                    constants = _constants_from_values(sv[i][kept], hv[i][kept])
-                    error = np.mean(fs[i][kept] - fh[i][kept])
-                delta, m, M, segment_min = map(float, constants)
-                out.append(
-                    BoundReport(
-                        anchor=anchor,
-                        p=p,
-                        delta=delta,
-                        m=m,
-                        M=M,
-                        c_p=bound_constant(p, delta, m, M, dim, radius) if m > 0.0 else np.inf,
-                        empirical_error=abs(factor * float(error)),
-                        segment_min=segment_min,
-                    )
-                )
+            for i in np.flatnonzero(~keep.all(axis=1)):
+                kept = keep[i]
+                if not kept.any():
+                    raise EstimationError("every shared sphere sample was singular")
+                delta[i], m[i], M[i], segment_min[i] = _constants_from_values(sv[i][kept], hv[i][kept])
+                errors[i] = np.mean(fs[i][kept] - fh[i][kept])
+            c_p = np.full(m.shape, np.inf)
+            ok = m > 0.0
+            c_p[ok] = bound_constant(cfg.p, delta[ok], m[ok], M[ok], dim, cfg.radius)
+            errors = np.abs(dim / cfg.radius * errors)
+            columns = (c.tolist() for c in (delta, m, M, c_p, errors, segment_min))
+            out.extend(BoundReport(anchor, cfg.p, *values) for anchor, *values in zip(rows, *columns))
     return [r for per_p in reports for r in per_p]
 
 

@@ -11,8 +11,10 @@ Two routes to the same quantity, one function each:
   the ball volume.
 
 Drivers that estimate several p at many centers (the bound check, the
-memorization grid) draw each center's sphere once and call the field once
-on it for every p, through one kernel that ``estimate_boundary`` also runs.
+memorization grid) draw each center's sphere once, through ``_sphere_blocks``,
+call the field once on it, and reduce each p's ``_flux_values`` over a whole
+block of centers at a time; ``estimate_boundary`` runs the same
+``_flux_values`` on its one sphere.
 
 For p < 2 the integrand is undefined where the score vanishes; samples
 whose score norm falls below ``fields.EPS_GRAD`` are skipped and counted rather
@@ -58,11 +60,11 @@ class EstimatorConfig:
     def __post_init__(self):
         if not self.p >= 1:
             raise ValueError(f"p must be >= 1, got {self.p}")
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
-        if self.n_samples < 1:
+        if not self.n_samples >= 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.fd_step <= 0:
+        if not self.fd_step > 0:
             raise ValueError(f"fd_step must be positive, got {self.fd_step}")
 
 
@@ -77,52 +79,34 @@ class PLaplaceEstimate:
 
 
 def _flux_values(s: np.ndarray, normals: np.ndarray, p: float):
-    """Flux integrand |s|^(p-2) (s . n) of score values s; returns (values, singular mask)."""
+    """Flux integrand |s|^(p-2) (s . n) of score values s, over the last axis; returns (values, singular mask)."""
     _, weight, singular = p_weight(s, p)
-    return weight * np.sum(s * normals, axis=1), singular
+    return weight * np.sum(s * normals, axis=-1), singular
 
 
-def _shared_sphere(cfgs) -> tuple[float, int, list[float]]:
-    """``(radius, n_samples, ps)`` of configs that share one sphere draw; ``ValueError`` if they cannot."""
-    cfgs = list(cfgs)
+def _sphere_blocks(fields, centers: np.ndarray, cfgs, rng: np.random.Generator):
+    """One sphere draw per row of ``centers``, and each field on it, ``SPHERE_BLOCK`` rows at a time.
+
+    The draw serves every config in ``cfgs``, so they must share ``radius``
+    and ``n_samples`` (``ValueError`` otherwise, or if there are none).
+    Yields ``(start, normals, values)`` per block, ``start`` being its first
+    row: ``normals`` has shape ``(rows, n_samples, d)`` and ``values[k]``
+    holds ``fields[k]`` on the spheres in the same shape.  Each block spawns
+    one ``split_rng`` substream per center from ``rng``, in row order, so a
+    center's draw does not depend on the block size and only one block's
+    substreams are alive at a time.  Each field is called once per center
+    (one call over all centers is not bitwise equal to it for a learned model).
+    """
     if not cfgs:
         raise ValueError("need at least one estimator config")
     if len({(c.radius, c.n_samples) for c in cfgs}) > 1:
         raise ValueError("configs sharing one sphere draw must share radius and n_samples")
-    return cfgs[0].radius, cfgs[0].n_samples, [c.p for c in cfgs]
-
-
-def _sphere_fluxes(fields, centers, radius: float, n_samples: int, ps, rngs):
-    """Flux values of each field at each p, on one sphere draw per center.
-
-    Center i draws ``n_samples`` sphere points from ``rngs[i]``, and each field
-    is called once per center (one call over all centers is not bitwise equal
-    to it for a learned model).  The draw and the field values serve every p:
-    only the flux weight and the p < 2 singular mask depend on p.  Returns
-    ``(values, fluxes)``: ``values[k]`` holds ``fields[k]`` on the spheres,
-    shape ``(n_centers, n_samples, d)``, and ``fluxes[k][j]`` is the
-    :func:`_flux_values` pair of ``fields[k]`` at ``ps[j]``, each of shape
-    ``(n_centers, n_samples)``.
-    """
-    draws = [sample_sphere_uniform(c, radius, n_samples, r) for c, r in zip(centers, rngs)]
-    normals = np.concatenate([n for _, n in draws])
-    values = [np.concatenate([f(ys) for ys, _ in draws]) for f in fields]
-    rows = (len(draws), n_samples)
-    fluxes = [[tuple(a.reshape(rows) for a in _flux_values(v, normals, p)) for p in ps] for v in values]
-    return [v.reshape(*rows, -1) for v in values], fluxes
-
-
-def _sphere_blocks(fields, centers: np.ndarray, radius: float, n_samples: int, ps, rng: np.random.Generator):
-    """:func:`_sphere_fluxes` over the rows of ``centers``, ``SPHERE_BLOCK`` at a time.
-
-    Yields ``(start, values, fluxes)`` per block, ``start`` being its first
-    row.  Each block spawns one ``split_rng`` substream per center from
-    ``rng``, in row order, as it is drawn, so a center's draw does not depend
-    on the block size and only one block's substreams are alive at a time.
-    """
+    radius, n_samples = cfgs[0].radius, cfgs[0].n_samples
     for start in range(0, centers.shape[0], SPHERE_BLOCK):
         block = centers[start : start + SPHERE_BLOCK]
-        yield start, *_sphere_fluxes(fields, block, radius, n_samples, ps, split_rng(rng, block.shape[0]))
+        subs = split_rng(rng, block.shape[0])
+        draws = [sample_sphere_uniform(c, radius, n_samples, r) for c, r in zip(block, subs)]
+        yield start, np.stack([n for _, n in draws]), [np.stack([f(ys) for ys, _ in draws]) for f in fields]
 
 
 def _divergence_values(field: ScoreField, xs: np.ndarray, p: float, h: float):
@@ -171,8 +155,9 @@ def estimate_boundary(
     field: ScoreField, x0, cfg: EstimatorConfig, rng: np.random.Generator
 ) -> PLaplaceEstimate:
     """Ball-averaged p-Laplace as the mean flux over uniform sphere samples times surface/volume = d/R."""
-    values, [[(vals, singular)]] = _sphere_fluxes([field], [x0], cfg.radius, cfg.n_samples, [cfg.p], [rng])
-    return _reduce(vals[0], singular[0], values[0].shape[2] / cfg.radius, "boundary")
+    ys, normals = sample_sphere_uniform(x0, cfg.radius, cfg.n_samples, rng)
+    vals, singular = _flux_values(field(ys), normals, cfg.p)
+    return _reduce(vals, singular, ys.shape[1] / cfg.radius, "boundary")
 
 
 def write_estimates_csv(path, dim: int, rows, header_comment: str | None = None) -> None:

@@ -50,7 +50,7 @@ class GmmParams:
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "sigma2", float(self.sigma2))
-        if self.sigma2 <= 0:
+        if not self.sigma2 > 0:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
         if weights.ndim != 1 or weights.shape[0] != means.shape[0]:
             raise ValueError("weights must be one per mixture component")

@@ -69,7 +69,7 @@ class NoiseSchedule:
         betas = np.asarray(self.betas, dtype=float)
         if betas.ndim != 1 or betas.shape[0] < 1:
             raise ValueError("betas must be a nonempty 1-d array")
-        if np.any(betas < 0) or np.any(betas >= 1):
+        if not np.all((betas >= 0) & (betas < 1)):
             raise ValueError("betas must lie in [0, 1)")
         alphas = 1.0 - np.cumprod(1.0 - betas)
         # alpha_t = 0 leaves no noise to predict, so the score -eps_hat / sqrt(alpha_t) would not exist.
@@ -173,7 +173,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs <= 0 or self.learning_rate <= 0 or self.batch_size <= 0:
+        if not (self.epochs > 0 and self.learning_rate > 0 and self.batch_size > 0):
             raise ValueError("epochs, learning_rate and batch_size must be positive")
 
 

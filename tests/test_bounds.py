@@ -171,7 +171,7 @@ class TestValidateBound:
         learned = model_score_field(trained_model, schedule, 0)
         s_hat = lambda x: np.where((np.abs(x[:, :1] - 0.5) < 0.2), 0.0, learned(x))
         anchors = np.vstack([reverse_sample(trained_model, schedule, SPHERE_BLOCK + 7, make_rng(6)), [[0.5, 0.0]]])
-        cfgs = [EstimatorConfig(p=p, n_samples=50) for p in (1.0, 2.0, 3.0)]
+        cfgs = [EstimatorConfig(p=p, n_samples=50) for p in (1.0, 1.5, 2.0, 3.0)]
         reports = validate_bound(oracle, s_hat, anchors, cfgs, make_rng(7))
 
         expected, partly_singular = [], 0
@@ -189,6 +189,14 @@ class TestValidateBound:
                 expected.append((*anchor, cfg.p, delta, m, M, c_p, error, segment_min))
         assert partly_singular > 0
         assert [(*r.anchor, r.p, r.delta, r.m, r.M, r.c_p, r.empirical_error, r.segment_min) for r in reports] == expected
+
+    def test_anchors_are_a_read_only_copy(self):
+        anchors = np.zeros((2, 2))
+        reports = validate_bound(lambda x: x, lambda x: x + 0.01, anchors, [EstimatorConfig(p=2.0)], make_rng(0))
+        anchors[0, 0] = 5.0
+        assert reports[0].anchor.tolist() == [0.0, 0.0]
+        with pytest.raises(ValueError):
+            reports[0].anchor[0] = 5.0
 
     def test_configs_must_share_the_sphere(self, default_gmm):
         field = score_field(default_gmm)
@@ -266,7 +274,7 @@ class TestReportsAndSurface:
         deltas, ms, grid = bound_surface(1.0, 2, 1.0, (0.0, 1.0), (0.1, 1.0), M=2.0, n=8)
         assert grid.shape == (8, 8)
         assert grid[0, 0] == pytest.approx(bound_constant(1.0, deltas[0], ms[0], 2.0, 2, 1.0), rel=1e-12)
-        for p in (1.0, 3.0):  # the per-node loop is the reference, exactly
+        for p in (1.0, 1.5, 3.0):  # the per-node loop is the reference, exactly
             _, _, surface = bound_surface(p, 2, 1.0, (0.0, 1.0), (0.1, 3.0), M=2.0, n=8)
             loop = [[bound_constant(p, d, m, max(2.0, m), 2, 1.0) for d in deltas] for m in np.linspace(0.1, 3.0, 8)]
             np.testing.assert_array_equal(surface, loop)

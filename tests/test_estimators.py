@@ -34,10 +34,10 @@ class TestConfig:
         for p in (0.5, float("nan")):
             with pytest.raises(ValueError):
                 EstimatorConfig(p=p)
-        with pytest.raises(ValueError):
-            EstimatorConfig(p=1.0, radius=0.0)
-        with pytest.raises(ValueError):
-            EstimatorConfig(p=1.0, n_samples=0)
+        for bad in ({"radius": 0.0}, {"radius": float("nan")}, {"n_samples": 0}, {"fd_step": 0.0},
+                    {"fd_step": float("nan")}):
+            with pytest.raises(ValueError):
+                EstimatorConfig(p=1.0, **bad)
 
 
 def zero_field(x):

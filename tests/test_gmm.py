@@ -49,8 +49,9 @@ class TestValidation:
             GmmParams(means=[[0.0], [1.0]], sigma2=1.0, weights=[1.2, -0.2])
 
     def test_sigma2_positive(self):
-        with pytest.raises(ValueError):
-            GmmParams(means=[[0.0]], sigma2=0.0, weights=[1.0])
+        for sigma2 in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                GmmParams(means=[[0.0]], sigma2=sigma2, weights=[1.0])
 
     def test_arrays_read_only(self):
         means = np.array([[0.0, 0.0], [1.0, 1.0]])

@@ -47,6 +47,13 @@ def test_model_weight_shapes_checked(name, shape):
         MlpScoreModel(model.input_dim, model.hidden_width, model.embed_dim, **{**arrays, name: np.zeros(shape)})
 
 
+@pytest.mark.parametrize("bad", [{"epochs": 0}, {"learning_rate": 0.0}, {"learning_rate": float("nan")},
+                                 {"batch_size": 0}])
+def test_train_config_validation(bad):
+    with pytest.raises(ValueError):
+        TrainConfig(**bad)
+
+
 def test_model_arrays_read_only():
     model = zero_model()
     for name in ("w1", "b1", "w2", "b2"):
@@ -80,6 +87,8 @@ class TestNoiseSchedule:
             NoiseSchedule([0.5, 1.0])
         with pytest.raises(ValueError):
             NoiseSchedule([-0.1, 0.2])
+        with pytest.raises(ValueError):
+            NoiseSchedule([float("nan")])
         # a zero beta after the first step is allowed: it leaves alpha where it was
         sched = NoiseSchedule([0.01, 0.0])
         assert sched.alphas[1] == sched.alphas[0] > 0.0

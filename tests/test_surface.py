@@ -50,13 +50,23 @@ def _referenced_names(tree: ast.AST) -> set[str]:
     return names
 
 
+def _defined_name(node: ast.stmt) -> str | None:
+    """The name a top-level statement defines: a function, a class, or a module constant other than a dunder."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.name
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+    if len(targets) == 1 and isinstance(targets[0], ast.Name) and not targets[0].id.startswith("__"):
+        return targets[0].id
+    return None
+
+
 def unused_definitions(package: Path) -> list[str]:
-    """``module.name`` of every top-level function and class that no code of the package uses outside its own
-    definition.  ``__all__`` entries and docstrings are strings, so they do not count as a use."""
+    """``module.name`` of every top-level function, class and module constant that no code of the package uses
+    outside its own definition.  ``__all__`` entries and docstrings are strings, so they do not count as a use."""
     defined, used = [], {}
     for path in sorted(package.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            own = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+            own = _defined_name(node)
             if own is not None:
                 defined.append((path.stem, own))
             for name in _referenced_names(node):
@@ -65,7 +75,8 @@ def unused_definitions(package: Path) -> list[str]:
 
 
 def test_every_definition_is_used_by_the_package():
-    """A function or class that only the tests call is a second route through the code: delete it, or call it."""
+    """A function, class or module constant that only the tests use is a second route through the code: delete
+    it, or use it."""
     assert unused_definitions(ROOT / "src" / "plaplace") == []
 
 
