@@ -129,7 +129,7 @@ def _divergence_values(field: ScoreField, xs: np.ndarray, p: float, h: float):
 
 
 def _reduce(vals: np.ndarray, singular: np.ndarray, factor: float, what: str) -> PLaplaceEstimate:
-    kept = vals[~singular]
+    kept = vals[~singular] if singular.any() else vals  # the same data either way; no copy when none is skipped
     n_used = kept.shape[0]
     if n_used == 0:
         raise EstimationError(f"every {what} sample was singular")

@@ -9,10 +9,13 @@ work is distributed.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 __all__ = [
     "sample_ball_uniform",
+    "sample_ball_blocks",
     "sample_sphere_uniform",
     "make_rng",
     "split_rng",
@@ -33,8 +36,8 @@ def split_rng(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
     return rng.spawn(n)
 
 
-def _center_and_directions(center, radius: float, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Checked (center, directions): n uniform unit vectors from normalized standard Gaussians."""
+def _checked_center(center, radius: float, n: int) -> np.ndarray:
+    """``center`` as a float vector, after checking it, the radius and the sample count."""
     center = np.asarray(center, dtype=float)
     if center.ndim != 1 or center.shape[0] < 1:
         raise ValueError(f"center must be a nonempty 1-d vector, got shape {center.shape}")
@@ -42,8 +45,12 @@ def _center_and_directions(center, radius: float, n: int, rng: np.random.Generat
         raise ValueError(f"radius must be positive, got {radius}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    v = rng.standard_normal((n, center.shape[0]))
-    return center, v / np.linalg.norm(v, axis=1, keepdims=True)
+    return center
+
+
+def _directions(v: np.ndarray) -> np.ndarray:
+    """Uniform unit vectors: each row of standard Gaussians over its norm."""
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def sample_sphere_uniform(
@@ -54,12 +61,41 @@ def sample_sphere_uniform(
     Returns ``(points, normals)`` where ``points`` has shape ``(n, dim)``
     and ``normals`` are the outward unit normals ``(points - center) / radius``.
     """
-    center, normals = _center_and_directions(center, radius, n, rng)
+    center = _checked_center(center, radius, n)
+    normals = _directions(rng.standard_normal((n, center.shape[0])))
     return center + radius * normals, normals
+
+
+def sample_ball_blocks(center, radius: float, n: int, rng: np.random.Generator, block: int):
+    """The rows of ``sample_ball_uniform(center, radius, n, rng)``, ``block`` at a time, bit for bit.
+
+    A ball sample draws all n * dim normals before its n uniforms.  With more
+    than one block, a copy of ``rng`` replays the normals block by block while
+    ``rng`` steps past them (ziggurat normals take a variable number of raw
+    draws, so ``advance`` cannot skip them) and then draws each block's
+    uniforms; ``rng`` ends where the one-piece draw leaves it.  No array holds
+    more than ``block`` rows.  The arguments are checked, and ``rng`` steps
+    past the normals, before the first block is asked for.
+    """
+    center = _checked_center(center, radius, n)
+    dim = center.shape[0]
+    normals = rng
+    if n > block:
+        normals = copy.deepcopy(rng)
+        for start in range(0, n, block):
+            rng.standard_normal((min(block, n - start), dim))
+
+    def blocks():
+        for start in range(0, n, block):
+            rows = min(block, n - start)
+            dirs = _directions(normals.standard_normal((rows, dim)))
+            radii = radius * rng.uniform(0.0, 1.0, size=rows) ** (1.0 / dim)
+            yield center + radii[:, None] * dirs
+
+    return blocks()
 
 
 def sample_ball_uniform(center, radius: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform points inside the ball: uniform direction, radius R * U^(1/dim)."""
-    center, dirs = _center_and_directions(center, radius, n, rng)
-    radii = radius * rng.uniform(0.0, 1.0, size=n) ** (1.0 / center.shape[0])
-    return center + radii[:, None] * dirs
+    [xs] = sample_ball_blocks(center, radius, n, rng, n)
+    return xs

@@ -16,7 +16,7 @@ import numpy as np
 
 from .estimators import PLaplaceEstimate, _reduce
 from .fields import ScoreField, p_weight
-from .geometry import sample_ball_uniform
+from .geometry import sample_ball_blocks
 
 # Rows per block of the dense reference: bounds its (rows, K, d) temporaries.
 CHUNK = 8192
@@ -169,9 +169,11 @@ def averaged_p_laplace_dense(
     """Dense Monte Carlo average of the exact pointwise operator over a ball, for every p.
 
     The reference value for the ball-averaged p-Laplace: one draw of n
-    uniform ball samples serves every p in ``p_values``.  The mixture parts
-    are evaluated once, ``CHUNK`` rows at a time, into arrays allocated up
-    front, and each p is derived from them once the samples are dropped.
+    uniform ball samples serves every p in ``p_values``.  The draw arrives
+    ``CHUNK`` rows at a time from ``sample_ball_blocks``; each block's mixture
+    parts fill one value array and one singular mask per p, allocated up
+    front, and then each p is reduced and its arrays dropped.  Neither the
+    samples nor the parts are ever held at full length.
     Points where a p < 2 evaluation is singular are skipped and counted;
     :class:`EstimationError` if every one is.  Returns one estimate per p,
     in order; ``ValueError`` before any draw if a p is below 1.
@@ -179,13 +181,18 @@ def averaged_p_laplace_dense(
     for p in p_values:
         if not p >= 1:
             raise ValueError(f"p must be >= 1, got {p}")
-    xs = sample_ball_uniform(x0, radius, n, rng)
-    parts = (np.empty((n, g.dim)), np.empty(n), np.empty(n))  # score, Laplacian, s^T H s
-    for i in range(0, n, CHUNK):
-        for part, chunk in zip(parts, _p_laplace_parts(g, xs[i : i + CHUNK])):
-            part[i : i + CHUNK] = chunk
-    del xs  # the reductions below need only the parts
-    return [_reduce(*_p_laplace_values(*parts, p), 1.0, "dense") for p in p_values]
+    filled = [(np.empty(n), np.empty(n, dtype=bool)) for _ in p_values]  # (values, singular) per p
+    start = 0
+    for xs in sample_ball_blocks(x0, radius, n, rng, CHUNK):
+        parts = _p_laplace_parts(g, xs)
+        stop = start + xs.shape[0]
+        for (values, singular), p in zip(filled, p_values):
+            values[start:stop], singular[start:stop] = _p_laplace_values(*parts, p)
+        start = stop
+    estimates = []
+    while filled:
+        estimates.append(_reduce(*filled.pop(0), 1.0, "dense"))
+    return estimates
 
 
 def sample_gmm(g: GmmParams, n: int, rng: np.random.Generator) -> np.ndarray:

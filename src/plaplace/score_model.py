@@ -66,7 +66,8 @@ class NoiseSchedule:
     alphas: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        betas = np.asarray(self.betas, dtype=float)
+        # A frozen copy: the caller's array stays writable, and alphas always matches betas.
+        betas = np.array(self.betas, dtype=float)
         if betas.ndim != 1 or betas.shape[0] < 1:
             raise ValueError("betas must be a nonempty 1-d array")
         if not np.all((betas >= 0) & (betas < 1)):
@@ -75,6 +76,8 @@ class NoiseSchedule:
         # alpha_t = 0 leaves no noise to predict, so the score -eps_hat / sqrt(alpha_t) would not exist.
         if np.any(alphas <= 0) or np.any(alphas >= 1):
             raise ValueError("alphas must lie in (0, 1)")
+        betas.setflags(write=False)
+        alphas.setflags(write=False)
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "alphas", alphas)
 

@@ -8,7 +8,8 @@ from scipy import stats
 
 from plaplace.bounds import bound_constant
 from plaplace.estimators import EstimatorConfig, estimate_boundary
-from plaplace.geometry import make_rng, sample_ball_uniform, sample_sphere_uniform, split_rng
+from plaplace.geometry import make_rng, sample_ball_blocks, sample_ball_uniform, sample_sphere_uniform, split_rng
+from plaplace.gmm import CHUNK
 
 
 def _measure_ratio(dim, radius):
@@ -41,7 +42,11 @@ class TestMeasures:
             assert factor == pytest.approx(_measure_ratio(dim, radius), rel=1e-10)
 
 
-@pytest.mark.parametrize("sampler", [sample_sphere_uniform, sample_ball_uniform])
+def _ball_in_blocks_of_two(center, radius, n, rng):
+    return sample_ball_blocks(center, radius, n, rng, 2)
+
+
+@pytest.mark.parametrize("sampler", [sample_sphere_uniform, sample_ball_uniform, _ball_in_blocks_of_two])
 @pytest.mark.parametrize("center,radius", [
     (np.zeros((1, 2)), 1.0),
     (np.zeros(0), 1.0),
@@ -98,6 +103,26 @@ class TestBallSampling:
         radii = np.linalg.norm(xs, axis=1)
         stat = stats.kstest(radii, lambda r: (r / radius) ** dim).statistic
         assert stat < 1.63 / np.sqrt(10_000)
+
+
+class TestBallBlocks:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2 * CHUNK + 17, 100], ids=["three_blocks", "one_block"])
+    def test_blocks_are_the_one_piece_draw(self, dim, n):
+        """Concatenated, the blocks are the one-piece sample bit for bit, and the generator ends in the same place."""
+        center = np.linspace(-1.0, 2.0, dim)
+        rng, one_rng = make_rng(23 + dim), make_rng(23 + dim)
+        blocks = list(sample_ball_blocks(center, 1.3, n, rng, CHUNK))
+        assert [b.shape[0] for b in blocks] == [min(CHUNK, n - start) for start in range(0, n, CHUNK)]
+        np.testing.assert_array_equal(np.concatenate(blocks), sample_ball_uniform(center, 1.3, n, one_rng))
+        assert rng.random() == one_rng.random()
+
+    def test_checks_and_steps_before_the_first_block(self):
+        """The generator steps past every normal when the sampler is called, before any block is read."""
+        rng, one_rng = make_rng(7), make_rng(7)
+        sample_ball_blocks([0.0, 0.0], 1.0, 10, rng, 4)
+        one_rng.standard_normal((10, 2))
+        assert rng.random() == one_rng.random()
 
 
 class TestDeterminism:

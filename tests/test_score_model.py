@@ -78,6 +78,17 @@ class TestNoiseSchedule:
         sched = NoiseSchedule(betas)
         np.testing.assert_allclose(sched.alphas, 1.0 - np.cumprod(1.0 - betas), rtol=1e-15)
 
+    def test_keeps_a_frozen_copy_of_betas(self):
+        """Writing to the caller's array afterwards changes neither betas nor alphas, and neither can be written."""
+        b = np.full(3, 0.1)
+        s = NoiseSchedule(b)
+        b[0] = 0.9
+        np.testing.assert_array_equal(s.betas, [0.1, 0.1, 0.1])
+        np.testing.assert_allclose(s.alphas, [0.1, 0.19, 0.271], rtol=1e-14)
+        for frozen in (s.betas, s.alphas):
+            with pytest.raises(ValueError, match="read-only"):
+                frozen[0] = 0.5
+
     def test_variance_preservation(self):
         sched = NoiseSchedule.linear()
         np.testing.assert_allclose(np.sqrt(1 - sched.alphas) ** 2 + sched.alphas, 1.0, atol=1e-12)

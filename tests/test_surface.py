@@ -37,19 +37,6 @@ def test_all_names_resolve_and_quick_start_runs(capsys):
     assert len(printed) == 2 and np.all(np.isfinite([float(v) for v in printed]))
 
 
-def _referenced_names(tree: ast.AST) -> set[str]:
-    """Names a syntax tree uses: loaded or stored names, attributes, and imported names (before any ``as``)."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name)
-    return names
-
-
 def _defined_name(node: ast.stmt) -> str | None:
     """The name a top-level statement defines: a function, a class, or a module constant other than a dunder."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -60,24 +47,49 @@ def _defined_name(node: ast.stmt) -> str | None:
     return None
 
 
+def _uses(module: str, tree: ast.Module):
+    """``(module, name, user)`` for each use of a package definition in one module's syntax tree, ``user`` being
+    the top-level name whose statement holds it.  Three things count: importing the name from its own module
+    (before any ``as``), an attribute of a module imported with ``from . import``, and a load of a bare name,
+    which resolves to the module's own definition."""
+    modules = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None for alias in node.names}
+    for statement in tree.body:
+        user = _defined_name(statement)
+        for node in ast.walk(statement):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is not None:
+                yield from ((node.module, alias.name, user) for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                yield modules[node.value.id], node.attr, user
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield module, node.id, user
+
+
 def unused_definitions(package: Path) -> list[str]:
     """``module.name`` of every top-level function, class and module constant that no code of the package uses
-    outside its own definition.  ``__all__`` entries and docstrings are strings, so they do not count as a use."""
+    outside its own definition.  A use names the definition's module, so a local variable or an attribute of the
+    same name in another module is not one; ``__all__`` entries and docstrings are strings, so they are not one
+    either."""
     defined, used = [], {}
     for path in sorted(package.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            own = _defined_name(node)
-            if own is not None:
-                defined.append((path.stem, own))
-            for name in _referenced_names(node):
-                used.setdefault(name, set()).add((path.stem, own))
-    return [f"{module}.{name}" for module, name in defined if not used.get(name, set()) - {(module, name)}]
+        tree = ast.parse(path.read_text())
+        defined += [(path.stem, name) for name in map(_defined_name, tree.body) if name is not None]
+        for module, name, user in _uses(path.stem, tree):
+            used.setdefault((module, name), set()).add((path.stem, user))
+    return [f"{module}.{name}" for module, name in defined if not used.get((module, name), set()) - {(module, name)}]
 
 
 def test_every_definition_is_used_by_the_package():
     """A function, class or module constant that only the tests use is a second route through the code: delete
     it, or use it."""
     assert unused_definitions(ROOT / "src" / "plaplace") == []
+
+
+def test_a_shared_name_is_not_a_use(tmp_path):
+    """A constant whose name is only a local variable or an attribute in other modules is still unused."""
+    (tmp_path / "a.py").write_text("x: int = 3\nLIMIT = 4\n\n\ndef f(y):\n    return y * LIMIT\n")
+    (tmp_path / "b.py").write_text("from . import a\n\n\ndef g(x):\n    return a.f(x).x\n")
+    assert unused_definitions(tmp_path) == ["a.x", "b.g"]
 
 
 def test_readme_cli_block_names_every_subcommand():
