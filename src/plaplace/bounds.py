@@ -10,7 +10,9 @@ values), the difference of the two normalized flux averages is bounded by
 The constants are measured on the same finite sample set used for the two
 estimates, which makes the dominance claim exactly checkable: per sample,
 the flux difference obeys the mean-value bound, so the averaged error can
-never exceed c_p built from sample-set extrema.
+never exceed c_p built from sample-set extrema.  Every sample enters both
+the constants and the error: the flux is bounded for every p >= 1, and a
+vanishing score gives m = 0, which marks the anchor as not ok (c_p = inf).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError
 from .estimators import EstimatorConfig, _flux_values, _sphere_blocks
 from .fields import ScoreField
 from .tables import write_table
@@ -121,30 +122,20 @@ def validate_bound(
     draw serves every config, so the configs must share ``radius`` and ``n_samples``
     (``ValueError`` otherwise) and an anchor's reports at different p are
     correlated.  ``(delta, m, M, segment_min)`` is measured once per block of
-    anchors and again only for an anchor whose singular samples a p must skip.
-    Each report's ``anchor`` is a read-only row of one copy of ``anchors``.
+    anchors and serves every p.  Each report's ``anchor`` is a read-only row
+    of one copy of ``anchors``.
     """
     anchors = np.atleast_2d(np.array(anchors, dtype=float))
     anchors.setflags(write=False)
     dim = anchors.shape[1]
     reports: list[list[BoundReport]] = [[] for _ in cfgs]
     for start, normals, (sv, hv) in _sphere_blocks([s, s_hat], anchors, cfgs, rng):
-        all_samples = _constants_from_values(sv, hv)
+        delta, m, M, segment_min = _constants_from_values(sv, hv)
+        ok = m > 0.0
         rows = list(anchors[start : start + sv.shape[0]])  # one view per anchor, shared by its reports at every p
         for cfg, out in zip(cfgs, reports):
-            fs, sing_s = _flux_values(sv, normals, cfg.p)
-            fh, sing_h = _flux_values(hv, normals, cfg.p)
-            keep = ~(sing_s | sing_h)
-            delta, m, M, segment_min = (c.copy() for c in all_samples)
-            errors = np.mean(fs - fh, axis=1)
-            for i in np.flatnonzero(~keep.all(axis=1)):
-                kept = keep[i]
-                if not kept.any():
-                    raise EstimationError("every shared sphere sample was singular")
-                delta[i], m[i], M[i], segment_min[i] = _constants_from_values(sv[i][kept], hv[i][kept])
-                errors[i] = np.mean(fs[i][kept] - fh[i][kept])
+            errors = np.mean(_flux_values(sv, normals, cfg.p) - _flux_values(hv, normals, cfg.p), axis=1)
             c_p = np.full(m.shape, np.inf)
-            ok = m > 0.0
             c_p[ok] = bound_constant(cfg.p, delta[ok], m[ok], M[ok], dim, cfg.radius)
             errors = np.abs(dim / cfg.radius * errors)
             columns = (c.tolist() for c in (delta, m, M, c_p, errors, segment_min))

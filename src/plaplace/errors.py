@@ -6,7 +6,7 @@ class PlaplaceError(Exception):
 
 
 class EstimationError(PlaplaceError):
-    """Raised when a Monte Carlo estimate cannot be formed (e.g. every sample was singular)."""
+    """Raised when the dense reference cannot be formed: every sample was singular."""
 
 
 class TrainingDivergedError(PlaplaceError):

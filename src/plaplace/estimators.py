@@ -16,10 +16,10 @@ call the field once on it, and reduce each p's ``_flux_values`` over a whole
 block of centers at a time; ``estimate_boundary`` runs the same
 ``_flux_values`` on its one sphere.
 
-For p < 2 the integrand is undefined where the score vanishes; samples
-whose score norm falls below ``fields.EPS_GRAD`` are skipped and counted rather
-than interpolated (they carry negligible mass).  The singular mask alone marks
-them: a value under it is not the integrand, and no caller reads it.
+Both routes evaluate only F(s) = |s|^(p-2) s, which is bounded for every
+p >= 1 and 0 at s = 0 (``fields.p_weight``), so every sample enters the mean:
+``n_used`` is ``n_samples`` and ``singular_hits`` is 0.  Only the exact
+operator behind the dense reference (``gmm``) has samples to skip.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError
 from .fields import ScoreField, p_weight
 from .geometry import sample_ball_uniform, sample_sphere_uniform, split_rng
 from .tables import write_table
@@ -78,10 +77,9 @@ class PLaplaceEstimate:
     singular_hits: int
 
 
-def _flux_values(s: np.ndarray, normals: np.ndarray, p: float):
-    """Flux integrand |s|^(p-2) (s . n) of score values s, over the last axis; returns (values, singular mask)."""
-    _, weight, singular = p_weight(s, p)
-    return weight * np.sum(s * normals, axis=-1), singular
+def _flux_values(s: np.ndarray, normals: np.ndarray, p: float) -> np.ndarray:
+    """Flux integrand |s|^(p-2) (s . n) of score values s, over the last axis."""
+    return p_weight(s, p)[1] * np.sum(s * normals, axis=-1)
 
 
 def _sphere_blocks(fields, centers: np.ndarray, cfgs, rng: np.random.Generator):
@@ -109,36 +107,29 @@ def _sphere_blocks(fields, centers: np.ndarray, cfgs, rng: np.random.Generator):
         yield start, np.stack([n for _, n in draws]), [np.stack([f(ys) for ys, _ in draws]) for f in fields]
 
 
-def _divergence_values(field: ScoreField, xs: np.ndarray, p: float, h: float):
+def _divergence_values(field: ScoreField, xs: np.ndarray, p: float, h: float) -> np.ndarray:
     """Central-difference divergence of |s|^(p-2) s at each row of xs.
 
-    One field evaluation covers all 2*d stencil points of all rows; a row is
-    singular if any of its stencil evaluations falls below the gradient floor
-    (p < 2 only).  Returns (values, singular mask).
+    One field evaluation covers all 2*d stencil points of all rows.
     """
     n, d = xs.shape
     offsets = np.concatenate([np.eye(d) * h, -np.eye(d) * h])  # (2d, d): +e_j then -e_j
     stencil = (xs[:, None, :] + offsets[None, :, :]).reshape(n * 2 * d, d)
     s = field(stencil)
-    _, weight, singular_pts = p_weight(s, p)
-    v = weight[:, None] * s
-    v = v.reshape(n, 2, d, d)  # (row, +/-, coordinate axis j, vector component)
+    v = (p_weight(s, p)[1][:, None] * s).reshape(n, 2, d, d)  # (row, +/-, coordinate axis j, vector component)
     jj = np.arange(d)
-    div = np.sum(v[:, 0, jj, jj] - v[:, 1, jj, jj], axis=1) / (2.0 * h)
-    return div, singular_pts.reshape(n, 2 * d).any(axis=1)
+    return np.sum(v[:, 0, jj, jj] - v[:, 1, jj, jj], axis=1) / (2.0 * h)
 
 
-def _reduce(vals: np.ndarray, singular: np.ndarray, factor: float, what: str) -> PLaplaceEstimate:
-    kept = vals[~singular] if singular.any() else vals  # the same data either way; no copy when none is skipped
-    n_used = kept.shape[0]
-    if n_used == 0:
-        raise EstimationError(f"every {what} sample was singular")
-    std = kept.std(ddof=1) / np.sqrt(n_used) if n_used > 1 else np.inf
+def _reduce(vals: np.ndarray, factor: float, singular_hits: int = 0) -> PLaplaceEstimate:
+    """Mean of ``factor * vals`` with its standard error; ``singular_hits`` counts samples skipped before."""
+    n_used = vals.shape[0]
+    std = vals.std(ddof=1) / np.sqrt(n_used) if n_used > 1 else np.inf
     return PLaplaceEstimate(
-        value=factor * float(kept.mean()),
+        value=factor * float(vals.mean()),
         std_error=abs(factor) * float(std),
         n_used=n_used,
-        singular_hits=int(singular.sum()),
+        singular_hits=singular_hits,
     )
 
 
@@ -147,8 +138,7 @@ def estimate_volume(
 ) -> PLaplaceEstimate:
     """Ball-averaged p-Laplace as the mean pointwise divergence over uniform ball samples."""
     xs = sample_ball_uniform(x0, cfg.radius, cfg.n_samples, rng)
-    vals, singular = _divergence_values(field, xs, cfg.p, cfg.fd_step)
-    return _reduce(vals, singular, 1.0, "volume")
+    return _reduce(_divergence_values(field, xs, cfg.p, cfg.fd_step), 1.0)
 
 
 def estimate_boundary(
@@ -156,8 +146,7 @@ def estimate_boundary(
 ) -> PLaplaceEstimate:
     """Ball-averaged p-Laplace as the mean flux over uniform sphere samples times surface/volume = d/R."""
     ys, normals = sample_sphere_uniform(x0, cfg.radius, cfg.n_samples, rng)
-    vals, singular = _flux_values(field(ys), normals, cfg.p)
-    return _reduce(vals, singular, ys.shape[1] / cfg.radius, "boundary")
+    return _reduce(_flux_values(field(ys), normals, cfg.p), ys.shape[1] / cfg.radius)
 
 
 def write_estimates_csv(path, dim: int, rows, header_comment: str | None = None) -> None:

@@ -4,8 +4,8 @@ A score field is any callable mapping a batch of points, shape ``(n, d)``,
 to a batch of score vectors of the same shape.  Fields that depend on a
 noise level (learned models) are bound to a fixed level when the callable
 is constructed, so every consumer downstream sees the same interface.
-``p_weight`` decides the integrand weight and the p < 2 singular rows for
-every estimator, the dense reference and the bound check.
+``p_weight`` gives the integrand weight for every estimator and the dense
+reference.
 """
 
 from __future__ import annotations
@@ -16,24 +16,17 @@ import numpy as np
 
 ScoreField = Callable[[np.ndarray], np.ndarray]
 
-# Gradient floor: below this score norm, p < 2 operators are treated as singular.
-EPS_GRAD = 1e-8
 
-
-def p_weight(s: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def p_weight(s: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
     """The p-Laplace integrand weight of score values, one entry per row.
 
-    Returns ``(norm, weight, singular)``: the score norm floored at 1e-150,
-    the weight |s|^(p-2) taken from that norm, and the mask of rows where a
-    p < 2 integrand is undefined (norm below ``EPS_GRAD``).  For p >= 2 no
-    row is singular.  Every estimator, reference and bound skips and counts
-    exactly the rows this mask marks.  The floor keeps ``norm**2`` a positive
-    normal float, so the exact operator's quad / |s|^2 at a critical point
-    (s = 0) is 0 / 1e-300 = 0, not 0 / 0.
+    Returns ``(norm, weight)``: the score norm floored at 1e-150 and the
+    weight |s|^(p-2) taken from that norm.  For p >= 1 the flux
+    |s|^(p-2) s is then bounded near s = 0 and is 0 at s = 0, so no flux or
+    divergence sample is undefined.  The floor also keeps ``norm**2`` a
+    positive normal float, so the exact operator's quad / |s|^2 at a
+    critical point (s = 0) is 0 / 1e-300 = 0, not 0 / 0.
     """
     norm = np.sqrt(np.add.reduce(s * s, axis=-1))  # np.linalg.norm's arithmetic, without its conjugate copy of s
-    singular = norm < EPS_GRAD if p < 2 else np.zeros(norm.shape, dtype=bool)
     norm = np.maximum(norm, 1e-150)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weight = norm ** (p - 2.0)
-    return norm, weight, singular
+    return norm, norm ** (p - 2.0)

@@ -14,12 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import EstimationError
 from .estimators import PLaplaceEstimate, _reduce
 from .fields import ScoreField, p_weight
 from .geometry import sample_ball_blocks
 
 # Rows per block of the dense reference: bounds its (rows, K, d) temporaries.
 CHUNK = 8192
+
+# Gradient floor: below this score norm the exact p < 2 operator is singular.
+EPS_GRAD = 1e-8
 
 __all__ = [
     "GmmParams",
@@ -148,19 +152,15 @@ def _p_laplace_parts(g: GmmParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _p_laplace_values(s: np.ndarray, lap: np.ndarray, quad: np.ndarray, p: float):
     """|s|^(p-2) * (lap + (p-2) * s^T H s / |s|^2) from the parts; returns (values, singular mask).
 
-    quad = s^T H s vanishes quadratically with |s|, so the floored norm is
-    safe for p >= 2 as well: the ratio quad / |s|^2 stays bounded.  A value
-    under the mask is not the operator, and callers skip it.
+    For p < 2 the operator blows up as |s| -> 0, so the mask marks the rows
+    whose score norm is below ``EPS_GRAD``; a value under it is not the
+    operator, and the dense reference skips it.  For p >= 2 no row is
+    singular: quad = s^T H s vanishes quadratically with |s|, so with the
+    floored norm of ``p_weight`` the ratio quad / |s|^2 stays bounded.
     """
-    norm, weight, singular = p_weight(s, p)
-    # In place, in the order of weight * (lap + (p - 2) * quad / norm**2); quad and lap serve every p.
-    values = (p - 2.0) * quad
-    with np.errstate(divide="ignore", invalid="ignore"):
-        norm *= norm
-        values /= norm
-        values += lap
-        values *= weight
-    return values, singular
+    norm, weight = p_weight(s, p)
+    singular = norm < EPS_GRAD if p < 2 else np.zeros(norm.shape, dtype=bool)
+    return weight * (lap + (p - 2.0) * quad / (norm * norm)), singular
 
 
 def averaged_p_laplace_dense(
@@ -172,8 +172,7 @@ def averaged_p_laplace_dense(
     uniform ball samples serves every p in ``p_values``.  The draw arrives
     ``CHUNK`` rows at a time from ``sample_ball_blocks``; each block's mixture
     parts fill one value array and one singular mask per p, allocated up
-    front, and then each p is reduced and its arrays dropped.  Neither the
-    samples nor the parts are ever held at full length.
+    front.  Neither the samples nor the parts are ever held at full length.
     Points where a p < 2 evaluation is singular are skipped and counted;
     :class:`EstimationError` if every one is.  Returns one estimate per p,
     in order; ``ValueError`` before any draw if a p is below 1.
@@ -189,10 +188,11 @@ def averaged_p_laplace_dense(
         for (values, singular), p in zip(filled, p_values):
             values[start:stop], singular[start:stop] = _p_laplace_values(*parts, p)
         start = stop
-    estimates = []
-    while filled:
-        estimates.append(_reduce(*filled.pop(0), 1.0, "dense"))
-    return estimates
+    if any(singular.all() for _, singular in filled):
+        raise EstimationError("every dense sample was singular")
+    # values itself where nothing is skipped: the same data as values[~singular], without the copy
+    return [_reduce(values[~singular] if singular.any() else values, 1.0, int(singular.sum()))
+            for values, singular in filled]
 
 
 def sample_gmm(g: GmmParams, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import EstimatorConfig, _flux_values, _reduce, _sphere_blocks
+from .estimators import EstimatorConfig, _flux_values, _sphere_blocks
 from .estimators import estimate_boundary  # noqa: F401  the benchmark tracer rebinds it by this module's name
 from .fields import ScoreField
 from .geometry import make_rng
@@ -118,11 +118,8 @@ def boundary_at_points(
     values = np.empty((len(cfgs), points.shape[0]))
     for start, normals, [sv] in _sphere_blocks([field], points, cfgs, rng):
         for out, cfg in zip(values, cfgs):
-            vals, singular = _flux_values(sv, normals, cfg.p)
-            factor = points.shape[1] / cfg.radius
-            out[start : start + vals.shape[0]] = factor * vals.mean(axis=1)
-            for i in np.flatnonzero(singular.any(axis=1)):
-                out[start + i] = _reduce(vals[i], singular[i], factor, "boundary").value
+            means = _flux_values(sv, normals, cfg.p).mean(axis=1)
+            out[start : start + means.shape[0]] = points.shape[1] / cfg.radius * means
     return values
 
 

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plaplace.errors import EstimationError
 from plaplace.estimators import (
     EstimatorConfig,
     _divergence_values,
@@ -12,7 +11,7 @@ from plaplace.estimators import (
     estimate_volume,
     write_estimates_csv,
 )
-from plaplace.geometry import make_rng, split_rng
+from plaplace.geometry import make_rng, sample_sphere_uniform, split_rng
 from plaplace.gmm import GmmParams, averaged_p_laplace_dense, draw_gmm, score_field
 
 
@@ -45,15 +44,19 @@ def zero_field(x):
 
 
 def flux_at(s, normal, p):
-    """Flux integrand of one score value; None where it is singular."""
-    [val], [singular] = _flux_values(np.atleast_2d(s), np.atleast_2d(normal), p)
-    return None if singular else val
+    """Flux integrand of one score value."""
+    [val] = _flux_values(np.atleast_2d(s), np.atleast_2d(normal), p)
+    return val
 
 
 def divergence_at(field, x, p, h=1e-3):
-    """FD divergence of |s|^(p-2) s at one point; None where a stencil value is singular."""
-    [val], [singular] = _divergence_values(field, np.atleast_2d(x), p, h)
-    return None if singular else val
+    """FD divergence of |s|^(p-2) s at one point."""
+    [val] = _divergence_values(field, np.atleast_2d(x), p, h)
+    return val
+
+
+# Score norms at and below the old 1e-8 skip floor, down to 0 and past the 1e-150 norm floor.
+TINY_NORMS = (0.0, 1e-300, 1e-160, 1e-12)
 
 
 class TestFluxDensity:
@@ -73,9 +76,15 @@ class TestFluxDensity:
         assert val == pytest.approx(15.0, rel=1e-12)
 
     def test_singularity(self):
-        """A vanished score is marked by the mask alone; the value beside it is never read."""
-        _, singular = _flux_values(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[1.0, 0.0]] * 2), 1.0)
-        assert singular.tolist() == [True, False]
+        """The flux is finite for every p at a vanishing score, 0 at s = 0, and the unit value at p = 1 and |s| = 1e-12.
+
+        Any RuntimeWarning on the way fails the test (pyproject's filterwarnings)."""
+        normal = np.array([1.0, 0.0])
+        for p in (1.0, 1.5, 2.0, 3.0):
+            for c in TINY_NORMS:
+                assert np.isfinite(flux_at(c * normal, normal, p))
+            assert flux_at(0.0 * normal, normal, p) == 0.0
+        assert flux_at(1e-12 * normal, normal, 1.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_p1_bit_stable_under_positive_rescale(self, oracle_field):
         """Pointwise rescaling by a positive function never moves p=1 flux values."""
@@ -116,9 +125,15 @@ class TestDivergenceFd:
         assert abs(val) <= 1e-12
 
     def test_stencil_singularity(self):
-        # anchor one step away from the mode so a stencil point hits the zero score exactly
+        """Stencil scores at or near 0 give a finite divergence for every p."""
         field = single_gaussian_field([0.0, 0.0])
-        assert divergence_at(field, np.array([1e-3, 0.0]), 1.0) is None
+        h = 1e-3
+        for p in (1.0, 1.5, 2.0, 3.0):
+            # anchor one step away from the mode so a stencil point hits the zero score exactly
+            assert np.isfinite(divergence_at(field, np.array([h, 0.0]), p, h))
+            for c in TINY_NORMS:
+                # at the origin every stencil score is +-c e_j exactly
+                assert np.isfinite(divergence_at(lambda x: x / h * c, np.zeros(2), p, h))
 
 
 class TestVolumeEstimator:
@@ -137,16 +152,13 @@ class TestVolumeEstimator:
         [dense] = averaged_p_laplace_dense(default_gmm, anchor, [1.0], 1.0, 1_000_000, make_rng(321))
         assert abs(est.value - dense.value) <= 3.0 * np.hypot(est.std_error, dense.std_error)
 
-    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     def test_zero_field(self, p):
+        """The flux of a zero score is 0 for every p, so every sample enters the mean and none is skipped."""
         cfg = EstimatorConfig(p=p)
         est = estimate_volume(zero_field, np.zeros(2), cfg, make_rng(2))
         assert est.value == 0.0
-
-    def test_all_singular(self):
-        cfg = EstimatorConfig(p=1.0)
-        with pytest.raises(EstimationError):
-            estimate_volume(zero_field, np.zeros(2), cfg, make_rng(3))
+        assert est.n_used == cfg.n_samples and est.singular_hits == 0
 
 
 class TestAffineVolumeProperty:
@@ -256,7 +268,9 @@ class TestBoundaryEstimator:
         e2 = estimate_boundary(oracle_field, np.zeros(2), EstimatorConfig(p=1.0), make_rng(8))
         assert e1 == e2
 
-    def test_singular_samples_skipped_and_counted(self):
+    def test_vanishing_samples_enter_the_mean(self):
+        """Samples where the score vanishes contribute a flux of 0 at p = 1 instead of being skipped."""
+
         def half_field(x):
             out = np.zeros_like(x)
             out[x[:, 0] > 0] = [1.0, 0.0]
@@ -264,8 +278,10 @@ class TestBoundaryEstimator:
 
         cfg = EstimatorConfig(p=1.0)
         est = estimate_boundary(half_field, np.zeros(2), cfg, make_rng(9))
-        assert est.singular_hits > 0
-        assert est.n_used + est.singular_hits == cfg.n_samples
+        ys, normals = sample_sphere_uniform(np.zeros(2), cfg.radius, cfg.n_samples, make_rng(9))
+        assert 0 < np.count_nonzero(ys[:, 0] > 0) < cfg.n_samples
+        assert (est.n_used, est.singular_hits) == (cfg.n_samples, 0)
+        assert est.value == 2.0 / cfg.radius * float(np.where(ys[:, 0] > 0, normals[:, 0], 0.0).mean())
 
 
 class TestHomogeneity:

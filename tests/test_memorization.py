@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from plaplace.estimators import SPHERE_BLOCK, EstimatorConfig, estimate_boundary
-from plaplace.geometry import make_rng, split_rng
+from plaplace.geometry import make_rng, sample_sphere_uniform, split_rng
 from plaplace.gmm import GmmParams, score_field
 from plaplace.memorization import (
     auc,
@@ -63,8 +63,8 @@ class TestGrid:
     def test_every_p_matrix_matches_estimate_boundary(self, default_gmm, schedule, trained_model):
         """Bitwise estimate_boundary at each node, for every p, from one draw per node.
 
-        The field vanishes on a strip that crosses some spheres, so at p = 1 those nodes skip
-        their singular samples.
+        The field vanishes on a strip that crosses some spheres; those samples enter every mean,
+        and no estimate skips any.
         """
         learned = model_score_field(trained_model, schedule, 0)
         field = lambda x: np.where(np.abs(x[:, :1] - 0.5) < 0.2, 0.0, learned(x))
@@ -72,13 +72,16 @@ class TestGrid:
         cfgs = [EstimatorConfig(p=p, n_samples=50) for p in (1.0, 2.0, 3.0)]
         mats = grid_p_laplace(field, grid, cfgs, make_rng(17))
         assert mats.shape == (3, 7, 7)
-        singular_hits = 0
+        vanishing = 0
         for cfg, mat in zip(cfgs, mats):
-            for value, pt, sub in zip(mat.ravel(), grid.points, split_rng(make_rng(17), 49)):
+            for value, pt, sub, again in zip(mat.ravel(), grid.points, split_rng(make_rng(17), 49),
+                                             split_rng(make_rng(17), 49)):
                 expected = estimate_boundary(field, pt, cfg, sub)
-                singular_hits += expected.singular_hits
+                assert (expected.n_used, expected.singular_hits) == (cfg.n_samples, 0)
                 assert value == expected.value
-        assert singular_hits > 0
+                ys, _ = sample_sphere_uniform(pt, cfg.radius, cfg.n_samples, again)
+                vanishing += np.count_nonzero(np.abs(ys[:, 0] - 0.5) < 0.2)
+        assert vanishing > 0
 
     def test_points_match_per_point_estimates(self):
         """One estimate_boundary per row and p, each row on its own split_rng substream in row order, in any dimension."""
