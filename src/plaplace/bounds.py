@@ -17,8 +17,6 @@ vanishing score gives m = 0, which marks the anchor as not ok (c_p = inf).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .estimators import EstimatorConfig, _flux_values, _sphere_blocks
@@ -26,32 +24,12 @@ from .fields import ScoreField
 from .tables import write_table
 
 __all__ = [
-    "BoundReport",
     "bound_constant",
     "validate_bound",
     "bound_summary",
     "bound_surface",
     "write_bound_reports_csv",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class BoundReport:
-    """Per-anchor record of measured constants, bound, and observed error."""
-
-    anchor: np.ndarray
-    p: float
-    delta: float
-    m: float
-    M: float
-    c_p: float
-    empirical_error: float
-    segment_min: float
-
-    @property
-    def assumptions_ok(self) -> bool:
-        """The norms stay bounded away from zero, so c_p is finite."""
-        return self.m > 0.0
 
 
 def bound_constant(
@@ -85,9 +63,8 @@ def _segment_minima(sv: np.ndarray, hv: np.ndarray) -> np.ndarray:
     """
     dvec = sv - hv
     dsq = np.sum(dvec * dvec, axis=-1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t_star = np.where(dsq > 0, -np.sum(hv * dvec, axis=-1) / np.maximum(dsq, 1e-300), 0.0)
-    t_star = np.clip(t_star, 0.0, 1.0)
+    # The floor keeps the quotient finite; where dsq = 0, dvec = 0 and every t gives the point hv.
+    t_star = np.clip(-np.sum(hv * dvec, axis=-1) / np.maximum(dsq, 1e-300), 0.0, 1.0)
     return np.linalg.norm(hv + t_star[..., None] * dvec, axis=-1)
 
 
@@ -112,8 +89,8 @@ def validate_bound(
     anchors,
     cfgs: list[EstimatorConfig],
     rng: np.random.Generator,
-) -> list[BoundReport]:
-    """One BoundReport per config and anchor, config-major; both flux averages on the same sample set.
+) -> np.recarray:
+    """One record per config and anchor, config-major; both flux averages on the same sample set.
 
     Sharing the samples makes the empirical error the Monte Carlo estimate of
     the integral difference the bound controls, so dominance is a theorem for
@@ -122,36 +99,49 @@ def validate_bound(
     draw serves every config, so the configs must share ``radius`` and ``n_samples``
     (``ValueError`` otherwise) and an anchor's reports at different p are
     correlated.  ``(delta, m, M, segment_min)`` is measured once per block of
-    anchors and serves every p.  Each report's ``anchor`` is a read-only row
-    of one copy of ``anchors``.
+    anchors and serves every p; ``bound_constant`` is called once per p.
+
+    The result is a read-only ``numpy.recarray`` of ``len(cfgs) * len(anchors)``
+    records with the fields ``anchor`` (shape ``(dim,)``), ``p``, ``delta``,
+    ``m``, ``M``, ``segment_min``, ``c_p``, ``empirical_error`` and
+    ``assumptions_ok`` (``m > 0``; otherwise ``c_p`` is inf), in that order;
+    ``reshape(len(cfgs), -1)`` gives one table per p.
     """
-    anchors = np.atleast_2d(np.array(anchors, dtype=float))
-    anchors.setflags(write=False)
-    dim = anchors.shape[1]
-    reports: list[list[BoundReport]] = [[] for _ in cfgs]
+    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+    n, dim = anchors.shape
+    delta, m, M, segment_min = np.empty((4, n))
+    errors = np.empty((len(cfgs), n))
     for start, normals, (sv, hv) in _sphere_blocks([s, s_hat], anchors, cfgs, rng):
-        delta, m, M, segment_min = _constants_from_values(sv, hv)
-        ok = m > 0.0
-        rows = list(anchors[start : start + sv.shape[0]])  # one view per anchor, shared by its reports at every p
-        for cfg, out in zip(cfgs, reports):
-            errors = np.mean(_flux_values(sv, normals, cfg.p) - _flux_values(hv, normals, cfg.p), axis=1)
-            c_p = np.full(m.shape, np.inf)
-            c_p[ok] = bound_constant(cfg.p, delta[ok], m[ok], M[ok], dim, cfg.radius)
-            errors = np.abs(dim / cfg.radius * errors)
-            columns = (c.tolist() for c in (delta, m, M, c_p, errors, segment_min))
-            out.extend(BoundReport(anchor, cfg.p, *values) for anchor, *values in zip(rows, *columns))
-    return [r for per_p in reports for r in per_p]
+        block = slice(start, start + sv.shape[0])
+        delta[block], m[block], M[block], segment_min[block] = _constants_from_values(sv, hv)
+        for k, cfg in enumerate(cfgs):
+            errors[k, block] = np.mean(_flux_values(sv, normals, cfg.p) - _flux_values(hv, normals, cfg.p), axis=1)
+    ok = m > 0.0
+    c_p = np.full(errors.shape, np.inf)
+    for k, cfg in enumerate(cfgs):
+        c_p[k, ok] = bound_constant(cfg.p, delta[ok], m[ok], M[ok], dim, cfg.radius)
+        errors[k] = np.abs(dim / cfg.radius * errors[k])
+    per_anchor = (np.tile(column, len(cfgs)) for column in (delta, m, M, segment_min))
+    reports = np.rec.fromarrays(
+        [np.tile(anchors, (len(cfgs), 1)), np.repeat([cfg.p for cfg in cfgs], n), *per_anchor,
+         c_p.ravel(), errors.ravel(), np.tile(ok, len(cfgs))],
+        dtype=[("anchor", float, (dim,))]
+        + [(name, float) for name in ("p", "delta", "m", "M", "segment_min", "c_p", "empirical_error")]
+        + [("assumptions_ok", bool)],
+    )
+    reports.setflags(write=False)
+    return reports
 
 
-def bound_summary(reports: list[BoundReport]) -> dict:
-    """Aggregate dominance statistics over a batch of reports."""
-    ok = [r for r in reports if r.assumptions_ok]
-    ratios = [r.empirical_error / r.c_p for r in ok if r.c_p > 0]
+def bound_summary(reports: np.recarray) -> dict:
+    """Aggregate dominance statistics over a batch of ``validate_bound`` records."""
+    ok = reports[reports.assumptions_ok]
+    bounded = ok[ok.c_p > 0]  # identical fields give c_p = 0, with nothing to divide by
     return {
         "n_anchors": len(reports),
-        "assumption_ok_fraction": len(ok) / len(reports) if reports else 0.0,
-        "max_error_bound_ratio": max(ratios) if ratios else 0.0,
-        "violations": sum(r.empirical_error > r.c_p for r in ok),
+        "assumption_ok_fraction": len(ok) / len(reports) if len(reports) else 0.0,
+        "max_error_bound_ratio": float(np.max(bounded.empirical_error / bounded.c_p, initial=0.0)),
+        "violations": int(np.count_nonzero(ok.empirical_error > ok.c_p)),
     }
 
 
@@ -171,16 +161,10 @@ def bound_surface(
     return deltas, ms, grid
 
 
-def write_bound_reports_csv(path, reports: list[BoundReport], header_comment: str | None = None) -> None:
-    """One CSV row per anchor, coordinates first."""
-    if not reports:
+def write_bound_reports_csv(path, reports: np.recarray, header_comment: str | None = None) -> None:
+    """One CSV row per ``validate_bound`` record: anchor coordinates first, then its other fields in order."""
+    if len(reports) == 0:
         raise ValueError("no reports to write")
-    dim = reports[0].anchor.shape[0]
-    cols = [f"anchor_{i}" for i in range(dim)] + [
-        "p", "delta", "m", "M", "segment_min", "c_p", "empirical_error", "assumptions_ok",
-    ]
-    rows = (
-        [*r.anchor, r.p, r.delta, r.m, r.M, r.segment_min, r.c_p, r.empirical_error, r.assumptions_ok]
-        for r in reports
-    )
-    write_table(path, cols, rows, header_comment)
+    cols = [f"anchor_{i}" for i in range(reports.anchor.shape[1])] + list(reports.dtype.names[1:])
+    columns = [reports[name].tolist() for name in reports.dtype.names]
+    write_table(path, cols, ([*coords, *values] for coords, *values in zip(*columns)), header_comment)

@@ -290,21 +290,17 @@ def run_bounds(cfg: dict) -> dict:
         learned = model_score_field(model, schedule, 0)
         summaries = {}
         all_reports = B.validate_bound(oracle, learned, anchors, ecfgs, make_rng(seed + 800_000))
-        for p, ecfg in zip(p_values, ecfgs):
-            reports = [r for r in all_reports if r.p == p]
+        for p, ecfg, reports in zip(p_values, ecfgs, all_reports.reshape(len(ecfgs), -1)):
             B.write_bound_reports_csv(
                 os.path.join(seed_out, f"bound_reports_p{p:g}.csv"), reports, header_comment=config_header(cfg, seed)
             )
             summaries[f"p{p:g}"] = B.bound_summary(reports)
 
-            ok = [r for r in reports if r.assumptions_ok]
-            if ok:
-                deltas = np.array([r.delta for r in ok])
-                ms = np.array([r.m for r in ok])
-                deltas_rng = (0.0, float(deltas.max()) * 1.1 + 1e-9)
-                ms_rng = (max(float(ms.min()) * 0.9, 1e-6), float(ms.max()) * 1.1)
-                dg, mg, surface = B.bound_surface(p, gmm.dim, ecfg.radius, deltas_rng, ms_rng,
-                                                  M=float(max(r.M for r in ok)))
+            ok = reports[reports.assumptions_ok]
+            if len(ok):
+                deltas_rng = (0.0, float(ok.delta.max()) * 1.1 + 1e-9)
+                ms_rng = (max(float(ok.m.min()) * 0.9, 1e-6), float(ok.m.max()) * 1.1)
+                dg, mg, surface = B.bound_surface(p, gmm.dim, ecfg.radius, deltas_rng, ms_rng, M=float(ok.M.max()))
                 write_table(
                     os.path.join(seed_out, f"bound_surface_p{p:g}.csv"), ["delta", "m", "c_p"],
                     ([d, m, surface[i, j]] for i, m in enumerate(mg) for j, d in enumerate(dg)),
@@ -315,7 +311,7 @@ def run_bounds(cfg: dict) -> dict:
                     (deltas_rng[0], deltas_rng[1], ms_rng[0], ms_rng[1]),
                     title=f"log10 bound surface p={p:g} with observed (delta, m)",
                     comment=config_header(cfg, seed),
-                    markers=[(r.delta, r.m, "red") for r in ok],
+                    markers=zip(ok.delta, ok.m, ["red"] * len(ok)),
                 )
         return summaries
 

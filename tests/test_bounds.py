@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plaplace import bounds
 from plaplace.bounds import (
     _constants_from_values,
     _segment_minima,
@@ -195,6 +196,37 @@ class TestValidateBound:
         with pytest.raises(ValueError):
             reports[0].anchor[0] = 5.0
 
+    def test_one_read_only_record_array(self, monkeypatch, tmp_path):
+        """Config-major records in the CSV's column order, one ``bound_constant`` call per p."""
+        calls = []
+        constant = bounds.bound_constant
+        monkeypatch.setattr(bounds, "bound_constant", lambda p, *args: calls.append(p) or constant(p, *args))
+        n = SPHERE_BLOCK + 3
+        anchors = make_rng(1).standard_normal((n, 2))
+        cfgs = [EstimatorConfig(p=1.5, n_samples=20), EstimatorConfig(p=3.0, n_samples=20)]
+        # s_hat vanishes right of x = 1, so the anchors near it get m = 0
+        s_hat = lambda x: np.where(x[:, :1] > 1.0, 0.0, x + 0.3)
+        reports = validate_bound(lambda x: x + 0.2, s_hat, anchors, cfgs, make_rng(2))
+
+        assert isinstance(reports, np.recarray) and len(reports) == 2 * n
+        write_bound_reports_csv(tmp_path / "reports.csv", reports)
+        header = (tmp_path / "reports.csv").read_text().splitlines()[0].split(",")
+        assert header == ["anchor_0", "anchor_1", *reports.dtype.names[1:]]
+        assert reports.dtype.names == (
+            "anchor", "p", "delta", "m", "M", "segment_min", "c_p", "empirical_error", "assumptions_ok",
+        )
+        for name in reports.dtype.names:
+            with pytest.raises(ValueError):
+                reports[name] = reports[name].copy()
+            with pytest.raises(ValueError):
+                setattr(reports[0], name, reports[1][name])
+        np.testing.assert_array_equal(reports.assumptions_ok, reports.m > 0)
+        assert 0 < np.count_nonzero(reports.assumptions_ok) < 2 * n
+        for cfg, per_p in zip(cfgs, reports.reshape(2, -1)):
+            assert np.all(per_p.p == cfg.p)
+            np.testing.assert_array_equal(per_p.anchor, anchors)
+        assert calls == [1.5, 3.0]
+
     def test_configs_must_share_the_sphere(self, default_gmm):
         field = score_field(default_gmm)
         for cfgs in ([], [EstimatorConfig(p=1.0), EstimatorConfig(p=2.0, radius=0.5)],
@@ -262,6 +294,30 @@ class TestReportsAndSurface:
         write_bound_reports_csv(path, reports, header_comment="test")
         lines = path.read_text().splitlines()
         assert len(lines) == 4  # comment + header + 2 rows
+
+    def test_summary_of_antipodal_fields(self):
+        """Every anchor fails the assumptions, so nothing is bounded and nothing is violated."""
+        reports = validate_bound(
+            lambda x: np.tile([1.0, 0.0], (len(x), 1)), lambda x: np.tile([-1.0, 0.0], (len(x), 1)),
+            [[0.0, 0.0], [1.0, 2.0]], [EstimatorConfig(p=2.0)], make_rng(0),
+        )
+        assert bound_summary(reports) == {
+            "n_anchors": 2, "assumption_ok_fraction": 0.0, "max_error_bound_ratio": 0.0, "violations": 0,
+        }
+
+    def test_summary_of_identical_fields(self, default_gmm):
+        """c_p = 0 at every anchor: the ratio skips them, with no RuntimeWarning (the suite raises those)."""
+        field = score_field(default_gmm)
+        reports = validate_bound(field, field, [[0.0, 0.0], [1.0, 2.0]], [EstimatorConfig(p=1.5)], make_rng(1))
+        assert np.all(reports.c_p == 0.0)
+        summary = bound_summary(reports)
+        assert summary["max_error_bound_ratio"] == 0.0
+        assert summary["assumption_ok_fraction"] == 1.0 and summary["violations"] == 0
+
+    def test_csv_of_no_reports_raises(self, tmp_path):
+        reports = validate_bound(lambda x: x, lambda x: x + 0.01, [[0.0, 0.0]], [EstimatorConfig(p=2.0)], make_rng(0))
+        with pytest.raises(ValueError, match="no reports to write"):
+            write_bound_reports_csv(tmp_path / "reports.csv", reports[:0])
 
     def test_surface_shape_and_values(self):
         deltas, ms, grid = bound_surface(1.0, 2, 1.0, (0.0, 1.0), (0.1, 1.0), M=2.0, n=8)

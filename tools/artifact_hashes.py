@@ -1,7 +1,7 @@
 """Hash every artifact of the three benchmark workloads, to compare two checkouts byte for byte.
 
 Usage:
-    python3 tools/artifact_hashes.py ROOT OUT [--size full|tiny]
+    python3 tools/artifact_hashes.py ROOT OUT [--size full|tiny] [--against OTHER_ROOT]
 
 Runs the ``fidelity``, ``memorize`` and ``bounds`` workload configs of
 ``ROOT/perfbench/run.py`` (``workload_config(workload, 1, size)``) through the
@@ -12,7 +12,11 @@ the benchmark hashes its calls (``perfbench/checks.py`` ``hash_artifacts``).
 
 Every artifact embeds the resolved config, ``output_dir`` included, so two
 checkouts compare only when both are run with the same ``OUT``, one after the
-other.  At ``--size full`` the three runs take about 20 s on 2 cores.
+other.  ``--against OTHER_ROOT`` does that: it runs ``ROOT``, then
+``OTHER_ROOT``, into ``OUT`` and prints instead a JSON map from each artifact
+whose sha256 differs, or that only one side writes, to its two digests
+(``null`` for a missing side); it exits 1 if the map is not empty.  At
+``--size full`` the three runs of one checkout take about 20 s on 2 cores.
 """
 
 from __future__ import annotations
@@ -61,15 +65,26 @@ def artifact_hashes(root: Path, out: Path, size: str = "full") -> dict[str, str]
     return hashes
 
 
+def differing(hashes: dict[str, str], other: dict[str, str]) -> dict[str, list]:
+    """``[digest, other digest]`` of each path whose digests differ, ``None`` standing for a missing side."""
+    paths = sorted(hashes.keys() | other.keys())
+    return {path: [hashes.get(path), other.get(path)] for path in paths if hashes.get(path) != other.get(path)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("root", type=Path, help="checkout whose src and perfbench are run")
     parser.add_argument("out", type=Path, help="output directory passed to every CLI call as --out")
     parser.add_argument("--size", choices=("full", "tiny"), default="full")
+    parser.add_argument("--against", type=Path, metavar="OTHER_ROOT", help="checkout to compare ROOT with")
     args = parser.parse_args(argv)
     hashes = artifact_hashes(args.root.resolve(), args.out.resolve(), args.size)
-    print(json.dumps(hashes, indent=2, sort_keys=True))
-    return 0
+    if args.against is None:
+        print(json.dumps(hashes, indent=2, sort_keys=True))
+        return 0
+    diff = differing(hashes, artifact_hashes(args.against.resolve(), args.out.resolve(), args.size))
+    print(json.dumps(diff, indent=2))
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
