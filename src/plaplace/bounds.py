@@ -56,29 +56,23 @@ def bound_constant(
     return float(c_p) if np.ndim(c_p) == 0 else c_p
 
 
-def _segment_minima(sv: np.ndarray, hv: np.ndarray) -> np.ndarray:
-    """Per-pair minimum of |t*s + (1-t)*s_hat| over t in [0, 1], for pairs along the last axis.
-
-    The squared norm is quadratic in t, so the exact minimizer is closed-form.
-    """
-    dvec = sv - hv
-    dsq = np.sum(dvec * dvec, axis=-1)
-    # The floor keeps the quotient finite; where dsq = 0, dvec = 0 and every t gives the point hv.
-    t_star = np.clip(-np.sum(hv * dvec, axis=-1) / np.maximum(dsq, 1e-300), 0.0, 1.0)
-    return np.linalg.norm(hv + t_star[..., None] * dvec, axis=-1)
-
-
 def _constants_from_values(sv: np.ndarray, hv: np.ndarray):
     """(delta, m, M, segment_min) measured on paired score values of shape (..., n, d).
 
-    Each constant has the leading shape ``...``: one set per sample set.
+    Each constant has the leading shape ``...``: one set per sample set.  ``segment_min``
+    is the least |t*s + (1-t)*s_hat| over t in [0, 1] and the set's pairs; the squared
+    norm is quadratic in t, so each pair's minimizer is closed-form.
     """
     sn = np.linalg.norm(sv, axis=-1)
     hn = np.linalg.norm(hv, axis=-1)
+    dvec = sv - hv
+    dsq = np.sum(dvec * dvec, axis=-1)
     # 1% inflation keeps the strict inequality of the closeness assumption.
-    delta = 1.01 * np.max(np.linalg.norm(sv - hv, axis=-1), axis=-1)
+    delta = 1.01 * np.max(np.sqrt(dsq), axis=-1)
     M = np.maximum(sn.max(axis=-1), hn.max(axis=-1))
-    segment_min = _segment_minima(sv, hv).min(axis=-1)
+    # The floor keeps the quotient finite; where dsq = 0, dvec = 0 and every t gives the point hv.
+    t_star = np.clip(-np.sum(hv * dvec, axis=-1) / np.maximum(dsq, 1e-300), 0.0, 1.0)
+    segment_min = np.linalg.norm(hv + t_star[..., None] * dvec, axis=-1).min(axis=-1)
     m = np.minimum(np.minimum(sn.min(axis=-1), hn.min(axis=-1)), segment_min)
     return delta, m, M, segment_min
 

@@ -108,32 +108,31 @@ def run_fidelity(cfg: dict) -> dict:
     anchors, labels = fidelity_anchors(gmm)
     p_values = cfg["estimator"]["p_values"]
     n_repeats = cfg["fidelity"]["n_repeats"]
+    ecfgs = [build_estimator_config(cfg, p) for p in p_values]
     # Looked up at call time, so a rebound module attribute (e.g. a tracing wrapper) is the one called.
     formulations = (("boundary", estimators.estimate_boundary), ("volume", estimators.estimate_volume))
     out = _outdir(cfg, "fidelity")
 
     # Dense reference values are seed-independent: one draw per anchor serves every p.
     dense_rng = make_rng(990_001)
-    exact: dict[tuple[int, float], tuple[float, float]] = {}
-    exact_rows = []
-    for i, (anchor, label) in enumerate(zip(anchors, labels)):
+    exact = []  # per anchor, one PLaplaceEstimate per p
+    for i, anchor in enumerate(anchors):
         try:
-            dense = averaged_p_laplace_dense(
+            exact.append(averaged_p_laplace_dense(
                 gmm, anchor, p_values, cfg["estimator"]["radius"], cfg["fidelity"]["n_dense"], dense_rng
-            )
+            ))
         except EstimationError as exc:  # every seed compares with the reference, so each one fails with it
             reason = f"dense reference at anchor {i}: EstimationError: {exc}"
             logger.error("%s", reason)
             failed = {str(seed): reason for seed in cfg["seeds"]}
             return _write_result(out, cfg, {"completed_seeds": [], "failed_seeds": failed, "ok": False})
-        for p, est in zip(p_values, dense):
-            exact[(i, p)] = (est.value, est.std_error)
-            exact_rows.append([i, label, *anchor, p, est.value, est.std_error, est.n_used])
     write_table(
         os.path.join(out, "exact.csv"),
         ["anchor_idx", "anchor_kind", *(f"x0_{i}" for i in range(gmm.dim)), "p", "exact_mean", "exact_std_error",
          "n_dense"],
-        exact_rows, config_header(cfg),
+        ([i, label, *anchor, p, est.value, est.std_error, est.n_used]
+         for i, (anchor, label, refs) in enumerate(zip(anchors, labels, exact)) for p, est in zip(p_values, refs)),
+        config_header(cfg),
     )
 
     if gmm.dim == 2:
@@ -146,21 +145,19 @@ def run_fidelity(cfg: dict) -> dict:
 
     def one_seed(seed: int) -> None:
         seed_out = _outdir(cfg, "fidelity", f"seed_{seed}")
+        header = config_header(cfg, seed)
         model = _train(cfg, sample_gmm(gmm, cfg["training"]["n_train"], make_rng(seed)), schedule, seed)
         fields = {"oracle": gmm_score_field(gmm), "learned": model_score_field(model, schedule, 0)}
 
         cos, ratio = _field_error_stats(gmm, model, schedule, seed)
-        write_table(
-            os.path.join(seed_out, "field_errors.csv"), ["cosine", "magnitude_ratio"], zip(cos, ratio),
-            config_header(cfg, seed),
-        )
+        write_table(os.path.join(seed_out, "field_errors.csv"), ["cosine", "magnitude_ratio"], zip(cos, ratio), header)
         svgplot.histogram(
             os.path.join(seed_out, "direction_error.svg"), cos,
-            title=f"score direction agreement (median {np.median(cos):.3f})", comment=config_header(cfg, seed),
+            title=f"score direction agreement (median {np.median(cos):.3f})", comment=header,
         )
         svgplot.histogram(
             os.path.join(seed_out, "magnitude_error.svg"), ratio,
-            title=f"score magnitude ratio (median {np.median(ratio):.3f})", comment=config_header(cfg, seed),
+            title=f"score magnitude ratio (median {np.median(ratio):.3f})", comment=header,
         )
 
         estimate_rows = []
@@ -168,31 +165,27 @@ def run_fidelity(cfg: dict) -> dict:
         # One substream per repeat, spawned cell by cell.
         rep_rng = make_rng(seed + 500_000)
         for field_name, field in fields.items():
-            for i, anchor in enumerate(anchors):
-                for p in p_values:
-                    ecfg = build_estimator_config(cfg, p)
+            for i, (anchor, label, refs) in enumerate(zip(anchors, labels, exact)):
+                for p, ecfg, ref in zip(p_values, ecfgs, refs):
                     for formulation, estimator in formulations:
-                        values = np.empty(n_repeats)
-                        for rep, sub in enumerate(split_rng(rep_rng, n_repeats)):
-                            est = estimator(field, anchor, ecfg, sub)
-                            values[rep] = est.value
-                            estimate_rows.append([*anchor, p, formulation, ecfg.n_samples, ecfg.radius, seed,
-                                                  est.value, est.std_error, est.singular_hits])
-                        exact_mean, exact_se = exact[(i, p)]
+                        ests = [estimator(field, anchor, ecfg, sub) for sub in split_rng(rep_rng, n_repeats)]
+                        estimate_rows.extend([*anchor, p, formulation, ecfg.n_samples, ecfg.radius, seed,
+                                              e.value, e.std_error, e.singular_hits] for e in ests)
+                        values = np.array([e.value for e in ests])
                         mean = float(values.mean())
                         se_mean = float(values.std(ddof=1) / np.sqrt(n_repeats))
                         q = np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0])
                         summary_rows.append(
-                            [field_name, i, labels[i], p, formulation, mean, values.std(ddof=1), *q,
-                             exact_mean, abs(mean - exact_mean),
-                             abs(mean - exact_mean) / max(np.hypot(se_mean, exact_se), 1e-300)]
+                            [field_name, i, label, p, formulation, mean, values.std(ddof=1), *q,
+                             ref.value, abs(mean - ref.value),
+                             abs(mean - ref.value) / max(np.hypot(se_mean, ref.std_error), 1e-300)]
                         )
-        write_estimates_csv(os.path.join(seed_out, "estimates.csv"), gmm.dim, estimate_rows, config_header(cfg, seed))
+        write_estimates_csv(os.path.join(seed_out, "estimates.csv"), gmm.dim, estimate_rows, header)
         write_table(
             os.path.join(seed_out, "summary.csv"),
             ["field", "anchor_idx", "anchor_kind", "p", "formulation", "mean", "std",
              "min", "q25", "median", "q75", "max", "exact_mean", "abs_error", "z_score"],
-            summary_rows, config_header(cfg, seed),
+            summary_rows, header,
         )
 
     return _write_result(out, cfg, _per_seed(cfg, one_seed)[0])
@@ -214,6 +207,7 @@ def run_memorization(cfg: dict) -> dict:
 
     def one_seed(seed: int) -> tuple[list, list]:
         seed_out = _outdir(cfg, "memorization", f"seed_{seed}")
+        header = config_header(cfg, seed)
         scenario = build_scenario(gmm, mem_cfg["n_base"], mem_cfg["n_replicas"], seed)
         _write_json(os.path.join(seed_out, "scenario.json"), {"config": cfg, "scenario": scenario.to_dict()})
         model = _train(cfg, scenario.training_set(), schedule, seed)
@@ -223,7 +217,7 @@ def run_memorization(cfg: dict) -> dict:
         svgplot.scatter(
             os.path.join(seed_out, "training_set.svg"),
             [("base samples", scenario.base_samples, "#4878a8"), ("memorized", mem_pt[None, :], "red")],
-            title=f"training set, seed {seed}", comment=config_header(cfg, seed),
+            title=f"training set, seed {seed}", comment=header,
         )
 
         rows, mem_vals = [], []
@@ -233,13 +227,10 @@ def run_memorization(cfg: dict) -> dict:
             pct = percentile_rank(matrix, mem_val)
             rows.append([seed, "p_laplace", p, mem_val, pct])
             mem_vals.append(mem_val)
-            M.write_grid_csv(
-                os.path.join(seed_out, f"grid_p{p:g}.csv"), grid, matrix, header_comment=config_header(cfg, seed)
-            )
+            M.write_grid_csv(os.path.join(seed_out, f"grid_p{p:g}.csv"), grid, matrix, header_comment=header)
             svgplot.heatmap(
                 os.path.join(seed_out, f"grid_p{p:g}.svg"), matrix, grid.extent,
-                title=f"p={p:g} averaged operator, memorized pct {pct:.1f}%",
-                comment=config_header(cfg, seed),
+                title=f"p={p:g} averaged operator, memorized pct {pct:.1f}%", comment=header,
                 markers=[(float(mem_pt[0]), float(mem_pt[1]), "red")],
             )
 
@@ -285,6 +276,7 @@ def run_bounds(cfg: dict) -> dict:
 
     def one_seed(seed: int) -> dict:
         seed_out = _outdir(cfg, "bounds", f"seed_{seed}")
+        header = config_header(cfg, seed)
         model = _train(cfg, sample_gmm(gmm, cfg["training"]["n_train"], make_rng(seed)), schedule, seed)
         anchors = reverse_sample(model, schedule, cfg["bounds"]["n_anchors"], make_rng(seed + 700_000))
         learned = model_score_field(model, schedule, 0)
@@ -292,7 +284,7 @@ def run_bounds(cfg: dict) -> dict:
         all_reports = B.validate_bound(oracle, learned, anchors, ecfgs, make_rng(seed + 800_000))
         for p, ecfg, reports in zip(p_values, ecfgs, all_reports.reshape(len(ecfgs), -1)):
             B.write_bound_reports_csv(
-                os.path.join(seed_out, f"bound_reports_p{p:g}.csv"), reports, header_comment=config_header(cfg, seed)
+                os.path.join(seed_out, f"bound_reports_p{p:g}.csv"), reports, header_comment=header
             )
             summaries[f"p{p:g}"] = B.bound_summary(reports)
 
@@ -303,14 +295,12 @@ def run_bounds(cfg: dict) -> dict:
                 dg, mg, surface = B.bound_surface(p, gmm.dim, ecfg.radius, deltas_rng, ms_rng, M=float(ok.M.max()))
                 write_table(
                     os.path.join(seed_out, f"bound_surface_p{p:g}.csv"), ["delta", "m", "c_p"],
-                    ([d, m, surface[i, j]] for i, m in enumerate(mg) for j, d in enumerate(dg)),
-                    config_header(cfg, seed),
+                    ([d, m, surface[i, j]] for i, m in enumerate(mg) for j, d in enumerate(dg)), header,
                 )
                 svgplot.heatmap(
                     os.path.join(seed_out, f"bound_surface_p{p:g}.svg"), np.log10(np.maximum(surface, 1e-12)),
                     (deltas_rng[0], deltas_rng[1], ms_rng[0], ms_rng[1]),
-                    title=f"log10 bound surface p={p:g} with observed (delta, m)",
-                    comment=config_header(cfg, seed),
+                    title=f"log10 bound surface p={p:g} with observed (delta, m)", comment=header,
                     markers=zip(ok.delta, ok.m, ["red"] * len(ok)),
                 )
         return summaries

@@ -2,9 +2,9 @@
 
 Randomness policy: every sampling function takes an explicit
 ``numpy.random.Generator``.  Harnesses derive one child generator per
-estimation call (or per grid node / per seed) via :func:`split_rng`, which
-wraps numpy's SeedSequence spawning, so runs are reproducible no matter how
-work is distributed.
+estimation call (a fidelity repeat, a grid node, a bound anchor) via
+:func:`split_rng`, which wraps numpy's SeedSequence spawning, so runs are
+reproducible no matter how work is distributed.
 """
 
 from __future__ import annotations

@@ -349,8 +349,8 @@ def reverse_sample(model, schedule: NoiseSchedule, n: int, rng: np.random.Genera
 
     Starts from standard normal draws at the noisiest step and walks down to
     t = 0, using the model's noise prediction for the drift.  ``model`` needs
-    only a ``predict_noise(x, t)`` method.  No noise is injected on the final
-    step.  Raises :class:`SamplingError` on a non-finite state.
+    only an ``input_dim`` and a ``predict_noise(x, t)`` method.  No noise is
+    injected on the final step.  Raises :class:`SamplingError` on a non-finite state.
     """
     d = model.input_dim
     x = rng.standard_normal((n, d))

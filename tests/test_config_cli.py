@@ -259,6 +259,19 @@ class TestCli:
         n_expected = 2 * 6 * len(cfg["estimator"]["p_values"]) * 2 * cfg["fidelity"]["n_repeats"]
         assert len(rows) == 2 + n_expected  # comment + header
 
+        # Every summary row, both fields and both formulations, compares with the reference of its own cell.
+        def read(name):
+            with open(tmp_path / "out" / "fidelity" / name) as f:
+                return list(csv.DictReader(line for line in f if not line.startswith("#")))
+
+        exact = {(r["anchor_idx"], float(r["p"])): float(r["exact_mean"]) for r in read("exact.csv")}
+        summary = read("seed_0/summary.csv")
+        assert {(r["field"], r["formulation"]) for r in summary} == {
+            (field, formulation) for field in ("oracle", "learned") for formulation in ("boundary", "volume")}
+        for r in summary:
+            assert float(r["exact_mean"]) == exact[(r["anchor_idx"], float(r["p"]))]
+            assert float(r["abs_error"]) == abs(float(r["mean"]) - float(r["exact_mean"]))
+
     def test_default_repetition_count_matches_protocol(self):
         assert DEFAULT_CONFIG["fidelity"]["n_repeats"] == 100
         assert DEFAULT_CONFIG["estimator"]["n_samples"] == 100

@@ -121,6 +121,14 @@ TRACED_LAYERS = {
                "experiments.write.s"],
 }
 
+# Per workload, traced counts that must read exactly these values on its tiny config (one seed, 3 p, 3
+# repeats, 1000 dense points, 2 epochs).  The fidelity estimator calls are its cells: 2 fields x 6 anchors x
+# 3 p x 3 repeats per formulation, and one dense draw per anchor.  A driver that drops or doubles a call fails.
+TRACED_COUNTS = {
+    "fidelity": {"estimators.boundary.calls": 108, "estimators.volume.calls": 108, "gmm.dense.calls": 6,
+                 "gmm.dense.points": 6000, "score_model.train.steps": 64},
+}
+
 
 @pytest.mark.parametrize("workload", sorted(TRACED_LAYERS))
 def test_traced_layers_nonzero(workload, tmp_path):
@@ -142,6 +150,8 @@ def test_traced_layers_nonzero(workload, tmp_path):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["exit"] == 0
     assert [name for name in TRACED_LAYERS[workload] if not result["metrics"][name] > 0] == []
+    counts = TRACED_COUNTS.get(workload, {})
+    assert {name: result["metrics"][name] for name in counts} == counts
 
 
 def test_runtime_imports_no_scipy():
