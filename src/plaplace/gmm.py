@@ -108,6 +108,8 @@ def _responsibilities(g: GmmParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     log sum_k exp(l_k).  Both exponentiate l_k - max_j l_j, so neither
     underflows to 0 / 0 or log(0) far from every mean.
     """
+    if x.ndim < 1 or x.shape[-1] != g.dim:
+        raise ValueError(f"points must have shape (..., {g.dim}), got {x.shape}")
     diffs = g.means - x[..., None, :]
     log_resp = np.log(g.weights) - 0.5 * np.einsum("...kd,...kd->...k", diffs, diffs) / g.sigma2
     top = log_resp.max(axis=-1, keepdims=True)

@@ -139,26 +139,30 @@ class MlpScoreModel:
     def predict_noise(self, x, t) -> np.ndarray:
         """eps_hat(x, t); ``x`` is (d,) or (n, d) and ``t`` one timestep index for every row.
 
-        Runs ``PREDICT_BLOCK`` rows at a time through one input and one hidden
-        scratch array allocated per call, writing each block into the output,
-        so the working set does not grow with n.  ``t`` is embedded once and
-        its row shared by every point; an array ``t`` raises ``TypeError``.
+        The embedding's share of the first layer is the same for every row, so
+        it is formed once per call as the bias row ``embed(t) @ w1[d:] + b1``;
+        each block of ``PREDICT_BLOCK`` rows then multiplies only its points by
+        ``w1[:d]``, reading them where they lie (no input scratch).  At d = 2
+        that first-layer GEMM is small enough that OpenBLAS keeps it on one
+        thread.  One hidden scratch array is allocated per call and each block
+        is written into the output, so the working set does not grow with n.
+        Any other shape of ``x`` raises ``ValueError``; an array ``t`` raises
+        ``TypeError``.
         """
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
+        d = self.input_dim
+        if x.ndim not in (1, 2) or x.shape[-1] != d:
+            raise ValueError(f"x must have shape ({d},) or (n, {d}), got {x.shape}")
         xb = np.atleast_2d(x)
-        n, d = xb.shape[0], self.input_dim
-        rows = min(n, PREDICT_BLOCK)
-        z = np.empty((rows, d + self.embed_dim))
-        h = np.empty((rows, self.hidden_width))
+        n = xb.shape[0]
+        row = sinusoidal_embed(operator.index(t), self.embed_dim) @ self.w1[d:] + self.b1
+        h = np.empty((min(n, PREDICT_BLOCK), self.hidden_width))
         y = np.empty((n, d))
-        z[:, d:] = sinusoidal_embed(operator.index(t), self.embed_dim)
         for start in range(0, n, PREDICT_BLOCK):
             block = slice(start, start + PREDICT_BLOCK)
             m = min(n - start, PREDICT_BLOCK)
-            z[:m, :d] = xb[block]
-            _mlp_forward(self.w1, self.b1, self.w2, self.b2, z[:m], h[:m], y[block])
-        return y[0] if single else y
+            _mlp_forward(self.w1[:d], row, self.w2, self.b2, xb[block], h[:m], y[block])
+        return y[0] if x.ndim == 1 else y
 
 
 @dataclass(frozen=True)

@@ -109,3 +109,33 @@ def test_compare_verdict_for_higher_is_better():
     assert tool.verdict([1.0, 1.0, 1.0], [1.3, 1.3, 1.3], 0.24, "higher")["verdict"] == "ok"
     assert tool.verdict([0.5, 1.0, 1.5], [1.2, 1.6, 2.0], 0.24, "higher")["verdict"] == "unresolved"
     assert tool.verdict([0.5, 1.0, 1.5], [1.6, 1.7, 2.0], 0.24, "higher")["verdict"] == "ok"
+
+
+def _pairs(parent: list[float], change: list[float]) -> dict:
+    """Fidelity cpu_s pairs in the order alternating runs append them: even pairs run the parent first, odd the change."""
+    entries = []
+    for k, (p, c) in enumerate(zip(parent, change)):
+        pair = [_entry("parent", "fidelity", {"cpu_s": p}), _entry("change", "fidelity", {"cpu_s": c})]
+        entries += pair if k % 2 == 0 else pair[::-1]
+    return {"entries": entries}
+
+
+def test_compare_pairs_runs_in_file_order_and_finds_a_gain():
+    tool = _tool("bench_compare")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parent = [7.0, 7.4, 6.9, 7.2, 7.6, 7.1, 6.8, 7.3, 7.0, 7.5]
+    change = [5.2, 5.0, 5.4, 5.1, 7.7, 5.3, 5.0, 5.2, 5.5, 5.1]  # loses only the fifth pair
+    (row,) = tool.compare(_pairs(parent, change), spec)
+    assert (row["metric"], row["wins"], row["verdict"]) == ("cpu_s", (9, 10), "gain")
+    # A tie counts for neither side, so 8 of 10 pairs won is no gain, however far apart the medians lie.
+    (row,) = tool.compare(_pairs(parent, [parent[0]] + change[1:]), spec)
+    assert (row["wins"], row["verdict"]) == ((8, 10), "ok")
+    # The k-th parent run meets the k-th change run: every pair is won although the change's 5.5 s runs are slower
+    # than the parent's 5 s runs, but the medians differ by less than the parent's quartile gap of 2 s (33%).
+    (row,) = tool.compare(_pairs([7.0, 5.0] * 5, [5.5, 4.9] * 5), spec)
+    assert (row["wins"], row["verdict"]) == ((10, 10), "unresolved")
+    # Nine pairs are too few for a gain, even all won.
+    assert tool.verdict(parent[:9], [5.0] * 9, 0.24, "lower")["verdict"] == "ok"
+    assert tool.verdict([1.0] * 10, [1.3] * 10, 0.24, "higher") == {
+        "parent": 1.0, "change": 1.3, "relative": pytest.approx(0.3), "parent_spread": 0.0, "n": (10, 10),
+        "wins": (10, 10), "verdict": "gain"}

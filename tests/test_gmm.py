@@ -65,6 +65,18 @@ class TestValidation:
         weights[0] = 0.9
         assert g.means[0, 0] == 0.0 and g.weights[0] == 0.5
 
+    @pytest.mark.parametrize("shape", [(3, 1), (1,), (), (3, 3), (2, 2, 3)])
+    def test_points_of_the_wrong_width_rejected(self, random_gmm, shape):
+        """Points must be (..., d): a narrower or wider last axis, or a scalar, would broadcast against the means."""
+        for fn in (score, log_density):
+            with pytest.raises(ValueError, match=r"\(\.\.\., 2\)"):
+                fn(random_gmm, np.ones(shape))
+
+    def test_batched_points_accepted(self, random_gmm):
+        x = make_rng(3).standard_normal((4, 5, 2))
+        assert score(random_gmm, x).shape == (4, 5, 2) and log_density(random_gmm, x).shape == (4, 5)
+        np.testing.assert_array_equal(score(random_gmm, x)[1], score(random_gmm, x[1]))
+
     def test_perturbed_alpha_range(self):
         base = single([0.0, 0.0])
         with pytest.raises(ValueError):

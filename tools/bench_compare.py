@@ -7,10 +7,16 @@ Reads the untraced full-size entries that ``tools/bench_trajectory.py`` wrote
 under the labels ``parent`` and ``change``.  For each workload and each
 end-to-end metric of ``BENCHMARK.json`` it prints the median of the per-run
 medians of each side, the relative change, the spread between the quartiles of
-the parent's per-run medians relative to their median, and a verdict:
+the parent's per-run medians relative to their median, the pairs the change won,
+and a verdict.  The k-th parent entry of a workload is paired with its k-th change
+entry, in file order; a pair is won when the change run is better, and a tie counts
+for neither side.  The verdicts:
 
 * ``worse``: the change median is worse than the parent median by more than the
   metric's bound;
+* ``gain``: over at least ``MIN_PAIRS`` pairs the change wins at least nine tenths
+  of them, and its median is better than the parent median by more than the
+  distance between the parent's quartiles;
 * ``unresolved``: the parent spread exceeds the bound, and not every change run
   beats every parent run, so the runs cannot tell the sides apart;
 * ``ok``: otherwise.
@@ -28,6 +34,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+MIN_PAIRS = 10  # a gain rests on at least this many parent/change pairs
+
 
 def _spread(values: list[float]) -> float:
     """Distance between the quartiles of values (0 for a single value)."""
@@ -38,20 +46,26 @@ def _spread(values: list[float]) -> float:
 
 
 def verdict(parent: list[float], change: list[float], bound: float, better: str) -> dict:
-    """One metric's comparison of the per-run medians of both sides."""
+    """One metric's comparison of the per-run medians of both sides, ``parent[k]`` paired with ``change[k]``."""
     p_med, c_med = statistics.median(parent), statistics.median(change)
     rel = (c_med - p_med) / p_med
-    spread = _spread(parent) / p_med
+    quartile_gap = _spread(parent)
+    spread = quartile_gap / p_med
     lower = better == "lower"
+    sign = 1.0 if lower else -1.0  # sign * (parent - change) > 0 where the change is better
+    pairs = list(zip(parent, change))
+    wins = sum(sign * (p - c) > 0 for p, c in pairs)
     beats_every_run = max(change) < min(parent) if lower else min(change) > max(parent)
-    if (rel if lower else -rel) > bound:
+    if sign * rel > bound:
         word = "worse"
+    elif len(pairs) >= MIN_PAIRS and 10 * wins >= 9 * len(pairs) and sign * (p_med - c_med) > quartile_gap:
+        word = "gain"
     elif spread > bound and not beats_every_run:
         word = "unresolved"
     else:
         word = "ok"
     return {"parent": p_med, "change": c_med, "relative": rel, "parent_spread": spread, "n": (len(parent), len(change)),
-            "verdict": word}
+            "wins": (wins, len(pairs)), "verdict": word}
 
 
 def compare(trajectory: dict, spec: dict) -> list[dict]:
@@ -81,11 +95,11 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     rows = compare(json.loads(args.trajectory.read_text()), spec)
     print(f"{'workload':<10} {'metric':<12} {'parent':>10} {'change':>10} {'change%':>8} {'spread%':>8} "
-          f"{'bound%':>7} {'runs':>5}  verdict")
+          f"{'bound%':>7} {'runs':>5} {'wins':>5}  verdict")
     for r in rows:
         print(f"{r['workload']:<10} {r['metric']:<12} {r['parent']:>10.4g} {r['change']:>10.4g} "
               f"{100 * r['relative']:>+8.1f} {100 * r['parent_spread']:>8.1f} {100 * r['bound']:>7.0f} "
-              f"{'%d/%d' % r['n']:>5}  {r['verdict']}")
+              f"{'%d/%d' % r['n']:>5} {'%d/%d' % r['wins']:>5}  {r['verdict']}")
     return 1 if any(r["verdict"] == "worse" for r in rows) else 0
 
 
