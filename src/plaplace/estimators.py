@@ -121,15 +121,15 @@ def _divergence_values(field: ScoreField, xs: np.ndarray, p: float, h: float) ->
     return np.sum(v[:, 0, jj, jj] - v[:, 1, jj, jj], axis=1) / (2.0 * h)
 
 
-def _reduce(vals: np.ndarray, factor: float, singular_hits: int = 0) -> PLaplaceEstimate:
-    """Mean of ``factor * vals`` with its standard error; ``singular_hits`` counts samples skipped before."""
+def _reduce(vals: np.ndarray, factor: float) -> PLaplaceEstimate:
+    """Mean of ``factor * vals`` with its standard error; every sample is used."""
     n_used = vals.shape[0]
     std = vals.std(ddof=1) / np.sqrt(n_used) if n_used > 1 else np.inf
     return PLaplaceEstimate(
         value=factor * float(vals.mean()),
         std_error=abs(factor) * float(std),
         n_used=n_used,
-        singular_hits=singular_hits,
+        singular_hits=0,
     )
 
 

@@ -160,7 +160,7 @@ def run_fidelity(cfg: dict) -> dict:
             title=f"score magnitude ratio (median {np.median(ratio):.3f})", comment=header,
         )
 
-        estimate_rows = []
+        cells = []  # per (field, anchor, p, formulation): the estimates.csv row prefix and its repeats' columns
         summary_rows = []
         # One substream per repeat, spawned cell by cell.
         rep_rng = make_rng(seed + 500_000)
@@ -169,9 +169,10 @@ def run_fidelity(cfg: dict) -> dict:
                 for p, ecfg, ref in zip(p_values, ecfgs, refs):
                     for formulation, estimator in formulations:
                         ests = [estimator(field, anchor, ecfg, sub) for sub in split_rng(rep_rng, n_repeats)]
-                        estimate_rows.extend([*anchor, p, formulation, ecfg.n_samples, ecfg.radius, seed,
-                                              e.value, e.std_error, e.singular_hits] for e in ests)
                         values = np.array([e.value for e in ests])
+                        cells.append(([*anchor, p, formulation, ecfg.n_samples, ecfg.radius, seed], values,
+                                      np.array([e.std_error for e in ests]),
+                                      np.array([e.singular_hits for e in ests])))
                         mean = float(values.mean())
                         se_mean = float(values.std(ddof=1) / np.sqrt(n_repeats))
                         q = np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -180,6 +181,8 @@ def run_fidelity(cfg: dict) -> dict:
                              ref.value, abs(mean - ref.value),
                              abs(mean - ref.value) / max(np.hypot(se_mean, ref.std_error), 1e-300)]
                         )
+        # Rows are expanded inside the writer, one at a time.
+        estimate_rows = ([*prefix, *columns] for prefix, *repeats in cells for columns in zip(*repeats))
         write_estimates_csv(os.path.join(seed_out, "estimates.csv"), gmm.dim, estimate_rows, header)
         write_table(
             os.path.join(seed_out, "summary.csv"),

@@ -10,12 +10,13 @@ shape ``(d,)`` or a batch of shape ``(n, d)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EstimationError
-from .estimators import PLaplaceEstimate, _reduce
+from .estimators import PLaplaceEstimate
 from .fields import ScoreField, p_weight
 from .geometry import sample_ball_blocks
 
@@ -165,6 +166,29 @@ def _p_laplace_values(s: np.ndarray, lap: np.ndarray, quad: np.ndarray, p: float
     return weight * (lap + (p - 2.0) * quad / (norm * norm)), singular
 
 
+def _block_moments(values: np.ndarray, shift: float) -> tuple[int, float, float]:
+    """Count, sum and M2 (the sum of squared deviations about their own mean) of one block's ``values - shift``."""
+    dev = values - shift
+    total = float(dev.sum())
+    dev -= total / dev.shape[0]
+    return dev.shape[0], total, float(np.square(dev, out=dev).sum())
+
+
+def _merged_estimate(shift: float, blocks: list[tuple[int, float, float]], n: int) -> PLaplaceEstimate:
+    """Mean and standard error of values from per-block ``_block_moments`` of ``values - shift``, n points drawn.
+
+    Chan, Golub and LeVeque's pairwise merge: mean = shift + sum_b sum_b / N and
+    M2 = sum_b M2_b + sum_b n_b (mean_b - mean)^2, each sum over blocks correctly
+    rounded by ``math.fsum``.  A shift near the mean keeps the block sums small, so
+    values that barely vary lose no bits of M2 to their block means' rounding.
+    """
+    n_used = sum(count for count, _, _ in blocks)
+    mean = math.fsum(total for _, total, _ in blocks) / n_used
+    m2 = math.fsum([m2 for _, _, m2 in blocks] + [count * (total / count - mean) ** 2 for count, total, _ in blocks])
+    std_error = math.sqrt(m2 / (n_used - 1)) / math.sqrt(n_used) if n_used > 1 else math.inf
+    return PLaplaceEstimate(value=shift + mean, std_error=std_error, n_used=n_used, singular_hits=n - n_used)
+
+
 def averaged_p_laplace_dense(
     g: GmmParams, x0, p_values, radius: float, n: int, rng: np.random.Generator
 ) -> list[PLaplaceEstimate]:
@@ -173,28 +197,33 @@ def averaged_p_laplace_dense(
     The reference value for the ball-averaged p-Laplace: one draw of n
     uniform ball samples serves every p in ``p_values``.  The draw arrives
     ``CHUNK`` rows at a time from ``sample_ball_blocks``; each block's mixture
-    parts fill one value array and one singular mask per p, allocated up
-    front.  Neither the samples nor the parts are ever held at full length.
-    Points where a p < 2 evaluation is singular are skipped and counted;
-    :class:`EstimationError` if every one is.  Returns one estimate per p,
-    in order; ``ValueError`` before any draw if a p is below 1.
+    parts give, per p, the count, sum and M2 of the block's non-singular
+    values, shifted by the mean of the first block that has any
+    (``_block_moments``), and the blocks are merged at the end
+    (``_merged_estimate``).  No array spans every point: the working set is
+    one block's, whatever n.  Points where a p < 2 evaluation is singular
+    are skipped and counted; :class:`EstimationError` if every one is.
+    Returns one estimate per p, in order; ``ValueError`` before any draw if
+    a p is below 1.
     """
     for p in p_values:
         if not p >= 1:
             raise ValueError(f"p must be >= 1, got {p}")
-    filled = [(np.empty(n), np.empty(n, dtype=bool)) for _ in p_values]  # (values, singular) per p
-    start = 0
+    shifts = [None] * len(p_values)
+    moments = [[] for _ in p_values]  # per p, the _block_moments of every block with a non-singular value
     for xs in sample_ball_blocks(x0, radius, n, rng, CHUNK):
         parts = _p_laplace_parts(g, xs)
-        stop = start + xs.shape[0]
-        for (values, singular), p in zip(filled, p_values):
-            values[start:stop], singular[start:stop] = _p_laplace_values(*parts, p)
-        start = stop
-    if any(singular.all() for _, singular in filled):
+        for k, p in enumerate(p_values):
+            values, singular = _p_laplace_values(*parts, p)
+            if singular.any():
+                values = values[~singular]
+            if values.shape[0]:
+                if shifts[k] is None:
+                    shifts[k] = float(values.mean())
+                moments[k].append(_block_moments(values, shifts[k]))
+    if not all(moments):
         raise EstimationError("every dense sample was singular")
-    # values itself where nothing is skipped: the same data as values[~singular], without the copy
-    return [_reduce(values[~singular] if singular.any() else values, 1.0, int(singular.sum()))
-            for values, singular in filled]
+    return [_merged_estimate(*args, n) for args in zip(shifts, moments)]
 
 
 def sample_gmm(g: GmmParams, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -272,6 +272,30 @@ class TestCli:
             assert float(r["exact_mean"]) == exact[(r["anchor_idx"], float(r["p"]))]
             assert float(r["abs_error"]) == abs(float(r["mean"]) - float(r["exact_mean"]))
 
+    def test_fidelity_summary_means_are_their_cells_estimates(self, small_config, tmp_path):
+        """Each summary row's mean is, bit for bit, the mean of its cell's 100 estimates.csv values.
+
+        estimates.csv has no field column: its cells follow the summary rows' order, n_repeats rows each."""
+        path, cfg = small_config
+        n_repeats = 100
+        path.write_text(json.dumps({**cfg, "fidelity": {"n_repeats": n_repeats, "n_dense": 1000},
+                                    "estimator": {"n_samples": 16, "p_values": [1.0, 2.0]}}))
+        assert main(["fidelity", "--config", str(path)]) == 0
+        anchors = {}
+        with open(tmp_path / "out" / "fidelity" / "exact.csv") as f:
+            for r in csv.DictReader(line for line in f if not line.startswith("#")):
+                anchors[r["anchor_idx"]] = [r["x0_0"], r["x0_1"]]
+        with open(tmp_path / "out" / "fidelity" / "seed_0" / "estimates.csv") as f:
+            estimates = list(csv.DictReader(line for line in f if not line.startswith("#")))
+        with open(tmp_path / "out" / "fidelity" / "seed_0" / "summary.csv") as f:
+            summary = list(csv.DictReader(line for line in f if not line.startswith("#")))
+        assert len(summary) == 2 * 6 * 2 * 2 and len(estimates) == n_repeats * len(summary)
+        for k, row in enumerate(summary):
+            cell = estimates[k * n_repeats : (k + 1) * n_repeats]
+            assert {(r["x0_0"], r["x0_1"], r["p"], r["formulation"]) for r in cell} == {
+                (*anchors[row["anchor_idx"]], row["p"], row["formulation"])}
+            assert float(row["mean"]) == float(np.array([float(r["value"]) for r in cell]).mean())
+
     def test_default_repetition_count_matches_protocol(self):
         assert DEFAULT_CONFIG["fidelity"]["n_repeats"] == 100
         assert DEFAULT_CONFIG["estimator"]["n_samples"] == 100

@@ -11,8 +11,9 @@ from plaplace.estimators import (
     estimate_volume,
     write_estimates_csv,
 )
+from plaplace.fields import NORM_FLOOR, p_weight
 from plaplace.geometry import make_rng, sample_sphere_uniform, split_rng
-from plaplace.gmm import GmmParams, averaged_p_laplace_dense, draw_gmm, score_field
+from plaplace.gmm import GmmParams, _p_laplace_values, averaged_p_laplace_dense, draw_gmm, score_field
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +86,35 @@ class TestFluxDensity:
                 assert np.isfinite(flux_at(c * normal, normal, p))
             assert flux_at(0.0 * normal, normal, p) == 0.0
         assert flux_at(1e-12 * normal, normal, 1.0) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [1e-149, 1e-160, 1e-200, 1e-300])
+    def test_p1_unit_flux_under_the_norm_floor(self, c):
+        """At p = 1 the flux of c n is |n|^2 = 1 however small c is, on and off the axes."""
+        for normal in (np.array([1.0, 0.0]), np.array([0.6, 0.8]), np.full(3, 1 / np.sqrt(3.0))):
+            assert flux_at(c * normal, normal, 1.0) == pytest.approx(1.0, rel=1e-12)
+
+    def test_p_weight_keeps_every_bit_at_or_above_the_floor(self):
+        """Rows with a norm of at least NORM_FLOOR get the plain norm and norm**(p - 2), bit for bit."""
+        rng = make_rng(3)
+        s = rng.standard_normal((500, 2)) * 10.0 ** rng.uniform(-149, 3, size=(500, 1))
+        s[0] = [NORM_FLOOR, 0.0]
+        norm = np.sqrt(np.add.reduce(s * s, axis=-1))
+        assert norm.min() >= NORM_FLOOR
+        for p in (1.0, 1.5, 2.0, 3.0):
+            got_norm, weight = p_weight(s, p)
+            np.testing.assert_array_equal(got_norm, norm)
+            np.testing.assert_array_equal(weight, norm ** (p - 2.0))
+
+    def test_p_weight_under_the_floor(self):
+        """Under the floor the norm stays floored, s = 0 keeps the floor's weight, and the exact operator's
+        quad / |s|^2 stays finite (any RuntimeWarning fails the test)."""
+        s = np.array([[0.0, 0.0], [1e-160, 0.0], [0.0, -1e-300], [3e-200, 4e-200]])
+        for p in (1.0, 1.5, 2.0, 3.0):
+            norm, weight = p_weight(s, p)
+            np.testing.assert_array_equal(norm, NORM_FLOOR)
+            np.testing.assert_allclose(weight, np.array([NORM_FLOOR, 1e-160, 1e-300, 5e-200]) ** (p - 2.0), rtol=1e-12)
+            values, _ = _p_laplace_values(s, np.full(4, -2.0), np.full(4, 1e-320), p)
+            assert np.all(np.isfinite(values))
 
     def test_p1_bit_stable_under_positive_rescale(self, oracle_field):
         """Pointwise rescaling by a positive function never moves p=1 flux values."""

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from plaplace.estimators import _divergence_values, _reduce
+import plaplace.gmm as gmm_module
+from plaplace.estimators import PLaplaceEstimate, _divergence_values, _reduce
 from plaplace.geometry import make_rng, sample_ball_uniform
 from plaplace.gmm import (
     CHUNK,
@@ -25,6 +28,40 @@ def random_gmm():
 
 def single(mean, sigma2=1.0):
     return GmmParams(means=[mean], sigma2=sigma2, weights=[1.0])
+
+
+def block_merge(blocks, n):
+    """The dense reference's estimate from its blocks' kept values, n points drawn in all.
+
+    Every value is shifted by the mean of the first nonempty block.  Each nonempty block gives its
+    count, shifted sum and sum of squared deviations about its own mean; the mean is the correctly
+    rounded shifted total over N plus the shift, and the merged M2 adds each block's
+    n_b * (mean_b - mean)^2 (Chan, Golub and LeVeque)."""
+    kept = [b for b in blocks if b.size]
+    shift = float(kept[0].mean())
+    sums = [float((b - shift).sum()) for b in kept]
+    m2s = [float(np.sum((b - shift - total / b.size) ** 2)) for b, total in zip(kept, sums)]
+    n_used = sum(b.size for b in kept)
+    mean = math.fsum(sums) / n_used
+    m2 = math.fsum(m2s + [b.size * (total / b.size - mean) ** 2 for b, total in zip(kept, sums)])
+    return PLaplaceEstimate(shift + mean, math.sqrt(m2 / (n_used - 1)) / math.sqrt(n_used), n_used, n - n_used)
+
+
+def assert_block_merge_of_one_piece(g, x0, chunk, n):
+    """The dense reference at p in {1, 1.5, 2, 3} against ``block_merge`` of the one-piece parts, sliced into
+    ``chunk``-row blocks with the masked rows skipped; returns the dense estimates and each p's empty blocks."""
+    p_values = [1.0, 1.5, 2.0, 3.0]
+    dense = averaged_p_laplace_dense(g, x0, p_values, 1.0, n, make_rng(19))
+    parts = _p_laplace_parts(g, sample_ball_uniform(x0, 1.0, n, make_rng(19)))
+    assert len(dense) == len(p_values)
+    empty = []
+    for p, got in zip(p_values, dense):
+        values, singular = _p_laplace_values(*parts, p)
+        blocks = [values[i : i + chunk][~singular[i : i + chunk]] for i in range(0, n, chunk)]
+        assert got == block_merge(blocks, n)
+        assert got.n_used + got.singular_hits == n
+        empty.append(sum(block.size == 0 for block in blocks))
+    return dense, empty
 
 
 def fd_hessian(g, x, h=1e-5):
@@ -293,24 +330,41 @@ class TestDenseAverage:
         assert est.n_used == 5000 and est.singular_hits == 0
 
     def test_chunks_and_shared_draw_match_one_piece(self, random_gmm):
-        """Every p reduces the same draw, and the chunked parts equal the parts taken in one piece.
+        """Every p reduces the same draw, bit for bit as a block merge of the parts taken in one piece."""
+        dense, _ = assert_block_merge_of_one_piece(random_gmm, random_gmm.means[0], CHUNK, 2 * CHUNK + 17)
+        assert all(est.singular_hits == 0 for est in dense)
 
-        The reference skips the masked rows and counts them, as the dense reference does."""
-        n, p_values, x0 = 2 * CHUNK + 17, [1.0, 1.5, 2.0, 3.0], random_gmm.means[0]
-        dense = averaged_p_laplace_dense(random_gmm, x0, p_values, 1.0, n, make_rng(19))
-        xs = sample_ball_uniform(x0, 1.0, n, make_rng(19))
-        parts = _p_laplace_parts(random_gmm, xs)
-        assert len(dense) == len(p_values)
+    def test_skipped_rows_and_empty_blocks_match_one_piece(self, monkeypatch):
+        """Skipped rows, and blocks that keep none, leave the estimate the block merge of the kept one-piece parts.
+
+        |s| = |x| / 1e8 is singular within 1 of the mean: about half of this ball, and some 3-row blocks whole."""
+        monkeypatch.setattr(gmm_module, "CHUNK", 3)
+        dense, empty = assert_block_merge_of_one_piece(single([0.0, 0.0], sigma2=1e8), np.array([0.5, 0.0]), 3, 203)
+        assert [0 < est.singular_hits < 203 for est in dense] == [True, True, False, False]
+        assert empty[0] > 0 and empty[1] > 0 and empty[2:] == [0, 0]
+
+    def test_matches_one_piece_reduce(self, random_gmm):
+        """The block merge agrees with numpy's one-piece mean and standard deviation at every p.
+
+        The two sum in different orders, so the test allows rtol 1e-14; on this draw the largest
+        difference is 1.5e-16 relative (the std error at p = 1.5), a margin of 65x."""
+        n, x0, p_values = 250_000, random_gmm.means[0], [1.0, 1.5, 2.0, 3.0]
+        dense = averaged_p_laplace_dense(random_gmm, x0, p_values, 1.0, n, make_rng(23))
+        parts = _p_laplace_parts(random_gmm, sample_ball_uniform(x0, 1.0, n, make_rng(23)))
         for p, got in zip(p_values, dense):
             values, singular = _p_laplace_values(*parts, p)
-            assert got == _reduce(values[~singular], 1.0, int(singular.sum()))
-            assert got.n_used + got.singular_hits == n
+            assert not singular.any()
+            ref = _reduce(values, 1.0)
+            assert (got.n_used, got.singular_hits) == (ref.n_used, ref.singular_hits)
+            assert got.value == pytest.approx(ref.value, rel=1e-14, abs=0)
+            assert got.std_error == pytest.approx(ref.std_error, rel=1e-14, abs=0)
 
-    def test_working_set_per_point(self, default_gmm, traced_peak):
-        """Samples and parts live one block at a time; only the per-p values and masks span every point.
+    def test_working_set_is_one_block(self, default_gmm, traced_peak):
+        """Samples, parts and values live one block at a time, so the peak does not grow with n.
 
-        47.4 bytes per point at this n (the blocks' fixed share included), so at most 50."""
-        n = 100_000
-        peak = traced_peak(averaged_p_laplace_dense, default_gmm, default_gmm.means[0], [1.0, 2.0, 3.0], 1.0, n,
-                           make_rng(20))
-        assert peak <= 50 * n
+        With three p at d = 2 the tracemalloc peak is 2.11 MB at 100k points and 2.16 MB at 1M,
+        so at most 3 MB at either (the per-point bound this replaces allowed 5 MB at 100k)."""
+        for n in (100_000, 1_000_000):
+            peak = traced_peak(averaged_p_laplace_dense, default_gmm, default_gmm.means[0], [1.0, 2.0, 3.0], 1.0, n,
+                               make_rng(20))
+            assert peak <= 3_000_000
