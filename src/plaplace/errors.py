@@ -5,10 +5,6 @@ class PlaplaceError(Exception):
     """Base class for all package-specific errors."""
 
 
-class EstimationError(PlaplaceError):
-    """Raised when the dense reference cannot be formed: every sample was singular."""
-
-
 class TrainingDivergedError(PlaplaceError):
     """Raised when the training loss becomes non-finite."""
 

@@ -18,8 +18,8 @@ block of centers at a time; ``estimate_boundary`` runs the same
 
 Both routes evaluate only F(s) = |s|^(p-2) s, which is bounded for every
 p >= 1 and 0 at s = 0 (``fields.p_weight``), so every sample enters the mean:
-``n_used`` is ``n_samples`` and ``singular_hits`` is 0.  Only the exact
-operator behind the dense reference (``gmm``) has samples to skip.
+``n_used`` is ``n_samples`` and ``singular_hits`` is 0, as for the dense
+reference (``gmm``).
 """
 
 from __future__ import annotations

@@ -2,7 +2,9 @@
 
 Isotropic, shared-variance mixtures with closed forms for the log-density,
 its gradient (the score), and the Laplacian and s^T H s parts behind the
-dense p-Laplace reference: the ground truth for learned score fields.
+dense p-Laplace reference: the ground truth for learned score fields.  The
+exact operator is finite at every point for every p >= 1, so the reference
+averages every sample it draws.
 
 All evaluation functions are vectorized: ``x`` may be a single point of
 shape ``(d,)`` or a batch of shape ``(n, d)``.
@@ -15,16 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError
 from .estimators import PLaplaceEstimate
 from .fields import ScoreField, p_weight
 from .geometry import sample_ball_blocks
 
 # Rows per block of the dense reference: bounds its (rows, K, d) temporaries.
 CHUNK = 8192
-
-# Gradient floor: below this score norm the exact p < 2 operator is singular.
-EPS_GRAD = 1e-8
 
 __all__ = [
     "GmmParams",
@@ -152,18 +150,17 @@ def _p_laplace_parts(g: GmmParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return s, lap, np.einsum("...d,...d->...", s, hs)
 
 
-def _p_laplace_values(s: np.ndarray, lap: np.ndarray, quad: np.ndarray, p: float):
-    """|s|^(p-2) * (lap + (p-2) * s^T H s / |s|^2) from the parts; returns (values, singular mask).
+def _p_laplace_values(s: np.ndarray, lap: np.ndarray, quad: np.ndarray, p: float) -> np.ndarray:
+    """|s|^(p-2) * (lap + (p-2) * s^T H s / |s|^2) from the parts.
 
-    For p < 2 the operator blows up as |s| -> 0, so the mask marks the rows
-    whose score norm is below ``EPS_GRAD``; a value under it is not the
-    operator, and the dense reference skips it.  For p >= 2 no row is
-    singular: quad = s^T H s vanishes quadratically with |s|, so with the
-    floored norm of ``p_weight`` the ratio quad / |s|^2 stays bounded.
+    Every row is finite: ``p_weight`` floors the norm, so quad / |s|^2 is
+    0 / 1e-300 = 0 at a critical point (s = 0), and the weight stays finite
+    for p < 2 however small |s| is.  Scaling the potential by a scales the
+    value by a |a|^(p-2) while every score norm stays at or above
+    ``fields.NORM_FLOOR``.
     """
     norm, weight = p_weight(s, p)
-    singular = norm < EPS_GRAD if p < 2 else np.zeros(norm.shape, dtype=bool)
-    return weight * (lap + (p - 2.0) * quad / (norm * norm)), singular
+    return weight * (lap + (p - 2.0) * quad / (norm * norm))
 
 
 def _block_moments(values: np.ndarray, shift: float) -> tuple[int, float, float]:
@@ -174,8 +171,8 @@ def _block_moments(values: np.ndarray, shift: float) -> tuple[int, float, float]
     return dev.shape[0], total, float(np.square(dev, out=dev).sum())
 
 
-def _merged_estimate(shift: float, blocks: list[tuple[int, float, float]], n: int) -> PLaplaceEstimate:
-    """Mean and standard error of values from per-block ``_block_moments`` of ``values - shift``, n points drawn.
+def _merged_estimate(shift: float, blocks: list[tuple[int, float, float]]) -> PLaplaceEstimate:
+    """Mean and standard error of values from per-block ``_block_moments`` of ``values - shift``.
 
     Chan, Golub and LeVeque's pairwise merge: mean = shift + sum_b sum_b / N and
     M2 = sum_b M2_b + sum_b n_b (mean_b - mean)^2, each sum over blocks correctly
@@ -186,7 +183,7 @@ def _merged_estimate(shift: float, blocks: list[tuple[int, float, float]], n: in
     mean = math.fsum(total for _, total, _ in blocks) / n_used
     m2 = math.fsum([m2 for _, _, m2 in blocks] + [count * (total / count - mean) ** 2 for count, total, _ in blocks])
     std_error = math.sqrt(m2 / (n_used - 1)) / math.sqrt(n_used) if n_used > 1 else math.inf
-    return PLaplaceEstimate(value=shift + mean, std_error=std_error, n_used=n_used, singular_hits=n - n_used)
+    return PLaplaceEstimate(value=shift + mean, std_error=std_error, n_used=n_used, singular_hits=0)
 
 
 def averaged_p_laplace_dense(
@@ -195,35 +192,28 @@ def averaged_p_laplace_dense(
     """Dense Monte Carlo average of the exact pointwise operator over a ball, for every p.
 
     The reference value for the ball-averaged p-Laplace: one draw of n
-    uniform ball samples serves every p in ``p_values``.  The draw arrives
-    ``CHUNK`` rows at a time from ``sample_ball_blocks``; each block's mixture
-    parts give, per p, the count, sum and M2 of the block's non-singular
-    values, shifted by the mean of the first block that has any
-    (``_block_moments``), and the blocks are merged at the end
+    uniform ball samples serves every p in ``p_values``, and every sample
+    enters the mean.  The draw arrives ``CHUNK`` rows at a time from
+    ``sample_ball_blocks``; each block's mixture parts give, per p, the
+    count, sum and M2 of the block's values, shifted by the mean of the
+    first block (``_block_moments``), and the blocks are merged at the end
     (``_merged_estimate``).  No array spans every point: the working set is
-    one block's, whatever n.  Points where a p < 2 evaluation is singular
-    are skipped and counted; :class:`EstimationError` if every one is.
-    Returns one estimate per p, in order; ``ValueError`` before any draw if
-    a p is below 1.
+    one block's, whatever n.  Returns one estimate per p, in order;
+    ``ValueError`` before any draw if a p is below 1.
     """
     for p in p_values:
         if not p >= 1:
             raise ValueError(f"p must be >= 1, got {p}")
-    shifts = [None] * len(p_values)
-    moments = [[] for _ in p_values]  # per p, the _block_moments of every block with a non-singular value
-    for xs in sample_ball_blocks(x0, radius, n, rng, CHUNK):
+    shifts = []  # per p, the mean of the first block
+    moments = [[] for _ in p_values]  # per p, the _block_moments of every block
+    for b, xs in enumerate(sample_ball_blocks(x0, radius, n, rng, CHUNK)):
         parts = _p_laplace_parts(g, xs)
         for k, p in enumerate(p_values):
-            values, singular = _p_laplace_values(*parts, p)
-            if singular.any():
-                values = values[~singular]
-            if values.shape[0]:
-                if shifts[k] is None:
-                    shifts[k] = float(values.mean())
-                moments[k].append(_block_moments(values, shifts[k]))
-    if not all(moments):
-        raise EstimationError("every dense sample was singular")
-    return [_merged_estimate(*args, n) for args in zip(shifts, moments)]
+            values = _p_laplace_values(*parts, p)
+            if b == 0:
+                shifts.append(float(values.mean()))
+            moments[k].append(_block_moments(values, shifts[k]))
+    return [_merged_estimate(*args) for args in zip(shifts, moments)]
 
 
 def sample_gmm(g: GmmParams, n: int, rng: np.random.Generator) -> np.ndarray:

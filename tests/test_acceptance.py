@@ -17,7 +17,7 @@ import pytest
 from plaplace.bounds import bound_constant, validate_bound
 from plaplace.estimators import EstimatorConfig, _flux_values, estimate_boundary, estimate_volume
 from plaplace.geometry import make_rng, split_rng
-from plaplace.gmm import averaged_p_laplace_dense, log_density, perturb, sample_gmm, score
+from plaplace.gmm import GmmParams, averaged_p_laplace_dense, log_density, perturb, sample_gmm, score
 from plaplace.gmm import score_field as gmm_score_field
 from plaplace.memorization import auc, build_scenario, grid_p_laplace, make_grid, percentile_rank
 from plaplace.score_model import (
@@ -99,7 +99,7 @@ def test_criterion_1_estimator_correctness(default_gmm, schedule, trained_model)
 
 
 def test_criterion_2_homogeneity(default_gmm):
-    """Scaled potentials move estimates by a|a|^(p-2); p=1 flux ignores positive rescaling."""
+    """Scaled potentials move estimates and the dense reference by a|a|^(p-2); p=1 flux ignores positive rescaling."""
     with report("2 homogeneity") as info:
         field = gmm_score_field(default_gmm)
         anchors = [np.array([1.0, 2.0]), np.array([-2.0, 0.5])]
@@ -129,7 +129,26 @@ def test_criterion_2_homogeneity(default_gmm):
         base = _flux_values(field(ys), normals, 1.0)
         assert np.all(np.abs(_flux_values(3.7 * field(ys), normals, 1.0) - base) <= 1e-12)
         assert np.all(np.abs(_flux_values(pointwise_rescaled(ys), normals, 1.0) - base) <= 1e-12)
-        info["detail"] = f"worst relative deviation {worst_rel:.2e}"
+
+        # The dense reference at a single Gaussian's mean: sigma2 scales the potential by a = 1/sigma2, so on
+        # one draw value * sigma2^(p-1) and std_error * sigma2^(p-1) are the sigma2 = 1 figures, from every sample,
+        # however small the score norms get (|s| <= 1e-12 at sigma2 = 1e12).
+        n, dense_p = 200_000, (1.0, 1.5, 2.0, 3.0)
+
+        def dense_at(sigma2):
+            g = GmmParams(means=[[0.0, 0.0]], sigma2=sigma2, weights=[1.0])
+            return averaged_p_laplace_dense(g, np.zeros(2), dense_p, 1.0, n, make_rng(3))
+
+        unit = dense_at(1.0)
+        worst_dense = 0.0
+        for sigma2 in (1e7, 1e12):
+            for p, ref, est in zip(dense_p, unit, dense_at(sigma2)):
+                assert est.n_used == n, f"sigma2={sigma2}, p={p}: {est.n_used} of {n} samples"
+                for got, want in ((est.value, ref.value), (est.std_error, ref.std_error)):
+                    err = abs(got * sigma2 ** (p - 1.0) - want)
+                    assert err <= 1e-12 * abs(want), f"sigma2={sigma2}, p={p}: {got} vs {want}"
+                    worst_dense = max(worst_dense, err / max(abs(want), 1e-300))
+        info["detail"] = f"worst relative deviation {worst_rel:.2e}, dense reference {worst_dense:.1e}"
 
 
 def test_criterion_3_divergence_theorem(default_gmm):

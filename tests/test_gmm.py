@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import plaplace.gmm as gmm_module
 from plaplace.estimators import PLaplaceEstimate, _divergence_values, _reduce
 from plaplace.geometry import make_rng, sample_ball_uniform
 from plaplace.gmm import (
@@ -30,38 +29,33 @@ def single(mean, sigma2=1.0):
     return GmmParams(means=[mean], sigma2=sigma2, weights=[1.0])
 
 
-def block_merge(blocks, n):
-    """The dense reference's estimate from its blocks' kept values, n points drawn in all.
+def block_merge(blocks):
+    """The dense reference's estimate from its blocks' values.
 
-    Every value is shifted by the mean of the first nonempty block.  Each nonempty block gives its
-    count, shifted sum and sum of squared deviations about its own mean; the mean is the correctly
-    rounded shifted total over N plus the shift, and the merged M2 adds each block's
-    n_b * (mean_b - mean)^2 (Chan, Golub and LeVeque)."""
-    kept = [b for b in blocks if b.size]
-    shift = float(kept[0].mean())
-    sums = [float((b - shift).sum()) for b in kept]
-    m2s = [float(np.sum((b - shift - total / b.size) ** 2)) for b, total in zip(kept, sums)]
-    n_used = sum(b.size for b in kept)
+    Every value is shifted by the mean of the first block.  Each block gives its count, shifted sum
+    and sum of squared deviations about its own mean; the mean is the correctly rounded shifted total
+    over N plus the shift, and the merged M2 adds each block's n_b * (mean_b - mean)^2 (Chan, Golub
+    and LeVeque)."""
+    shift = float(blocks[0].mean())
+    sums = [float((b - shift).sum()) for b in blocks]
+    m2s = [float(np.sum((b - shift - total / b.size) ** 2)) for b, total in zip(blocks, sums)]
+    n_used = sum(b.size for b in blocks)
     mean = math.fsum(sums) / n_used
-    m2 = math.fsum(m2s + [b.size * (total / b.size - mean) ** 2 for b, total in zip(kept, sums)])
-    return PLaplaceEstimate(shift + mean, math.sqrt(m2 / (n_used - 1)) / math.sqrt(n_used), n_used, n - n_used)
+    m2 = math.fsum(m2s + [b.size * (total / b.size - mean) ** 2 for b, total in zip(blocks, sums)])
+    return PLaplaceEstimate(shift + mean, math.sqrt(m2 / (n_used - 1)) / math.sqrt(n_used), n_used, 0)
 
 
 def assert_block_merge_of_one_piece(g, x0, chunk, n):
     """The dense reference at p in {1, 1.5, 2, 3} against ``block_merge`` of the one-piece parts, sliced into
-    ``chunk``-row blocks with the masked rows skipped; returns the dense estimates and each p's empty blocks."""
+    ``chunk``-row blocks; returns the dense estimates."""
     p_values = [1.0, 1.5, 2.0, 3.0]
     dense = averaged_p_laplace_dense(g, x0, p_values, 1.0, n, make_rng(19))
     parts = _p_laplace_parts(g, sample_ball_uniform(x0, 1.0, n, make_rng(19)))
     assert len(dense) == len(p_values)
-    empty = []
     for p, got in zip(p_values, dense):
-        values, singular = _p_laplace_values(*parts, p)
-        blocks = [values[i : i + chunk][~singular[i : i + chunk]] for i in range(0, n, chunk)]
-        assert got == block_merge(blocks, n)
-        assert got.n_used + got.singular_hits == n
-        empty.append(sum(block.size == 0 for block in blocks))
-    return dense, empty
+        values = _p_laplace_values(*parts, p)
+        assert got == block_merge([values[i : i + chunk] for i in range(0, n, chunk)])
+    return dense
 
 
 def fd_hessian(g, x, h=1e-5):
@@ -70,9 +64,8 @@ def fd_hessian(g, x, h=1e-5):
 
 
 def pointwise(g, x, p):
-    """The exact pointwise p-Laplace: the kernel the dense reference averages, at points where it is regular."""
-    values, singular = _p_laplace_values(*_p_laplace_parts(g, np.asarray(x, dtype=float)), p)
-    assert not singular.any()
+    """The exact pointwise p-Laplace: the kernel the dense reference averages."""
+    values = _p_laplace_values(*_p_laplace_parts(g, np.asarray(x, dtype=float)), p)
     return float(values) if values.ndim == 0 else values
 
 
@@ -268,21 +261,15 @@ class TestPointwisePLaplace:
             [fd] = _divergence_values(field, x[None, :], p, 1e-3)
             assert exact == pytest.approx(fd, rel=1e-3)
 
-    @pytest.mark.parametrize("a", [-2.0, 0.5, 3.0])
+    @pytest.mark.parametrize("a", [-2.0, 0.5, 3.0, 1e-12, -1e12])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_homogeneity(self, random_gmm, a, p):
         """The integrand of the potential a*u: score a*s, Laplacian a*lap, quadratic form a^3*quad."""
         xs = make_rng(12).uniform(-5, 5, size=(20, 2))
         base = pointwise(random_gmm, xs, p)
         s, lap, quad = _p_laplace_parts(random_gmm, xs)
-        scaled, singular = _p_laplace_values(a * s, a * lap, a**3 * quad, p)
-        assert not singular.any()
+        scaled = _p_laplace_values(a * s, a * lap, a**3 * quad, p)
         np.testing.assert_allclose(scaled, a * abs(a) ** (p - 2.0) * base, rtol=1e-8)
-
-    def test_singularity_flagged(self):
-        """At a zero of the score the mask marks p < 2 and only p < 2: the dense reference skips those rows."""
-        parts = _p_laplace_parts(single([0.0, 0.0]), np.zeros((1, 2)))
-        assert [bool(_p_laplace_values(*parts, p)[1][0]) for p in (1.0, 1.5, 2.0, 3.0)] == [True, True, False, False]
 
     def test_p_below_one_rejected(self, random_gmm):
         """The dense reference rejects a p below 1 or NaN anywhere in its list, as EstimatorConfig does, before any draw."""
@@ -331,17 +318,8 @@ class TestDenseAverage:
 
     def test_chunks_and_shared_draw_match_one_piece(self, random_gmm):
         """Every p reduces the same draw, bit for bit as a block merge of the parts taken in one piece."""
-        dense, _ = assert_block_merge_of_one_piece(random_gmm, random_gmm.means[0], CHUNK, 2 * CHUNK + 17)
-        assert all(est.singular_hits == 0 for est in dense)
-
-    def test_skipped_rows_and_empty_blocks_match_one_piece(self, monkeypatch):
-        """Skipped rows, and blocks that keep none, leave the estimate the block merge of the kept one-piece parts.
-
-        |s| = |x| / 1e8 is singular within 1 of the mean: about half of this ball, and some 3-row blocks whole."""
-        monkeypatch.setattr(gmm_module, "CHUNK", 3)
-        dense, empty = assert_block_merge_of_one_piece(single([0.0, 0.0], sigma2=1e8), np.array([0.5, 0.0]), 3, 203)
-        assert [0 < est.singular_hits < 203 for est in dense] == [True, True, False, False]
-        assert empty[0] > 0 and empty[1] > 0 and empty[2:] == [0, 0]
+        dense = assert_block_merge_of_one_piece(random_gmm, random_gmm.means[0], CHUNK, 2 * CHUNK + 17)
+        assert all((est.n_used, est.singular_hits) == (2 * CHUNK + 17, 0) for est in dense)
 
     def test_matches_one_piece_reduce(self, random_gmm):
         """The block merge agrees with numpy's one-piece mean and standard deviation at every p.
@@ -352,9 +330,7 @@ class TestDenseAverage:
         dense = averaged_p_laplace_dense(random_gmm, x0, p_values, 1.0, n, make_rng(23))
         parts = _p_laplace_parts(random_gmm, sample_ball_uniform(x0, 1.0, n, make_rng(23)))
         for p, got in zip(p_values, dense):
-            values, singular = _p_laplace_values(*parts, p)
-            assert not singular.any()
-            ref = _reduce(values, 1.0)
+            ref = _reduce(_p_laplace_values(*parts, p), 1.0)
             assert (got.n_used, got.singular_hits) == (ref.n_used, ref.singular_hits)
             assert got.value == pytest.approx(ref.value, rel=1e-14, abs=0)
             assert got.std_error == pytest.approx(ref.std_error, rel=1e-14, abs=0)
