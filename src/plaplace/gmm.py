@@ -163,27 +163,38 @@ def _p_laplace_values(s: np.ndarray, lap: np.ndarray, quad: np.ndarray, p: float
     return weight * (lap + (p - 2.0) * quad / (norm * norm))
 
 
-def _block_moments(values: np.ndarray, shift: float) -> tuple[int, float, float]:
-    """Count, sum and M2 (the sum of squared deviations about their own mean) of one block's ``values - shift``."""
+def _block_moments(values: np.ndarray, shift: float, scale: float) -> tuple[int, float, float]:
+    """Count, sum and M2 (the sum of squared deviations about their own mean) of ``(values - shift) * scale``."""
     dev = values - shift
+    dev *= scale
     total = float(dev.sum())
     dev -= total / dev.shape[0]
     return dev.shape[0], total, float(np.square(dev, out=dev).sum())
 
 
-def _merged_estimate(shift: float, blocks: list[tuple[int, float, float]]) -> PLaplaceEstimate:
-    """Mean and standard error of values from per-block ``_block_moments`` of ``values - shift``.
+def _moment_scale(values: np.ndarray) -> float:
+    """The power of two that brings the largest |value| into [0.5, 1), kept a normal float (2^-1022 to 2^1023).
+
+    Multiplying by it is exact, and it keeps the squares of M2 from underflowing or overflowing."""
+    exponent = math.frexp(float(np.abs(values).max()))[1]
+    return math.ldexp(1.0, min(max(-exponent, -1022), 1023))
+
+
+def _merged_estimate(shift: float, scale: float, blocks: list[tuple[int, float, float]]) -> PLaplaceEstimate:
+    """Mean and standard error of values from per-block ``_block_moments`` of ``(values - shift) * scale``.
 
     Chan, Golub and LeVeque's pairwise merge: mean = shift + sum_b sum_b / N and
     M2 = sum_b M2_b + sum_b n_b (mean_b - mean)^2, each sum over blocks correctly
     rounded by ``math.fsum``.  A shift near the mean keeps the block sums small, so
-    values that barely vary lose no bits of M2 to their block means' rounding.
+    values that barely vary lose no bits of M2 to their block means' rounding.  The
+    power-of-two ``scale`` is divided back out of the mean and the standard error;
+    it changes no bit unless the unscaled squares would underflow or overflow.
     """
     n_used = sum(count for count, _, _ in blocks)
     mean = math.fsum(total for _, total, _ in blocks) / n_used
     m2 = math.fsum([m2 for _, _, m2 in blocks] + [count * (total / count - mean) ** 2 for count, total, _ in blocks])
-    std_error = math.sqrt(m2 / (n_used - 1)) / math.sqrt(n_used) if n_used > 1 else math.inf
-    return PLaplaceEstimate(value=shift + mean, std_error=std_error, n_used=n_used, singular_hits=0)
+    std_error = math.sqrt(m2 / (n_used - 1)) / math.sqrt(n_used) / scale if n_used > 1 else math.inf
+    return PLaplaceEstimate(value=shift + mean / scale, std_error=std_error, n_used=n_used, singular_hits=0)
 
 
 def averaged_p_laplace_dense(
@@ -196,15 +207,16 @@ def averaged_p_laplace_dense(
     enters the mean.  The draw arrives ``CHUNK`` rows at a time from
     ``sample_ball_blocks``; each block's mixture parts give, per p, the
     count, sum and M2 of the block's values, shifted by the mean of the
-    first block (``_block_moments``), and the blocks are merged at the end
-    (``_merged_estimate``).  No array spans every point: the working set is
-    one block's, whatever n.  Returns one estimate per p, in order;
-    ``ValueError`` before any draw if a p is below 1.
+    first block and scaled by the power of two that its largest |value|
+    gives (``_block_moments``, ``_moment_scale``), and the blocks are merged
+    at the end (``_merged_estimate``).  No array spans every point: the
+    working set is one block's, whatever n.  Returns one estimate per p, in
+    order; ``ValueError`` before any draw if a p is below 1.
     """
     for p in p_values:
         if not p >= 1:
             raise ValueError(f"p must be >= 1, got {p}")
-    shifts = []  # per p, the mean of the first block
+    shifts, scales = [], []  # per p, the mean and the _moment_scale of the first block
     moments = [[] for _ in p_values]  # per p, the _block_moments of every block
     for b, xs in enumerate(sample_ball_blocks(x0, radius, n, rng, CHUNK)):
         parts = _p_laplace_parts(g, xs)
@@ -212,8 +224,9 @@ def averaged_p_laplace_dense(
             values = _p_laplace_values(*parts, p)
             if b == 0:
                 shifts.append(float(values.mean()))
-            moments[k].append(_block_moments(values, shifts[k]))
-    return [_merged_estimate(*args) for args in zip(shifts, moments)]
+                scales.append(_moment_scale(values))
+            moments[k].append(_block_moments(values, shifts[k], scales[k]))
+    return [_merged_estimate(*args) for args in zip(shifts, scales, moments)]
 
 
 def sample_gmm(g: GmmParams, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -8,13 +8,17 @@ denoising step (t = 0, the smallest trained noise level).
 
 Everything is plain numpy with hand-written backpropagation; training is
 deterministic given (data, config, seed).  Training is SGD over tables
-built once per call.  Each epoch's inputs are built ``TRAIN_BLOCK`` rows
-(whole batches) at a time: every batch draws its timesteps and noise, then
-one pass gathers the block's data, corruption factors and embeddings into
-preallocated buffers, so a step runs only the MLP kernel and one in-place
-update of a flat parameter buffer.  Its weights are bitwise those of the
-textbook loop that corrupts, embeds, concatenates and updates each weight
-array per step; the tests keep that loop as the reference.
+built once per call.  Each layer is trained stacked with its bias as a last
+row, against inputs that carry a column of ones, so a step is little more
+than its four GEMMs and its tanh: the residual is scaled by 2 * lr / m, the
+gradient GEMMs return the update itself, and one in-place subtraction
+applies it to a flat parameter buffer.  Each epoch's inputs are built
+``TRAIN_BLOCK`` rows (whole batches) at a time, each block drawing its
+timesteps and its noise in one call apiece from two streams of their own.
+Split draws give the same values, so the weights do not depend on
+``TRAIN_BLOCK``, and they are bitwise those of the textbook loop that
+corrupts, embeds, concatenates and updates per batch; the tests keep that
+loop as the reference.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from .errors import SamplingError, TrainingDivergedError
 from .fields import ScoreField
-from .geometry import make_rng
+from .geometry import make_rng, split_rng
 
 logger = logging.getLogger(__name__)
 
@@ -190,35 +194,41 @@ def _mlp_forward(w1, b1, w2, b2, z, h=None, y=None):
     return np.add(np.matmul(h, w2, out=y), b2, out=y), h
 
 
-def _mlp_loss_and_grads(w1, b1, w2, b2, z, eps, grads=None, work=None):
-    """Mean squared noise-prediction error and its parameter gradients.
+def _mlp_loss_and_grads(W1, W2, z, eps, scale=None, grads=None, work=None):
+    """Mean squared noise-prediction error and the gradients of the stacked layers, times ``scale * n / 2``.
 
-    The loss is mean over the batch of the squared norm of (prediction - eps),
-    so a zero predictor scores about the data dimension.  ``grads`` (arrays
-    shaped like w1, b1, w2, b2) receives the gradients and ``work`` (arrays
-    shaped (n, hidden), (n, d), (n, hidden)) the intermediates, so a training
-    loop can run without allocating; either may be omitted, and the
+    Each layer is stacked with its bias as a last row, ``W1 = [w1; b1]`` and
+    ``W2 = [w2; b2]``, and ``z`` carries a trailing column of ones, so one
+    GEMM gives each pre-activation with its bias and one GEMM gives each
+    ``[dw; db]``.  The loss is mean over the batch of the squared norm of
+    (prediction - eps), so a zero predictor scores about the data dimension.
+    The residual is multiplied by ``scale`` before backpropagation; the
+    default 2 / n gives the true gradients, and 2 * lr / n gives the SGD
+    update itself.  ``grads`` (arrays shaped like W1, W2) receives the
+    gradients and ``work`` (arrays shaped (n, hidden), (n, hidden + 1) with a
+    last column of ones, (n, d), (n, hidden)) the intermediates, so a
+    training loop can run without allocating; either may be omitted, and the
     arithmetic is the same.
     """
-    n = z.shape[0]
-    dw1, db1, dw2, db2 = (None,) * 4 if grads is None else grads
-    h, y, dh = (None,) * 3 if work is None else work
-    y, h = _mlp_forward(w1, b1, w2, b2, z, h, y)
-    resid = np.subtract(y, eps, out=y)
-    loss = float(np.add.reduce(resid * resid, axis=None) / n)
-    dy = resid  # 2 * resid / n, formed in place
-    dy *= 2.0
-    dy /= n
-    dw2 = np.matmul(h.T, dy, out=dw2)
-    db2 = np.add.reduce(dy, axis=0, out=db2)
-    dh = np.matmul(dy, w2.T, out=dh)
-    # h is spent once dw2 is formed: it becomes the tanh derivative 1 - h^2 in place.
-    h *= h
-    np.subtract(1.0, h, out=h)
-    da = np.multiply(dh, h, out=dh)
-    dw1 = np.matmul(z.T, da, out=dw1)
-    db1 = np.add.reduce(da, axis=0, out=db1)
-    return loss, (dw1, db1, dw2, db2)
+    n, hidden = z.shape[0], W1.shape[1]
+    dW1, dW2 = (None, None) if grads is None else grads
+    if work is None:
+        work = (np.empty((n, hidden)), np.ones((n, hidden + 1)), np.empty((n, W2.shape[1])), np.empty((n, hidden)))
+    a, h, y, dh = work
+    # tanh runs on the contiguous scratch a and is copied once: a strided out= costs more than the copy.
+    np.tanh(np.matmul(z, W1, out=a), out=a)
+    h[:, :hidden] = a
+    resid = np.subtract(np.matmul(h, W2, out=y), eps, out=y)
+    loss = float(np.vdot(resid, resid)) / n
+    resid *= 2.0 / n if scale is None else scale
+    dW2 = np.matmul(h.T, resid, out=dW2)
+    dh = np.matmul(resid, W2[:hidden].T, out=dh)
+    # a is spent once h holds it: it becomes the tanh derivative 1 - a^2 in place.
+    a *= a
+    np.subtract(1.0, a, out=a)
+    dh *= a
+    dW1 = np.matmul(z.T, dh, out=dW1)
+    return loss, (dW1, dW2)
 
 
 def train(
@@ -238,13 +248,18 @@ def train(
     row and the sqrt(1 - alpha_t), sqrt(alpha_t) factors of every timestep,
     block buffers of at most ``TRAIN_BLOCK`` rows (whole batches, at least
     one) with each batch's views into them, and one flat parameter and
-    gradient buffer that the weights view.  Each block draws every batch's
-    t and eps in the per-batch order, then builds the corrupted inputs and
-    embedding columns of all its rows in one pass; each step then runs the
-    kernel and updates every weight with one in-place subtraction.  The
-    float operations are those of the per-array textbook loop, so the
-    weights are bitwise those of that loop, and the working set does not
-    grow with the data beyond the epoch's permutation.
+    gradient buffer that the stacked layers ``[w1; b1]`` and ``[w2; b2]``
+    view.  After the w1 init the generator spawns a timestep stream and a
+    noise stream; it keeps the epoch permutations.  Each block draws its
+    timesteps in one call and its noise in one call, then builds the
+    corrupted inputs and embedding columns of all its rows in one pass
+    (the input buffer's last column of ones is written once).  Each step
+    then runs the kernel with the residual scaled by 2 * lr / m, so the
+    gradient buffer holds the update, and subtracts it from the parameters.
+    Splitting a draw leaves its values unchanged, so the weights do not
+    depend on ``TRAIN_BLOCK`` and are bitwise those of a per-batch loop on
+    the same streams; the working set does not grow with the data beyond
+    the epoch's permutation.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.size == 0:
@@ -254,13 +269,13 @@ def train(
 
     in_dim = d + embed_dim
     bound = 1.0 / np.sqrt(in_dim)
-    shapes = ((in_dim, hidden_width), (hidden_width,), (hidden_width, d), (d,))
-    ends = np.cumsum([math.prod(shape) for shape in shapes])
-    params = np.zeros(ends[-1])
+    split = (in_dim + 1) * hidden_width
+    params = np.zeros(split + (hidden_width + 1) * d)
     grads = np.empty_like(params)
-    w1, b1, w2, b2 = (part.reshape(shape) for part, shape in zip(np.split(params, ends[:-1]), shapes))
-    grad_views = tuple(part.reshape(shape) for part, shape in zip(np.split(grads, ends[:-1]), shapes))
-    w1[...] = rng.uniform(-bound, bound, size=(in_dim, hidden_width))
+    layers = (params[:split].reshape(in_dim + 1, hidden_width), params[split:].reshape(hidden_width + 1, d))
+    updates = (grads[:split].reshape(in_dim + 1, hidden_width), grads[split:].reshape(hidden_width + 1, d))
+    layers[0][:in_dim] = rng.uniform(-bound, bound, size=(in_dim, hidden_width))
+    t_rng, eps_rng = split_rng(rng, 2)
 
     embeddings = sinusoidal_embed(np.arange(schedule.t_steps), embed_dim)
     signal = np.sqrt(1.0 - schedule.alphas)[:, None]
@@ -269,24 +284,28 @@ def train(
     batch = min(cfg.batch_size, n)
     block = max(TRAIN_BLOCK // batch, 1) * batch
     rows = min(block, n)
-    t_buf = np.empty(rows, dtype=np.int64)
-    x0_buf = np.empty((rows, d))
+    x_buf = np.empty((rows, d))
     eps_buf = np.empty((rows, d))
-    z_buf = np.empty((rows, in_dim))
-    work_bufs = (np.empty((batch, hidden_width)), np.empty((batch, d)), np.empty((batch, hidden_width)))
+    z_buf = np.ones((rows, in_dim + 1))
+    work_bufs = (
+        np.empty((batch, hidden_width)),
+        np.ones((batch, hidden_width + 1)),
+        np.empty((batch, d)),
+        np.empty((batch, hidden_width)),
+    )
+    lr = cfg.learning_rate
 
     def batch_views(size):
-        """(t, z, eps, work) views of each batch of a ``size``-row block; only the last batch may be short."""
+        """(z, eps, work, 2 * lr / m) of each batch of a ``size``-row block; only the last batch may be short."""
         edges = [(lo, min(lo + batch, size)) for lo in range(0, size, batch)]
         return [
-            (t_buf[lo:hi], z_buf[lo:hi], eps_buf[lo:hi], tuple(buf[: hi - lo] for buf in work_bufs))
+            (z_buf[lo:hi], eps_buf[lo:hi], tuple(buf[: hi - lo] for buf in work_bufs), 2.0 * lr / (hi - lo))
             for lo, hi in edges
         ]
 
     # Every block but an epoch's last is full, so two view lists serve every epoch.
     views = {size: batch_views(size) for size in {min(block, n - start) for start in range(0, n, block)}}
     n_batches = -(-n // batch)
-    lr = cfg.learning_rate
     for epoch in range(cfg.epochs):
         if batch == n:
             order = np.arange(n)
@@ -295,24 +314,24 @@ def train(
         epoch_loss = 0.0
         for start in range(0, n, block):
             size = min(block, n - start)
-            steps = views[size]
-            for batch_t, _, batch_eps, _ in steps:  # each batch draws its t, then its eps, as a per-batch loop would
-                batch_t[...] = rng.integers(0, schedule.t_steps, size=batch_t.shape[0])
-                rng.standard_normal(out=batch_eps)
-            t, x0, eps, z = t_buf[:size], x0_buf[:size], eps_buf[:size], z_buf[:size]
-            np.take(data, order[start : start + size], axis=0, out=x0)
-            np.multiply(signal[t], x0, out=z[:, :d])  # x_t = sqrt(1 - alpha_t) x0 + sqrt(alpha_t) eps
-            z[:, :d] += noise[t] * eps
-            np.take(embeddings, t, axis=0, out=z[:, d:])
-            for _, batch_z, batch_eps, work in steps:
-                loss, _ = _mlp_loss_and_grads(w1, b1, w2, b2, batch_z, batch_eps, grad_views, work)
+            t = t_rng.integers(0, schedule.t_steps, size=size)
+            x_t, eps, z = x_buf[:size], eps_buf[:size], z_buf[:size]
+            eps_rng.standard_normal(out=eps)
+            # x_t = sqrt(1 - alpha_t) x0 + sqrt(alpha_t) eps, formed contiguous: a strided out= costs more than the copy
+            np.take(data, order[start : start + size], axis=0, out=x_t)
+            x_t *= signal.take(t, axis=0)
+            x_t += noise.take(t, axis=0) * eps
+            z[:, :d] = x_t
+            z[:, d:in_dim] = embeddings.take(t, axis=0)
+            for batch_z, batch_eps, work, scale in views[size]:
+                loss, _ = _mlp_loss_and_grads(*layers, batch_z, batch_eps, scale, updates, work)
                 if not math.isfinite(loss):
                     raise TrainingDivergedError(epoch, loss)
-                grads *= lr  # params -= lr * grads, with no temporary
                 params -= grads
                 epoch_loss += loss
         logger.debug("epoch %d: loss %.6f", epoch, epoch_loss / n_batches)
 
+    (w1, b1), (w2, b2) = ((layer[:-1], layer[-1]) for layer in layers)
     return MlpScoreModel(
         input_dim=d,
         hidden_width=hidden_width,

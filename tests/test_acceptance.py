@@ -262,7 +262,7 @@ def test_criterion_5_memorization_detection(default_gmm, schedule, train_once):
 def test_criterion_6_numerics(default_gmm):
     """Gradient checks at their stated tolerances, and the exact surface/volume factor d/R."""
     with report("6 numerics") as info:
-        # backprop vs central finite differences, 12-parameter spot check
+        # backprop vs central finite differences, 12-parameter spot check: weight and bias rows of both layers
         rng = make_rng(7)
         d, hidden, embed, n = 2, 6, 4, 12
         in_dim = d + embed
@@ -270,25 +270,28 @@ def test_criterion_6_numerics(default_gmm):
         b1 = rng.standard_normal(hidden) * 0.1
         w2 = rng.standard_normal((hidden, d)) * 0.3
         b2 = rng.standard_normal(d) * 0.1
-        z = rng.standard_normal((n, in_dim))
+        z = np.column_stack([rng.standard_normal((n, in_dim)), np.ones(n)])
         eps = rng.standard_normal((n, d))
-        _, grads = _mlp_loss_and_grads(w1, b1, w2, b2, z, eps)
+        layers = np.vstack([w1, b1]), np.vstack([w2, b2])
+        _, grads = _mlp_loss_and_grads(*layers, z, eps)
         worst_grad_err = 0.0
         h = 1e-5
-        for pi, param in enumerate([w1, b1, w2, b2]):
-            flat = param.ravel()
-            for k in range(3):
-                idx = (k * 5) % flat.size
-                orig = flat[idx]
-                flat[idx] = orig + h
-                lp, _ = _mlp_loss_and_grads(w1, b1, w2, b2, z, eps)
-                flat[idx] = orig - h
-                lm, _ = _mlp_loss_and_grads(w1, b1, w2, b2, z, eps)
-                flat[idx] = orig
-                fd = (lp - lm) / (2 * h)
-                rel = abs(grads[pi].ravel()[idx] - fd) / max(abs(fd), 1e-8)
-                worst_grad_err = max(worst_grad_err, rel)
-                assert rel < 1e-4
+        for layer, grad in zip(layers, grads):
+            for rows in (slice(None, -1), slice(-1, None)):  # the weights, then the bias row
+                flat = layer[rows].ravel()
+                assert np.shares_memory(flat, layer)
+                for k in range(3):
+                    idx = (k * 5) % flat.size
+                    orig = flat[idx]
+                    flat[idx] = orig + h
+                    lp, _ = _mlp_loss_and_grads(*layers, z, eps)
+                    flat[idx] = orig - h
+                    lm, _ = _mlp_loss_and_grads(*layers, z, eps)
+                    flat[idx] = orig
+                    fd = (lp - lm) / (2 * h)
+                    rel = abs(grad[rows].ravel()[idx] - fd) / max(abs(fd), 1e-8)
+                    worst_grad_err = max(worst_grad_err, rel)
+                    assert rel < 1e-4
 
         # oracle score vs finite-difference gradient of the log-density
         xs = make_rng(8).uniform(-6, 6, size=(100, 2))

@@ -335,6 +335,18 @@ class TestDenseAverage:
             assert got.value == pytest.approx(ref.value, rel=1e-14, abs=0)
             assert got.std_error == pytest.approx(ref.std_error, rel=1e-14, abs=0)
 
+    def test_std_error_of_tiny_values(self):
+        """At a single Gaussian's mean, sigma2 = 1e100 scales the p = 3 values to about 1e-200, whose squares
+        underflow.  Each block's deviations are scaled by a power of two before they are squared, so the value and
+        the std error still match sigma2 = 1 once multiplied by sigma2^(p-1); unscaled, the std error read 0.0."""
+        unit, tiny = (averaged_p_laplace_dense(single([0.0, 0.0], sigma2), np.zeros(2), [1.0, 3.0], 1.0, 20_000,
+                                               make_rng(3)) for sigma2 in (1.0, 1e100))
+        for p, expected, got in zip([1.0, 3.0], unit, tiny):
+            factor = 1e100 ** (p - 1)
+            assert got.value * factor == pytest.approx(expected.value, rel=1e-12, abs=0)
+            assert got.std_error * factor == pytest.approx(expected.std_error, rel=1e-12, abs=0)
+        assert tiny[1].std_error > 0
+
     def test_working_set_is_one_block(self, default_gmm, traced_peak):
         """Samples, parts and values live one block at a time, so the peak does not grow with n.
 

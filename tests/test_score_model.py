@@ -6,7 +6,7 @@ import pytest
 
 from plaplace import score_model
 from plaplace.errors import SamplingError, TrainingDivergedError
-from plaplace.geometry import make_rng
+from plaplace.geometry import make_rng, split_rng
 from plaplace.gmm import GmmParams, perturb, sample_gmm, score
 from plaplace.score_model import (
     PREDICT_BLOCK,
@@ -126,9 +126,15 @@ class TestSinusoidalEmbed:
             sinusoidal_embed(3, 7)
 
 
+def stacked_layers(w1, b1, w2, b2):
+    """The layers as the step kernel takes them: each weight matrix with its bias as a last row."""
+    return np.vstack([w1, b1]), np.vstack([w2, b2])
+
+
 class TestBackprop:
     def test_gradients_match_finite_differences(self):
-        """Central-difference check on a spot sample of parameters."""
+        """Central-difference check on a spot sample of parameters: three in the weight rows and three in the bias
+        row of each stacked layer."""
         rng = make_rng(7)
         d, hidden, embed, n = 2, 6, 4, 12
         in_dim = d + embed
@@ -136,27 +142,41 @@ class TestBackprop:
         b1 = rng.standard_normal(hidden) * 0.1
         w2 = rng.standard_normal((hidden, d)) * 0.3
         b2 = rng.standard_normal(d) * 0.1
-        z = rng.standard_normal((n, in_dim))
+        z = np.column_stack([rng.standard_normal((n, in_dim)), np.ones(n)])
         eps = rng.standard_normal((n, d))
-        _, grads = _mlp_loss_and_grads(w1, b1, w2, b2, z, eps)
-        params = [w1, b1, w2, b2]
+        layers = stacked_layers(w1, b1, w2, b2)
+        _, grads = _mlp_loss_and_grads(*layers, z, eps)
         h = 1e-5
         checked = 0
-        for pi, param in enumerate(params):
-            flat = param.ravel()
-            for k in range(3):
-                idx = (k * 7) % flat.size
-                orig = flat[idx]
-                flat[idx] = orig + h
-                lp, _ = _mlp_loss_and_grads(w1, b1, w2, b2, z, eps)
-                flat[idx] = orig - h
-                lm, _ = _mlp_loss_and_grads(w1, b1, w2, b2, z, eps)
-                flat[idx] = orig
-                fd = (lp - lm) / (2 * h)
-                an = grads[pi].ravel()[idx]
-                assert abs(an - fd) <= 1e-4 * max(abs(fd), 1e-8)
-                checked += 1
+        for layer, grad in zip(layers, grads):
+            for rows in (slice(None, -1), slice(-1, None)):  # the weights, then the bias row
+                flat = layer[rows].ravel()
+                assert np.shares_memory(flat, layer)
+                for k in range(3):
+                    idx = (k * 7) % flat.size
+                    orig = flat[idx]
+                    flat[idx] = orig + h
+                    lp, _ = _mlp_loss_and_grads(*layers, z, eps)
+                    flat[idx] = orig - h
+                    lm, _ = _mlp_loss_and_grads(*layers, z, eps)
+                    flat[idx] = orig
+                    fd = (lp - lm) / (2 * h)
+                    an = grad[rows].ravel()[idx]
+                    assert abs(an - fd) <= 1e-4 * max(abs(fd), 1e-8)
+                    checked += 1
         assert checked >= 10
+
+    def test_scale_multiplies_the_gradients(self):
+        """A residual scaled by 2 * lr / n returns lr times the gradients; the loss does not change."""
+        rng = make_rng(8)
+        W1, W2 = rng.standard_normal((7, 5)), rng.standard_normal((6, 2))
+        z = np.column_stack([rng.standard_normal((10, 6)), np.ones(10)])
+        eps = rng.standard_normal((10, 2))
+        loss, grads = _mlp_loss_and_grads(W1, W2, z, eps)
+        scaled_loss, updates = _mlp_loss_and_grads(W1, W2, z, eps, scale=2.0 * 0.25 / 10)
+        assert scaled_loss == loss
+        for grad, update in zip(grads, updates):
+            np.testing.assert_allclose(update, 0.25 * grad, rtol=1e-14, atol=0)
 
     def test_zero_init_loss_is_dimension(self, schedule):
         model = zero_model(d=2)
@@ -166,8 +186,8 @@ class TestBackprop:
         a = schedule.alphas[t][:, None]
         eps = rng.standard_normal(data.shape)
         x_t = np.sqrt(1 - a) * data + np.sqrt(a) * eps
-        z = np.concatenate([x_t, sinusoidal_embed(t, model.embed_dim)], axis=1)
-        loss, _ = _mlp_loss_and_grads(model.w1, model.b1, model.w2, model.b2, z, eps)
+        z = np.concatenate([x_t, sinusoidal_embed(t, model.embed_dim), np.ones((data.shape[0], 1))], axis=1)
+        loss, _ = _mlp_loss_and_grads(*stacked_layers(model.w1, model.b1, model.w2, model.b2), z, eps)
         assert loss == pytest.approx(2.0, abs=0.25)
 
     def test_zero_model_predicts_zero(self, schedule):
@@ -227,8 +247,13 @@ class TestTraining:
 
 
 def textbook_train(data, schedule, cfg, hidden_width, embed_dim):
-    """The plain SGD loop ``train`` must match bit for bit: every step corrupts its batch to
-    sqrt(1 - alpha_t) x0 + sqrt(alpha_t) eps, embeds t and concatenates, and updates each weight array on its own.
+    """The plain per-batch SGD loop ``train`` must match bit for bit.
+
+    The layers are stacked with their biases as last rows, W1 = [w1; b1] and W2 = [w2; b2].  After the w1 init
+    the generator spawns a timestep stream and a noise stream and keeps the epoch permutations.  Every batch
+    draws its t and its eps from those streams, corrupts x0 to sqrt(1 - alpha_t) x0 + sqrt(alpha_t) eps,
+    concatenates [x_t, embed(t), 1] and [tanh(z @ W1), 1], backpropagates the residual scaled by 2 * lr / m
+    and subtracts the update from each layer.
 
     Returns the weights and each epoch's mean step loss; raises ``TrainingDivergedError`` at the first
     non-finite step loss, before that step's update."""
@@ -236,8 +261,9 @@ def textbook_train(data, schedule, cfg, hidden_width, embed_dim):
     rng = make_rng(cfg.seed)
     in_dim = d + embed_dim
     bound = 1.0 / np.sqrt(in_dim)
-    w1 = rng.uniform(-bound, bound, size=(in_dim, hidden_width))
-    b1, w2, b2 = np.zeros(hidden_width), np.zeros((hidden_width, d)), np.zeros(d)
+    W1 = np.vstack([rng.uniform(-bound, bound, size=(in_dim, hidden_width)), np.zeros((1, hidden_width))])
+    W2 = np.zeros((hidden_width + 1, d))
+    t_rng, eps_rng = split_rng(rng, 2)
     batch = min(cfg.batch_size, n)
     epoch_means = []
     for epoch in range(cfg.epochs):
@@ -245,21 +271,26 @@ def textbook_train(data, schedule, cfg, hidden_width, embed_dim):
         losses = []
         for start in range(0, n, batch):
             idx = order[start : start + batch]
-            t = rng.integers(0, schedule.t_steps, size=idx.shape[0])
+            m = idx.shape[0]
+            t = t_rng.integers(0, schedule.t_steps, size=m)
+            eps = eps_rng.standard_normal((m, d))
             a = schedule.alphas[t][:, None]
-            eps = rng.standard_normal((idx.shape[0], d))
             x_t = np.sqrt(1 - a) * data[idx] + np.sqrt(a) * eps
-            z = np.concatenate([x_t, sinusoidal_embed(t, embed_dim)], axis=1)
-            loss, (dw1, db1, dw2, db2) = _mlp_loss_and_grads(w1, b1, w2, b2, z, eps)
+            z = np.concatenate([x_t, sinusoidal_embed(t, embed_dim), np.ones((m, 1))], axis=1)
+            act = np.tanh(z @ W1)
+            h = np.concatenate([act, np.ones((m, 1))], axis=1)
+            resid = h @ W2 - eps
+            loss = float(np.vdot(resid, resid)) / m
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch, loss)
-            w1 -= cfg.learning_rate * dw1
-            b1 -= cfg.learning_rate * db1
-            w2 -= cfg.learning_rate * dw2
-            b2 -= cfg.learning_rate * db2
+            resid = resid * (2.0 * cfg.learning_rate / m)
+            dW2 = h.T @ resid
+            dW1 = z.T @ ((resid @ W2[:hidden_width].T) * (1.0 - act * act))
+            W1 -= dW1
+            W2 -= dW2
             losses.append(loss)
         epoch_means.append(sum(losses) / len(losses))
-    return {"w1": w1, "b1": b1, "w2": w2, "b2": b2}, epoch_means
+    return {"w1": W1[:-1], "b1": W1[-1], "w2": W2[:-1], "b2": W2[-1]}, epoch_means
 
 
 @pytest.mark.parametrize(
@@ -280,6 +311,20 @@ def test_train_is_bitwise_the_textbook_loop(schedule, monkeypatch, caplog, n, d,
     for name, weights in expected.items():
         assert np.array_equal(getattr(model, name), weights), name
     assert caplog.messages == [f"epoch {epoch}: loss {mean:.6f}" for epoch, mean in enumerate(epoch_means)]
+
+
+def test_train_does_not_depend_on_train_block(schedule, monkeypatch):
+    """Each block draws its timesteps and its noise in one call, and split draws give the same values, so blocks
+    of 4096 rows (the whole epoch), 96 rows (with a ragged last block) and one batch give the same weights."""
+    data = make_rng(13).standard_normal((300, 2))
+    cfg = TrainConfig(epochs=5, learning_rate=1e-2, batch_size=32, seed=4)
+    models = []
+    for block in (4096, 96, 32):
+        monkeypatch.setattr(score_model, "TRAIN_BLOCK", block)
+        models.append(train(data, schedule, cfg, hidden_width=16, embed_dim=8))
+    for model in models[1:]:
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.array_equal(getattr(model, name), getattr(models[0], name)), name
 
 
 def test_train_working_set_is_bounded(schedule, traced_peak):
