@@ -92,8 +92,11 @@ def _sphere_blocks(fields, centers: np.ndarray, cfgs, rng: np.random.Generator):
     holds ``fields[k]`` on the spheres in the same shape.  Each block spawns
     one ``split_rng`` substream per center from ``rng``, in row order, so a
     center's draw does not depend on the block size and only one block's
-    substreams are alive at a time.  Each field is called once per center
-    (one call over all centers is not bitwise equal to it for a learned model).
+    substreams are alive at a time.  Each field is called once per center,
+    which keeps a center's values bitwise those of ``estimate_boundary``: a
+    learned model's rows round according to where they fall in its GEMM's
+    4-row tiles, so one call over a whole block's spheres moves the values
+    of ``n_samples`` that are not a multiple of 4 (by up to 3 ulp at 50).
     """
     if not cfgs:
         raise ValueError("need at least one estimator config")

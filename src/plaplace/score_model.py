@@ -7,16 +7,19 @@ predict the noise.  The learned score at noise level t is
 denoising step (t = 0, the smallest trained noise level).
 
 Everything is plain numpy with hand-written backpropagation; training is
-deterministic given (data, config, seed).  Training is SGD over tables
-built once per call.  Each layer is trained stacked with its bias as a last
-row, against inputs that carry a column of ones, so a step is little more
-than its four GEMMs and its tanh: the residual is scaled by 2 * lr / m, the
-gradient GEMMs return the update itself, and one in-place subtraction
-applies it to a flat parameter buffer.  Each epoch's inputs are built
-``TRAIN_BLOCK`` rows (whole batches) at a time, each block drawing its
-timesteps and its noise in one call apiece from two streams of their own.
-Split draws give the same values, so the weights do not depend on
-``TRAIN_BLOCK``, and they are bitwise those of the textbook loop that
+deterministic given (data, config, seed).  The model is its two layers,
+each stacked with its bias as a last row, ``W1 = [w1; b1]`` and
+``W2 = [w2; b2]``: training fits them in that layout, the model holds them
+and inference reads its blocks of them in place, so nothing converts
+between layouts.  Training is SGD over tables built once per call.  Each
+layer is trained against inputs that carry a column of ones, so a step is
+little more than its four GEMMs and its tanh: the residual is scaled by
+2 * lr / m, the gradient GEMMs return the update itself, and one in-place
+subtraction applies it to a flat parameter buffer.  Each epoch's inputs
+are built ``TRAIN_BLOCK`` rows (whole batches) at a time, each block
+drawing its timesteps and its noise in one call apiece from two streams of
+their own.  Split draws give the same values, so the weights do not depend
+on ``TRAIN_BLOCK``, and they are bitwise those of the textbook loop that
 corrupts, embeds, concatenates and updates per batch; the tests keep that
 loop as the reference.
 """
@@ -116,37 +119,52 @@ class MlpScoreModel:
     """One-hidden-layer tanh MLP predicting the corruption noise.
 
     Input is the point concatenated with the sinusoidal embedding of the
-    timestep; output has the same dimension as the point.  Immutable after
-    training, so concurrent evaluation is safe.
+    timestep; output has the same dimension as the point.  The model is the
+    two layers ``train`` fits, each stacked with its bias as a last row:
+    ``W1 = [w1; b1]`` of shape (d + embed_dim + 1, hidden_width) and
+    ``W2 = [w2; b2]`` of shape (hidden_width + 1, d).  ``input_dim``,
+    ``hidden_width`` and ``embed_dim`` are read off those shapes; a pair
+    that fits no d >= 1, hidden width >= 1 and positive even embedding width
+    raises ``ValueError``.  Both are read-only copies, so concurrent
+    evaluation is safe.
     """
 
-    input_dim: int
-    hidden_width: int
-    embed_dim: int
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
+    W1: np.ndarray
+    W2: np.ndarray
 
     def __post_init__(self):
-        d, h, e = self.input_dim, self.hidden_width, self.embed_dim
-        if min(d, h, e) < 1 or e % 2:
-            raise ValueError(f"need positive input_dim, hidden_width and even embed_dim, got {d}, {h}, {e}")
         # Frozen copies: the caller's arrays stay writable, these never are.
-        for name, shape in (("w1", (d + e, h)), ("b1", (h,)), ("w2", (h, d)), ("b2", (d,))):
+        for name in ("W1", "W2"):
             frozen = np.array(getattr(self, name), dtype=float)
-            if frozen.shape != shape:
-                raise ValueError(f"{name} has shape {frozen.shape}, expected {shape}")
             frozen.setflags(write=False)
             object.__setattr__(self, name, frozen)
+        W1, W2 = self.W1, self.W2
+        if W1.ndim != 2 or W2.ndim != 2 or W2.shape[0] != W1.shape[1] + 1:
+            raise ValueError(f"need W1 (d + e + 1, h) and W2 (h + 1, d), got {W1.shape} and {W2.shape}")
+        d, h, e = self.input_dim, self.hidden_width, self.embed_dim
+        if min(d, h, e) < 1 or e % 2:
+            raise ValueError(f"need positive d and hidden width and even embedding width, got {d}, {h}, {e}")
+
+    @property
+    def input_dim(self) -> int:
+        return self.W2.shape[1]
+
+    @property
+    def hidden_width(self) -> int:
+        return self.W1.shape[1]
+
+    @property
+    def embed_dim(self) -> int:
+        return self.W1.shape[0] - 1 - self.input_dim
 
     def predict_noise(self, x, t) -> np.ndarray:
         """eps_hat(x, t); ``x`` is (d,) or (n, d) and ``t`` one timestep index for every row.
 
         The embedding's share of the first layer is the same for every row, so
-        it is formed once per call as the bias row ``embed(t) @ w1[d:] + b1``;
+        it is formed once per call as the bias row ``embed(t) @ W1[d:-1] + W1[-1]``;
         each block of ``PREDICT_BLOCK`` rows then multiplies only its points by
-        ``w1[:d]``, reading them where they lie (no input scratch).  At d = 2
+        ``W1[:d]``, reading them where they lie (no input scratch), and its
+        hidden activations by ``W2[:-1]`` before adding ``W2[-1]``.  At d = 2
         that first-layer GEMM is small enough that OpenBLAS keeps it on one
         thread.  One hidden scratch array is allocated per call and each block
         is written into the output, so the working set does not grow with n.
@@ -159,13 +177,15 @@ class MlpScoreModel:
             raise ValueError(f"x must have shape ({d},) or (n, {d}), got {x.shape}")
         xb = np.atleast_2d(x)
         n = xb.shape[0]
-        row = sinusoidal_embed(operator.index(t), self.embed_dim) @ self.w1[d:] + self.b1
+        a, w2, b2 = self.W1[:d], self.W2[:-1], self.W2[-1]
+        row = sinusoidal_embed(operator.index(t), self.embed_dim) @ self.W1[d:-1] + self.W1[-1]
         h = np.empty((min(n, PREDICT_BLOCK), self.hidden_width))
         y = np.empty((n, d))
         for start in range(0, n, PREDICT_BLOCK):
             block = slice(start, start + PREDICT_BLOCK)
-            m = min(n - start, PREDICT_BLOCK)
-            _mlp_forward(self.w1[:d], row, self.w2, self.b2, xb[block], h[:m], y[block])
+            hb = h[: min(n - start, PREDICT_BLOCK)]
+            np.tanh(np.add(np.matmul(xb[block], a, out=hb), row, out=hb), out=hb)
+            np.add(np.matmul(hb, w2, out=y[block]), b2, out=y[block])
         return y[0] if x.ndim == 1 else y
 
 
@@ -188,17 +208,11 @@ class TrainConfig:
             raise ValueError("epochs, learning_rate and batch_size must be positive")
 
 
-def _mlp_forward(w1, b1, w2, b2, z, h=None, y=None):
-    """Forward pass; returns (prediction, hidden activations), written into ``y`` and ``h`` when given."""
-    h = np.tanh(np.add(np.matmul(z, w1, out=h), b1, out=h), out=h)
-    return np.add(np.matmul(h, w2, out=y), b2, out=y), h
-
-
 def _mlp_loss_and_grads(W1, W2, z, eps, scale=None, grads=None, work=None):
     """Mean squared noise-prediction error and the gradients of the stacked layers, times ``scale * n / 2``.
 
-    Each layer is stacked with its bias as a last row, ``W1 = [w1; b1]`` and
-    ``W2 = [w2; b2]``, and ``z`` carries a trailing column of ones, so one
+    ``W1`` and ``W2`` are the stacked layers that :class:`MlpScoreModel`
+    holds, and ``z`` carries a trailing column of ones, so one
     GEMM gives each pre-activation with its bias and one GEMM gives each
     ``[dw; db]``.  The loss is mean over the batch of the squared norm of
     (prediction - eps), so a zero predictor scores about the data dimension.
@@ -248,9 +262,9 @@ def train(
     row and the sqrt(1 - alpha_t), sqrt(alpha_t) factors of every timestep,
     block buffers of at most ``TRAIN_BLOCK`` rows (whole batches, at least
     one) with each batch's views into them, and one flat parameter and
-    gradient buffer that the stacked layers ``[w1; b1]`` and ``[w2; b2]``
-    view.  After the w1 init the generator spawns a timestep stream and a
-    noise stream; it keeps the epoch permutations.  Each block draws its
+    gradient buffer that the stacked layers ``W1`` and ``W2`` view; the
+    model is built on them.  After the w1 init the generator spawns a
+    timestep stream and a noise stream; it keeps the epoch permutations.  Each block draws its
     timesteps in one call and its noise in one call, then builds the
     corrupted inputs and embedding columns of all its rows in one pass
     (the input buffer's last column of ones is written once).  Each step
@@ -331,16 +345,7 @@ def train(
                 epoch_loss += loss
         logger.debug("epoch %d: loss %.6f", epoch, epoch_loss / n_batches)
 
-    (w1, b1), (w2, b2) = ((layer[:-1], layer[-1]) for layer in layers)
-    return MlpScoreModel(
-        input_dim=d,
-        hidden_width=hidden_width,
-        embed_dim=embed_dim,
-        w1=w1,
-        b1=b1,
-        w2=w2,
-        b2=b2,
-    )
+    return MlpScoreModel(*layers)
 
 
 def _level(schedule: NoiseSchedule, t) -> int:

@@ -24,27 +24,34 @@ from plaplace.score_model import (
 
 
 def zero_model(d=2, hidden=8, embed=4):
-    """Untrained model: zero output layer, so it predicts zero noise."""
-    rng = make_rng(0)
-    in_dim = d + embed
-    return MlpScoreModel(
-        input_dim=d,
-        hidden_width=hidden,
-        embed_dim=embed,
-        w1=rng.uniform(-0.1, 0.1, size=(in_dim, hidden)),
-        b1=np.zeros(hidden),
-        w2=np.zeros((hidden, d)),
-        b2=np.zeros(d),
-    )
+    """Untrained model: zero bias row and output layer, so it predicts zero noise."""
+    W1 = np.zeros((d + embed + 1, hidden))
+    W1[:-1] = make_rng(0).uniform(-0.1, 0.1, size=(d + embed, hidden))
+    return MlpScoreModel(W1, np.zeros((hidden + 1, d)))
 
 
-@pytest.mark.parametrize("name,shape", [("w1", (5, 8)), ("b1", (7,)), ("w2", (8, 3)), ("b2", (2, 1))])
-def test_model_weight_shapes_checked(name, shape):
-    """Every weight must match input_dim, embed_dim and hidden_width."""
-    model = zero_model()
-    arrays = {key: getattr(model, key) for key in ("w1", "b1", "w2", "b2")}
-    with pytest.raises(ValueError, match=name):
-        MlpScoreModel(model.input_dim, model.hidden_width, model.embed_dim, **{**arrays, name: np.zeros(shape)})
+@pytest.mark.parametrize("W1_shape,W2_shape,match", [
+    ((7,), (9, 2), "W1"),
+    ((7, 8), (9, 2, 1), "W1"),
+    ((7, 8), (8, 2), "W1"),
+    ((7, 8), (9, 0), "even embedding width"),
+    ((7, 0), (1, 2), "even embedding width"),
+    ((6, 8), (9, 2), "even embedding width"),
+    ((3, 8), (9, 2), "even embedding width"),
+], ids=["W1_not_2d", "W2_not_2d", "W2_rows", "no_input", "no_hidden", "odd_embed", "no_embed"])
+def test_model_layer_shapes_checked(W1_shape, W2_shape, match):
+    """W1 is (d + e + 1, h) and W2 is (h + 1, d) for some d >= 1, h >= 1 and positive even e; any other pair is
+    rejected before a prediction."""
+    with pytest.raises(ValueError, match=match):
+        MlpScoreModel(np.zeros(W1_shape), np.zeros(W2_shape))
+
+
+def test_model_sizes_are_read_off_the_layers(schedule):
+    """A trained model's sizes are those train was given, and its layers hold the biases as last rows."""
+    model = train(make_rng(1).standard_normal((20, 3)), schedule, TrainConfig(epochs=1), hidden_width=5,
+                  embed_dim=6)
+    assert (model.input_dim, model.hidden_width, model.embed_dim) == (3, 5, 6)
+    assert (model.W1.shape, model.W2.shape) == ((10, 5), (6, 3))
 
 
 @pytest.mark.parametrize("bad", [{"epochs": 0}, {"learning_rate": 0.0}, {"learning_rate": float("nan")},
@@ -56,13 +63,13 @@ def test_train_config_validation(bad):
 
 def test_model_arrays_read_only():
     model = zero_model()
-    for name in ("w1", "b1", "w2", "b2"):
+    for layer in (model.W1, model.W2):
         with pytest.raises(ValueError):
-            getattr(model, name)[0] = 9.0
-    w1 = np.ones((6, 8))
-    frozen = MlpScoreModel(input_dim=2, hidden_width=8, embed_dim=4, w1=w1, b1=model.b1, w2=model.w2, b2=model.b2)
-    w1[0, 0] = 9.0  # the caller's own array is copied, not frozen
-    assert frozen.w1[0, 0] == 1.0
+            layer[0] = 9.0
+    W1 = np.ones((7, 8))
+    frozen = MlpScoreModel(W1, model.W2)
+    W1[0, 0] = 9.0  # the caller's own array is copied, not frozen
+    assert frozen.W1[0, 0] == 1.0
 
 
 class TestNoiseSchedule:
@@ -126,11 +133,6 @@ class TestSinusoidalEmbed:
             sinusoidal_embed(3, 7)
 
 
-def stacked_layers(w1, b1, w2, b2):
-    """The layers as the step kernel takes them: each weight matrix with its bias as a last row."""
-    return np.vstack([w1, b1]), np.vstack([w2, b2])
-
-
 class TestBackprop:
     def test_gradients_match_finite_differences(self):
         """Central-difference check on a spot sample of parameters: three in the weight rows and three in the bias
@@ -138,13 +140,9 @@ class TestBackprop:
         rng = make_rng(7)
         d, hidden, embed, n = 2, 6, 4, 12
         in_dim = d + embed
-        w1 = rng.standard_normal((in_dim, hidden)) * 0.3
-        b1 = rng.standard_normal(hidden) * 0.1
-        w2 = rng.standard_normal((hidden, d)) * 0.3
-        b2 = rng.standard_normal(d) * 0.1
+        layers = rng.standard_normal((in_dim + 1, hidden)) * 0.3, rng.standard_normal((hidden + 1, d)) * 0.3
         z = np.column_stack([rng.standard_normal((n, in_dim)), np.ones(n)])
         eps = rng.standard_normal((n, d))
-        layers = stacked_layers(w1, b1, w2, b2)
         _, grads = _mlp_loss_and_grads(*layers, z, eps)
         h = 1e-5
         checked = 0
@@ -187,7 +185,7 @@ class TestBackprop:
         eps = rng.standard_normal(data.shape)
         x_t = np.sqrt(1 - a) * data + np.sqrt(a) * eps
         z = np.concatenate([x_t, sinusoidal_embed(t, model.embed_dim), np.ones((data.shape[0], 1))], axis=1)
-        loss, _ = _mlp_loss_and_grads(*stacked_layers(model.w1, model.b1, model.w2, model.b2), z, eps)
+        loss, _ = _mlp_loss_and_grads(model.W1, model.W2, z, eps)
         assert loss == pytest.approx(2.0, abs=0.25)
 
     def test_zero_model_predicts_zero(self, schedule):
@@ -201,10 +199,8 @@ class TestTraining:
         cfg = TrainConfig(epochs=20, seed=9)
         m1 = train(data, schedule, cfg, hidden_width=16, embed_dim=8)
         m2 = train(data, schedule, cfg, hidden_width=16, embed_dim=8)
-        np.testing.assert_array_equal(m1.w1, m2.w1)
-        np.testing.assert_array_equal(m1.w2, m2.w2)
-        np.testing.assert_array_equal(m1.b1, m2.b1)
-        np.testing.assert_array_equal(m1.b2, m2.b2)
+        np.testing.assert_array_equal(m1.W1, m2.W1)
+        np.testing.assert_array_equal(m1.W2, m2.W2)
 
     def test_loss_logged_and_decreasing(self, schedule, caplog):
         gmm = GmmParams(means=[[2.0, 0.0], [-2.0, 0.0]], sigma2=1.0, weights=[0.5, 0.5])
@@ -255,7 +251,7 @@ def textbook_train(data, schedule, cfg, hidden_width, embed_dim):
     concatenates [x_t, embed(t), 1] and [tanh(z @ W1), 1], backpropagates the residual scaled by 2 * lr / m
     and subtracts the update from each layer.
 
-    Returns the weights and each epoch's mean step loss; raises ``TrainingDivergedError`` at the first
+    Returns the layers (W1, W2) and each epoch's mean step loss; raises ``TrainingDivergedError`` at the first
     non-finite step loss, before that step's update."""
     n, d = data.shape
     rng = make_rng(cfg.seed)
@@ -290,7 +286,7 @@ def textbook_train(data, schedule, cfg, hidden_width, embed_dim):
             W2 -= dW2
             losses.append(loss)
         epoch_means.append(sum(losses) / len(losses))
-    return {"w1": W1[:-1], "b1": W1[-1], "w2": W2[:-1], "b2": W2[-1]}, epoch_means
+    return (W1, W2), epoch_means
 
 
 @pytest.mark.parametrize(
@@ -308,8 +304,7 @@ def test_train_is_bitwise_the_textbook_loop(schedule, monkeypatch, caplog, n, d,
     with caplog.at_level(logging.DEBUG, logger="plaplace.score_model"):
         model = train(data, schedule, cfg, hidden_width=16, embed_dim=embed_dim)
     expected, epoch_means = textbook_train(data, schedule, cfg, hidden_width=16, embed_dim=embed_dim)
-    for name, weights in expected.items():
-        assert np.array_equal(getattr(model, name), weights), name
+    assert np.array_equal(model.W1, expected[0]) and np.array_equal(model.W2, expected[1])
     assert caplog.messages == [f"epoch {epoch}: loss {mean:.6f}" for epoch, mean in enumerate(epoch_means)]
 
 
@@ -323,8 +318,7 @@ def test_train_does_not_depend_on_train_block(schedule, monkeypatch):
         monkeypatch.setattr(score_model, "TRAIN_BLOCK", block)
         models.append(train(data, schedule, cfg, hidden_width=16, embed_dim=8))
     for model in models[1:]:
-        for name in ("w1", "b1", "w2", "b2"):
-            assert np.array_equal(getattr(model, name), getattr(models[0], name)), name
+        assert np.array_equal(model.W1, models[0].W1) and np.array_equal(model.W2, models[0].W2)
 
 
 def test_train_working_set_is_bounded(schedule, traced_peak):
@@ -336,11 +330,12 @@ def test_train_working_set_is_bounded(schedule, traced_peak):
 
 
 def folded_predict(model, x, t):
-    """eps_hat in one pass, with t's embedding folded into the bias row embed(t) @ w1[d:] + b1: the reference."""
+    """eps_hat in one pass, with t's embedding folded into the bias row embed(t) @ W1[d:-1] + W1[-1]: the
+    reference."""
     xb = np.atleast_2d(np.asarray(x, dtype=float))
     d = model.input_dim
-    row = sinusoidal_embed(t, model.embed_dim) @ model.w1[d:] + model.b1
-    return np.tanh(xb @ model.w1[:d] + row) @ model.w2 + model.b2
+    row = sinusoidal_embed(t, model.embed_dim) @ model.W1[d:-1] + model.W1[-1]
+    return np.tanh(xb @ model.W1[:d] + row) @ model.W2[:-1] + model.W2[-1]
 
 
 def concatenated_predict(model, x, t):
@@ -348,7 +343,7 @@ def concatenated_predict(model, x, t):
     xb = np.atleast_2d(np.asarray(x, dtype=float))
     tb = np.broadcast_to(np.asarray(t, dtype=float), (xb.shape[0],))
     z = np.concatenate([xb, sinusoidal_embed(tb, model.embed_dim)], axis=1)
-    return np.tanh(z @ model.w1 + model.b1) @ model.w2 + model.b2
+    return np.tanh(z @ model.W1[:-1] + model.W1[-1]) @ model.W2[:-1] + model.W2[-1]
 
 
 @pytest.mark.parametrize("t", [7, np.array(7)], ids=["int", "0-d"])
@@ -358,10 +353,13 @@ def test_predict_noise_is_bitwise_the_folded_path(trained_model, t):
     np.testing.assert_array_equal(trained_model.predict_noise(x[2], t), folded_predict(trained_model, x[2], t)[0])
 
 
-@pytest.mark.parametrize("t", [7], ids=["scalar-t"])
-def test_predict_noise_blocks_are_bitwise_one_pass(trained_model, t):
-    """Over a ragged last block, the row-blocked forward equals one pass over all rows and its own per-block calls."""
-    n, block = 2 * PREDICT_BLOCK + 17, PREDICT_BLOCK
+@pytest.mark.parametrize("t,block,n", [(7, PREDICT_BLOCK, 2 * PREDICT_BLOCK + 17), (7, 4, 3200), (7, 100, 3200)],
+                         ids=["scalar-t", "block4", "block100"])
+def test_predict_noise_blocks_are_bitwise_one_pass(trained_model, monkeypatch, t, block, n):
+    """The row-blocked forward equals one pass over all rows and its own per-block calls: over a 17-row ragged last
+    block, and over the 3,200 rows of the studies' largest call in blocks of 4 rows and of 100 (the studies'
+    per-center call), which keep every row in the place it takes in the one pass's 4-row GEMM tiles."""
+    monkeypatch.setattr(score_model, "PREDICT_BLOCK", block)
     x = make_rng(5).standard_normal((n, 2))
     got = trained_model.predict_noise(x, t)
     np.testing.assert_array_equal(got, folded_predict(trained_model, x, t))
@@ -517,15 +515,9 @@ class TestReverseSample:
 
     def test_non_finite_raises(self, schedule):
         model = zero_model()
-        broken = MlpScoreModel(
-            input_dim=model.input_dim,
-            hidden_width=model.hidden_width,
-            embed_dim=model.embed_dim,
-            w1=model.w1,
-            b1=model.b1,
-            w2=model.w2,
-            b2=np.full(2, 1e308),
-        )
+        W2 = model.W2.copy()
+        W2[-1] = 1e308
+        broken = MlpScoreModel(model.W1, W2)
         with pytest.raises(SamplingError):
             with np.errstate(over="ignore", invalid="ignore"):
                 reverse_sample(broken, schedule, 4, make_rng(0))

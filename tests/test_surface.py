@@ -123,10 +123,17 @@ TRACED_LAYERS = {
 
 # Per workload, traced counts that must read exactly these values on its tiny config (one seed, 3 p, 3
 # repeats, 1000 dense points, 2 epochs).  The fidelity estimator calls are its cells: 2 fields x 6 anchors x
-# 3 p x 3 repeats per formulation, and one dense draw per anchor.  A driver that drops or doubles a call fails.
+# 3 p x 3 repeats per formulation, and one dense draw per anchor.  The field counts pin every evaluation of the
+# oracle and the learned score.  A driver that drops or doubles a call fails.
 TRACED_COUNTS = {
     "fidelity": {"estimators.boundary.calls": 108, "estimators.volume.calls": 108, "gmm.dense.calls": 6,
-                 "gmm.dense.points": 6000, "score_model.train.steps": 64},
+                 "gmm.dense.points": 6000, "score_model.train.steps": 64, "gmm.score.calls": 109,
+                 "gmm.score.points": 29000, "score_model.predict.calls": 109, "score_model.predict.points": 29000},
+    "memorize": {"score_model.train.steps": 160, "score_model.predict.calls": 72, "score_model.predict.points": 6662,
+                 "estimators.boundary.calls": 6, "memorization.grid.nodes": 50, "svgplot.files": 8},
+    "bounds": {"gmm.score.calls": 5, "gmm.score.points": 500, "score_model.train.steps": 64,
+               "score_model.predict.calls": 105, "score_model.predict.points": 1000,
+               "score_model.reverse_sample.points": 5, "bounds.validate.anchors": 15, "svgplot.files": 3},
 }
 
 
