@@ -19,7 +19,8 @@ block of centers at a time; ``estimate_boundary`` runs the same
 Both routes evaluate only F(s) = |s|^(p-2) s, which is bounded for every
 p >= 1 and 0 at s = 0 (``fields.p_weight``), so every sample enters the mean:
 ``n_used`` is ``n_samples`` and ``singular_hits`` is 0, as for the dense
-reference (``gmm``).
+reference (``gmm``).  No artifact writes either field; the benchmark's tracer
+still reads both.
 """
 
 from __future__ import annotations
@@ -156,10 +157,8 @@ def write_estimates_csv(path, dim: int, rows, header_comment: str | None = None)
     """Batch estimation results, one row per estimate.
 
     Columns: one per anchor coordinate (x0_0, ..., x0_{dim-1}), then
-    p, formulation, n_samples, radius, seed, value, std_error, singular_hits.
+    p, formulation, n_samples, radius, seed, value, std_error.
     An optional comment line carries the resolved run configuration.
     """
-    cols = [f"x0_{i}" for i in range(dim)] + [
-        "p", "formulation", "n_samples", "radius", "seed", "value", "std_error", "singular_hits",
-    ]
+    cols = [f"x0_{i}" for i in range(dim)] + ["p", "formulation", "n_samples", "radius", "seed", "value", "std_error"]
     write_table(path, cols, rows, header_comment)

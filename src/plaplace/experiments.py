@@ -122,9 +122,8 @@ def run_fidelity(cfg: dict) -> dict:
     ]
     write_table(
         os.path.join(out, "exact.csv"),
-        ["anchor_idx", "anchor_kind", *(f"x0_{i}" for i in range(gmm.dim)), "p", "exact_mean", "exact_std_error",
-         "n_dense"],
-        ([i, label, *anchor, p, est.value, est.std_error, est.n_used]
+        ["anchor_idx", "anchor_kind", *(f"x0_{i}" for i in range(gmm.dim)), "p", "exact_mean", "exact_std_error"],
+        ([i, label, *anchor, p, est.value, est.std_error]
          for i, (anchor, label, refs) in enumerate(zip(anchors, labels, exact)) for p, est in zip(p_values, refs)),
         config_header(cfg),
     )
@@ -165,8 +164,7 @@ def run_fidelity(cfg: dict) -> dict:
                         ests = [estimator(field, anchor, ecfg, sub) for sub in split_rng(rep_rng, n_repeats)]
                         values = np.array([e.value for e in ests])
                         cells.append(([*anchor, p, formulation, ecfg.n_samples, ecfg.radius, seed], values,
-                                      np.array([e.std_error for e in ests]),
-                                      np.array([e.singular_hits for e in ests])))
+                                      np.array([e.std_error for e in ests])))
                         mean = float(values.mean())
                         se_mean = float(values.std(ddof=1) / np.sqrt(n_repeats))
                         q = np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0])

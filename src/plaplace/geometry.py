@@ -5,17 +5,20 @@ Randomness policy: every sampling function takes an explicit
 estimation call (a fidelity repeat, a grid node, a bound anchor) via
 :func:`split_rng`, which wraps numpy's SeedSequence spawning, so runs are
 reproducible no matter how work is distributed.
+
+Both samplers draw only standard normals: a sphere point is a row of them
+over its norm, and a ball point in d dimensions is the first d coordinates of
+a sphere point in d + 2 (Barthe, Guedon, Mendelson and Naor 2005; Voelker,
+Gosmann and Stewart 2017).  A large draw therefore splits into consecutive
+calls with no state to carry between them.
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
 __all__ = [
     "sample_ball_uniform",
-    "sample_ball_blocks",
     "sample_sphere_uniform",
     "make_rng",
     "split_rng",
@@ -66,36 +69,13 @@ def sample_sphere_uniform(
     return center + radius * normals, normals
 
 
-def sample_ball_blocks(center, radius: float, n: int, rng: np.random.Generator, block: int):
-    """The rows of ``sample_ball_uniform(center, radius, n, rng)``, ``block`` at a time, bit for bit.
+def sample_ball_uniform(center, radius: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform points inside the ball: the first dim coordinates of uniform points on the (dim + 1)-sphere.
 
-    A ball sample draws all n * dim normals before its n uniforms.  With more
-    than one block, a copy of ``rng`` replays the normals block by block while
-    ``rng`` steps past them (ziggurat normals take a variable number of raw
-    draws, so ``advance`` cannot skip them) and then draws each block's
-    uniforms; ``rng`` ends where the one-piece draw leaves it.  No array holds
-    more than ``block`` rows.  The arguments are checked, and ``rng`` steps
-    past the normals, before the first block is asked for.
+    Each row is drawn from its own dim + 2 standard normals, which the
+    generator fills in row order, so consecutive calls give, bit for bit,
+    the rows of one call for their total n, and leave ``rng`` where it would.
     """
     center = _checked_center(center, radius, n)
     dim = center.shape[0]
-    normals = rng
-    if n > block:
-        normals = copy.deepcopy(rng)
-        for start in range(0, n, block):
-            rng.standard_normal((min(block, n - start), dim))
-
-    def blocks():
-        for start in range(0, n, block):
-            rows = min(block, n - start)
-            dirs = _directions(normals.standard_normal((rows, dim)))
-            radii = radius * rng.uniform(0.0, 1.0, size=rows) ** (1.0 / dim)
-            yield center + radii[:, None] * dirs
-
-    return blocks()
-
-
-def sample_ball_uniform(center, radius: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform points inside the ball: uniform direction, radius R * U^(1/dim)."""
-    [xs] = sample_ball_blocks(center, radius, n, rng, n)
-    return xs
+    return center + radius * _directions(rng.standard_normal((n, dim + 2)))[:, :dim]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .estimators import PLaplaceEstimate
 from .fields import ScoreField, p_weight
-from .geometry import sample_ball_blocks
+from .geometry import _checked_center, sample_ball_uniform
 
 # Rows per block of the dense reference: bounds its (rows, K, d) temporaries.
 CHUNK = 8192
@@ -204,25 +204,28 @@ def averaged_p_laplace_dense(
 
     The reference value for the ball-averaged p-Laplace: one draw of n
     uniform ball samples serves every p in ``p_values``, and every sample
-    enters the mean.  The draw arrives ``CHUNK`` rows at a time from
-    ``sample_ball_blocks``; each block's mixture parts give, per p, the
+    enters the mean.  The draw is taken ``CHUNK`` rows at a time, each block
+    by its own ``sample_ball_uniform`` call, which together give the rows of
+    one call bit for bit.  Each block's mixture parts give, per p, the
     count, sum and M2 of the block's values, shifted by the mean of the
     first block and scaled by the power of two that its largest |value|
     gives (``_block_moments``, ``_moment_scale``), and the blocks are merged
     at the end (``_merged_estimate``).  No array spans every point: the
     working set is one block's, whatever n.  Returns one estimate per p, in
-    order; ``ValueError`` before any draw if a p is below 1.
+    order; ``ValueError`` before any draw if a p is below 1, ``x0`` is not a
+    nonempty 1-d vector, the radius is not positive or n is below 1.
     """
     for p in p_values:
         if not p >= 1:
             raise ValueError(f"p must be >= 1, got {p}")
+    x0 = _checked_center(x0, radius, n)
     shifts, scales = [], []  # per p, the mean and the _moment_scale of the first block
     moments = [[] for _ in p_values]  # per p, the _block_moments of every block
-    for b, xs in enumerate(sample_ball_blocks(x0, radius, n, rng, CHUNK)):
-        parts = _p_laplace_parts(g, xs)
+    for start in range(0, n, CHUNK):
+        parts = _p_laplace_parts(g, sample_ball_uniform(x0, radius, min(CHUNK, n - start), rng))
         for k, p in enumerate(p_values):
             values = _p_laplace_values(*parts, p)
-            if b == 0:
+            if start == 0:
                 shifts.append(float(values.mean()))
                 scales.append(_moment_scale(values))
             moments[k].append(_block_moments(values, shifts[k], scales[k]))

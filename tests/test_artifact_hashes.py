@@ -42,9 +42,21 @@ def test_column_differences_per_numeric_column():
     assert diff["value"] == abs(-4.0 - -4.000000002) / 4.000000002
     assert tool.column_differences(ours, ours) == {"p": 0.0, "value": 0.0, "n": 0.0}
     assert tool.column_differences("x\n1.0\n", "x\n1.0\n2.0\n") is None  # row counts differ
-    assert tool.column_differences("x\n1.0\n", "y\n1.0\n") is None  # headers differ
+    assert tool.column_differences("x,y\n1.0,2.0\n", "y,x\n2.5,1.0\n") == {"x": 0.0, "y": 0.2}  # matched by name
+    assert tool.column_differences("x\n1.0\n", "y\n1.0\n") == {}  # no shared column
     assert tool.column_differences("x\ninf\nnan\n0.0\n", "x\ninf\nnan\n-0.0\n") == {"x": 0.0}
     assert tool.column_differences("x\ninf\n", "x\n1.0\n") == {"x": 1.0}
+
+
+def test_csv_differences_with_a_dropped_column():
+    """A column one side no longer writes is listed, and the shared columns are still compared row by row."""
+    ours = "# config\nkind,value,hits\na,1.0,0\nb,2.0,0\nc,3.0,0\n"
+    theirs = "# other config\nkind,value\na,1.0\nb,2.5\nc,-0.0\n"
+    assert tool.csv_differences(ours, theirs) == {
+        "max_rel_diff": {"value": 1.0}, "one_sided_columns": [["hits"], []], "rows_differing": [2, 3]}
+    assert tool.csv_differences(theirs, ours)["one_sided_columns"] == [[], ["hits"]]
+    assert tool.csv_differences("x\n0.0\n", "x\n-0.0\n")["rows_differing"] == [0, 1]
+    assert tool.csv_differences("x\n1.0\n", "x\n1.0\n2.0\n")["rows_differing"] is None
 
 
 def test_against_a_checkout_that_writes_other_floats(tmp_path, capsys):

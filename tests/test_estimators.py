@@ -353,10 +353,11 @@ class TestTranslationEquivariance:
 
 def test_write_estimates_csv(tmp_path, oracle_field):
     est = estimate_boundary(oracle_field, np.zeros(2), EstimatorConfig(p=1.0), make_rng(13))
-    rows = [[0.0, 0.0, 1.0, "boundary", 100, 1.0, 0, est.value, est.std_error, est.singular_hits]]
+    rows = [[0.0, 0.0, 1.0, "boundary", 100, 1.0, 0, est.value, est.std_error]]
     path = tmp_path / "est.csv"
     write_estimates_csv(path, 2, rows, header_comment="unit test")
     lines = path.read_text().splitlines()
     assert lines[0] == "# unit test"
-    assert lines[1].split(",")[:3] == ["x0_0", "x0_1", "p"]
+    assert lines[1].split(",") == ["x0_0", "x0_1", "p", "formulation", "n_samples", "radius", "seed", "value",
+                                   "std_error"]
     assert len(lines) == 3

@@ -8,8 +8,8 @@ from scipy import stats
 
 from plaplace.bounds import bound_constant
 from plaplace.estimators import EstimatorConfig, estimate_boundary
-from plaplace.geometry import make_rng, sample_ball_blocks, sample_ball_uniform, sample_sphere_uniform, split_rng
-from plaplace.gmm import CHUNK
+from plaplace.geometry import make_rng, sample_ball_uniform, sample_sphere_uniform, split_rng
+from plaplace.gmm import CHUNK, averaged_p_laplace_dense, draw_gmm
 
 
 def _measure_ratio(dim, radius):
@@ -42,20 +42,24 @@ class TestMeasures:
             assert factor == pytest.approx(_measure_ratio(dim, radius), rel=1e-10)
 
 
-def _ball_in_blocks_of_two(center, radius, n, rng):
-    return sample_ball_blocks(center, radius, n, rng, 2)
+def _dense_reference(center, radius, n, rng):
+    return averaged_p_laplace_dense(draw_gmm(), center, [1.0, 2.0], radius, n, rng)
 
 
-@pytest.mark.parametrize("sampler", [sample_sphere_uniform, sample_ball_uniform, _ball_in_blocks_of_two])
-@pytest.mark.parametrize("center,radius", [
-    (np.zeros((1, 2)), 1.0),
-    (np.zeros(0), 1.0),
-    (np.zeros(2), -1.0),
-    (np.zeros(2), 0.0),
-], ids=["2d_center", "empty_center", "negative_radius", "zero_radius"])
-def test_samplers_reject_bad_ball(sampler, center, radius):
+@pytest.mark.parametrize("sampler", [sample_sphere_uniform, sample_ball_uniform, _dense_reference])
+@pytest.mark.parametrize("center,radius,n", [
+    (np.zeros((1, 2)), 1.0, 5),
+    (np.zeros(0), 1.0, 5),
+    (np.zeros(2), -1.0, 5),
+    (np.zeros(2), 0.0, 5),
+    (np.zeros(2), 1.0, 0),
+], ids=["2d_center", "empty_center", "negative_radius", "zero_radius", "zero_n"])
+def test_samplers_reject_bad_ball(sampler, center, radius, n):
+    """A bad center, radius or count raises before the generator draws anything."""
+    rng = make_rng(0)
     with pytest.raises(ValueError):
-        sampler(center, radius, 5, make_rng(0))
+        sampler(center, radius, n, rng)
+    assert rng.random() == make_rng(0).random()
 
 
 class TestSphereSampling:
@@ -95,6 +99,30 @@ class TestBallSampling:
         xs = sample_ball_uniform([0.0], 1.0, 100_000, make_rng(9))
         assert np.mean(np.abs(xs)) == pytest.approx(0.5, abs=0.01)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_direction_law(self, dim):
+        """x_1 / |x| is arcsine-distributed on the disk and uniform on [-1, 1] in the 3-ball; KS below 1% critical."""
+        xs = sample_ball_uniform(np.zeros(dim), 1.5, 10_000, make_rng(31 + dim))
+        cosines = xs[:, 0] / np.linalg.norm(xs, axis=1)
+        cdf = stats.arcsine(loc=-1.0, scale=2.0).cdf if dim == 2 else stats.uniform(loc=-1.0, scale=2.0).cdf
+        assert stats.kstest(cosines, cdf).statistic < 1.63 / np.sqrt(10_000)
+
+    def test_direction_independent_of_radius(self):
+        """Directions in the inner and outer equal-volume halves of the 3-ball share one law (two-sample KS)."""
+        dim, radius = 3, 1.5
+        xs = sample_ball_uniform(np.zeros(dim), radius, 20_000, make_rng(37))
+        radii = np.linalg.norm(xs, axis=1)
+        cosines = xs[:, 0] / radii
+        inner = radii <= radius * 0.5 ** (1.0 / dim)
+        assert stats.ks_2samp(cosines[inner], cosines[~inner]).pvalue > 0.01
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_second_moment(self, dim):
+        """E[x_i^2] = R^2 / (d + 2) in every coordinate, within 4 R^2 / sqrt(n)."""
+        radius, n = 1.5, 20_000
+        xs = sample_ball_uniform(np.zeros(dim), radius, n, make_rng(41 + dim))
+        np.testing.assert_allclose(np.mean(xs**2, axis=0), radius**2 / (dim + 2), rtol=0, atol=4 * radius**2 / np.sqrt(n))
+
     @pytest.mark.parametrize("dim", [1, 2, 5])
     def test_radial_cdf(self, dim):
         """Radius has CDF (r/R)^dim; KS statistic below the 1% critical value."""
@@ -109,19 +137,11 @@ class TestBallBlocks:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("n", [2 * CHUNK + 17, 100], ids=["three_blocks", "one_block"])
     def test_blocks_are_the_one_piece_draw(self, dim, n):
-        """Concatenated, the blocks are the one-piece sample bit for bit, and the generator ends in the same place."""
+        """Consecutive CHUNK-row calls are the one-piece sample bit for bit, and the generator ends in the same place."""
         center = np.linspace(-1.0, 2.0, dim)
         rng, one_rng = make_rng(23 + dim), make_rng(23 + dim)
-        blocks = list(sample_ball_blocks(center, 1.3, n, rng, CHUNK))
-        assert [b.shape[0] for b in blocks] == [min(CHUNK, n - start) for start in range(0, n, CHUNK)]
+        blocks = [sample_ball_uniform(center, 1.3, min(CHUNK, n - start), rng) for start in range(0, n, CHUNK)]
         np.testing.assert_array_equal(np.concatenate(blocks), sample_ball_uniform(center, 1.3, n, one_rng))
-        assert rng.random() == one_rng.random()
-
-    def test_checks_and_steps_before_the_first_block(self):
-        """The generator steps past every normal when the sampler is called, before any block is read."""
-        rng, one_rng = make_rng(7), make_rng(7)
-        sample_ball_blocks([0.0, 0.0], 1.0, 10, rng, 4)
-        one_rng.standard_normal((10, 2))
         assert rng.random() == one_rng.random()
 
 

@@ -350,7 +350,7 @@ class TestDenseAverage:
     def test_working_set_is_one_block(self, default_gmm, traced_peak):
         """Samples, parts and values live one block at a time, so the peak does not grow with n.
 
-        With three p at d = 2 the tracemalloc peak is 2.11 MB at 100k points and 2.16 MB at 1M,
+        With three p at d = 2 the tracemalloc peak is 1.91 MB at 100k points and 1.95 MB at 1M,
         so at most 3 MB at either (the per-point bound this replaces allowed 5 MB at 100k)."""
         for n in (100_000, 1_000_000):
             peak = traced_peak(averaged_p_laplace_dense, default_gmm, default_gmm.means[0], [1.0, 2.0, 3.0], 1.0, n,

@@ -15,10 +15,11 @@ checkouts compare only when both are run with the same ``OUT``, one after the
 other.  ``--against OTHER_ROOT`` does that: it runs ``ROOT``, keeps its CSV
 files, then runs ``OTHER_ROOT`` into ``OUT``, and prints instead a JSON map
 from each artifact whose sha256 differs, or that only one side writes, to
-``{"sha256": [digest, other digest]}`` (``null`` for a missing side); a CSV
-that both sides write with the same header and row count also gets
-``"max_rel_diff"``, the largest ``|a - b| / max(|a|, |b|)`` in each numeric
-column (see ``column_differences``).  It exits 1 if the map is not empty.  At
+``{"sha256": [digest, other digest]}`` (``null`` for a missing side).  A CSV
+that both sides write also gets, matching columns by name, ``"max_rel_diff"``,
+the largest ``|a - b| / max(|a|, |b|)`` in each numeric column both write,
+``"one_sided_columns"`` and ``"rows_differing"`` (see ``csv_differences``).
+It exits 1 if the map is not empty.  At
 ``--size full`` the three runs of one checkout take about 20 s on 2 cores.
 """
 
@@ -90,23 +91,59 @@ def _rel_diff(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def column_differences(text: str, other: str) -> dict[str, float] | None:
-    """Largest relative difference in each numeric column of two CSV artifacts, in header order.
+def _columns(text: str) -> tuple[list[str], list[dict[str, str]]]:
+    """The header of a CSV artifact and its rows as maps from column name to cell."""
+    header, *rows = _rows(text) or [[]]
+    return header, [dict(zip(header, row)) for row in rows]
 
-    A column is numeric when every cell on both sides parses as a float; the
-    others are left out.  ``None`` when the headers or row counts differ.
+
+def _cells_differ(a: str, b: str) -> bool:
+    """Whether two cells differ: as floats by ``_rel_diff`` where both parse, else as text."""
+    try:
+        return _rel_diff(float(a), float(b)) > 0
+    except ValueError:
+        return a != b
+
+
+def column_differences(text: str, other: str) -> dict[str, float] | None:
+    """Largest relative difference in each numeric column that two CSV artifacts share, matched by name.
+
+    Columns follow the first artifact's header.  A column is numeric when every
+    cell on both sides parses as a float; the others are left out.  ``None``
+    when the row counts differ.
     """
-    rows, other_rows = _rows(text), _rows(other)
-    if not rows or not other_rows or rows[0] != other_rows[0] or len(rows) != len(other_rows):
+    (header, rows), (other_header, other_rows) = _columns(text), _columns(other)
+    if len(rows) != len(other_rows):
         return None
     out = {}
-    for j, name in enumerate(rows[0]):
+    for name in (c for c in header if c in other_header):
         try:
-            pairs = [(float(r[j]), float(o[j])) for r, o in zip(rows[1:], other_rows[1:])]
+            pairs = [(float(r[name]), float(o[name])) for r, o in zip(rows, other_rows)]
         except ValueError:
             continue
         out[name] = max((_rel_diff(a, b) for a, b in pairs), default=0.0)
     return out
+
+
+def csv_differences(text: str, other: str) -> dict:
+    """How two CSV artifacts differ, for ``--against``.
+
+    ``max_rel_diff`` is ``column_differences``; ``one_sided_columns`` lists the
+    columns only the first, then only the second, writes; ``rows_differing`` is
+    ``[rows in which any shared column differs, rows]``, ``None`` when the row
+    counts differ.
+    """
+    (header, rows), (other_header, other_rows) = _columns(text), _columns(other)
+    shared = [c for c in header if c in other_header]
+    rows_differing = None
+    if len(rows) == len(other_rows):
+        changed = sum(any(_cells_differ(r[c], o[c]) for c in shared) for r, o in zip(rows, other_rows))
+        rows_differing = [changed, len(rows)]
+    return {
+        "max_rel_diff": column_differences(text, other),
+        "one_sided_columns": [[c for c in header if c not in other_header], [c for c in other_header if c not in header]],
+        "rows_differing": rows_differing,
+    }
 
 
 def _csv_texts(out: Path) -> dict[str, str]:
@@ -124,7 +161,7 @@ def compare(root: Path, other_root: Path, out: Path, size: str = "full") -> dict
     for path, digests in differing(hashes, other_hashes).items():
         report[path] = {"sha256": digests}
         if path in texts and path in other_texts:
-            report[path]["max_rel_diff"] = column_differences(texts[path], other_texts[path])
+            report[path].update(csv_differences(texts[path], other_texts[path]))
     return report
 
 
