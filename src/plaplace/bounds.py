@@ -155,7 +155,7 @@ def bound_surface(
     return deltas, ms, grid
 
 
-def write_bound_reports_csv(path, reports: np.recarray, header_comment: str | None = None) -> None:
+def write_bound_reports_csv(path, reports: np.recarray, header_comment: str) -> None:
     """One CSV row per ``validate_bound`` record: anchor coordinates first, then its other fields in order."""
     if len(reports) == 0:
         raise ValueError("no reports to write")

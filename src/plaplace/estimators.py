@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScoreField, p_weight
-from .geometry import sample_ball_uniform, sample_sphere_uniform, split_rng
+from .geometry import sample_ball_uniform, sample_sphere_uniform
 from .tables import write_table
 
 __all__ = [
@@ -91,9 +91,10 @@ def _sphere_blocks(fields, centers: np.ndarray, cfgs, rng: np.random.Generator):
     Yields ``(start, normals, values)`` per block, ``start`` being its first
     row: ``normals`` has shape ``(rows, n_samples, d)`` and ``values[k]``
     holds ``fields[k]`` on the spheres in the same shape.  Each block spawns
-    one ``split_rng`` substream per center from ``rng``, in row order, so a
-    center's draw does not depend on the block size and only one block's
-    substreams are alive at a time.  Each field is called once per center,
+    one substream per center from ``rng``, in row order; successive
+    ``Generator.spawn`` calls continue one key sequence, so a center's draw
+    does not depend on the block size and only one block's substreams are
+    alive at a time.  Each field is called once per center,
     which keeps a center's values bitwise those of ``estimate_boundary``: a
     learned model's rows round according to where they fall in its GEMM's
     4-row tiles, so one call over a whole block's spheres moves the values
@@ -106,7 +107,7 @@ def _sphere_blocks(fields, centers: np.ndarray, cfgs, rng: np.random.Generator):
     radius, n_samples = cfgs[0].radius, cfgs[0].n_samples
     for start in range(0, centers.shape[0], SPHERE_BLOCK):
         block = centers[start : start + SPHERE_BLOCK]
-        subs = split_rng(rng, block.shape[0])
+        subs = rng.spawn(block.shape[0])
         draws = [sample_sphere_uniform(c, radius, n_samples, r) for c, r in zip(block, subs)]
         yield start, np.stack([n for _, n in draws]), [np.stack([f(ys) for ys, _ in draws]) for f in fields]
 
@@ -153,12 +154,11 @@ def estimate_boundary(
     return _reduce(_flux_values(field(ys), normals, cfg.p), ys.shape[1] / cfg.radius)
 
 
-def write_estimates_csv(path, dim: int, rows, header_comment: str | None = None) -> None:
-    """Batch estimation results, one row per estimate.
+def write_estimates_csv(path, dim: int, rows, header_comment: str) -> None:
+    """Batch estimation results, one row per estimate, under a comment line (the resolved run configuration).
 
     Columns: one per anchor coordinate (x0_0, ..., x0_{dim-1}), then
     p, formulation, n_samples, radius, seed, value, std_error.
-    An optional comment line carries the resolved run configuration.
     """
     cols = [f"x0_{i}" for i in range(dim)] + ["p", "formulation", "n_samples", "radius", "seed", "value", "std_error"]
     write_table(path, cols, rows, header_comment)

@@ -19,7 +19,7 @@ from . import memorization as M
 from . import svgplot
 from .config import build_estimator_config, build_gmm, build_schedule, config_header
 from .estimators import estimate_boundary, write_estimates_csv
-from .geometry import make_rng, split_rng
+from .geometry import make_rng
 from .gmm import averaged_p_laplace_dense, log_density, perturb, sample_gmm
 from .gmm import score_field as gmm_score_field
 from .memorization import auc, build_scenario, grid_p_laplace, make_grid, percentile_rank, score_norm_criterion
@@ -88,9 +88,9 @@ def fidelity_anchors(gmm) -> tuple[np.ndarray, list[str]]:
     return anchors, labels
 
 
-def _field_error_stats(gmm, model, schedule, seed: int):
+def _field_error_stats(gmm, model, schedule, rng: np.random.Generator):
     """Direction and magnitude agreement of the learned score with the oracle at 2000 mixture draws."""
-    pts = sample_gmm(gmm, 2000, make_rng(10_000 + seed))
+    pts = sample_gmm(gmm, 2000, rng)
     oracle = gmm_score_field(perturb(gmm, schedule.alphas[0]))(pts)
     learned = learned_score(model, schedule, pts, 0)
     on = np.linalg.norm(oracle, axis=1)
@@ -142,7 +142,7 @@ def run_fidelity(cfg: dict) -> dict:
         model = _train(cfg, sample_gmm(gmm, cfg["training"]["n_train"], make_rng(seed)), schedule, seed)
         fields = {"oracle": gmm_score_field(gmm), "learned": model_score_field(model, schedule, 0)}
 
-        cos, ratio = _field_error_stats(gmm, model, schedule, seed)
+        cos, ratio = _field_error_stats(gmm, model, schedule, make_rng(10_000 + seed))
         write_table(os.path.join(seed_out, "field_errors.csv"), ["cosine", "magnitude_ratio"], zip(cos, ratio), header)
         svgplot.histogram(
             os.path.join(seed_out, "direction_error.svg"), cos,
@@ -161,7 +161,7 @@ def run_fidelity(cfg: dict) -> dict:
             for i, (anchor, label, refs) in enumerate(zip(anchors, labels, exact)):
                 for p, ecfg, ref in zip(p_values, ecfgs, refs):
                     for formulation, estimator in formulations:
-                        ests = [estimator(field, anchor, ecfg, sub) for sub in split_rng(rep_rng, n_repeats)]
+                        ests = [estimator(field, anchor, ecfg, sub) for sub in rep_rng.spawn(n_repeats)]
                         values = np.array([e.value for e in ests])
                         cells.append(([*anchor, p, formulation, ecfg.n_samples, ecfg.radius, seed], values,
                                       np.array([e.std_error for e in ests])))
@@ -203,15 +203,17 @@ def run_memorization(cfg: dict) -> dict:
     def one_seed(seed: int) -> tuple[list, list]:
         seed_out = _outdir(cfg, "memorization", f"seed_{seed}")
         header = config_header(cfg, seed)
-        scenario = build_scenario(gmm, mem_cfg["n_base"], mem_cfg["n_replicas"], seed)
-        _write_json(os.path.join(seed_out, "scenario.json"), {"config": cfg, "scenario": scenario.to_dict()})
-        model = _train(cfg, scenario.training_set(), schedule, seed)
+        training_set, mem_pt = build_scenario(gmm, mem_cfg["n_base"], mem_cfg["n_replicas"], make_rng(seed))
+        base = training_set[: mem_cfg["n_base"]]
+        scenario = {"seed": seed, "n_replicas": mem_cfg["n_replicas"], "memorized_point": mem_pt.tolist(),
+                    "base_samples": base.tolist()}
+        _write_json(os.path.join(seed_out, "scenario.json"), {"config": cfg, "scenario": scenario})
+        model = _train(cfg, training_set, schedule, seed)
         field = model_score_field(model, schedule, 0)
-        mem_pt = scenario.memorized_point
 
         svgplot.scatter(
             os.path.join(seed_out, "training_set.svg"),
-            [("base samples", scenario.base_samples, "#4878a8"), ("memorized", mem_pt[None, :], "red")],
+            [("base samples", base, "#4878a8"), ("memorized", mem_pt[None, :], "red")],
             title=f"training set, seed {seed}", comment=header,
         )
 

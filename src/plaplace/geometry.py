@@ -2,8 +2,8 @@
 
 Randomness policy: every sampling function takes an explicit
 ``numpy.random.Generator``.  Harnesses derive one child generator per
-estimation call (a fidelity repeat, a grid node, a bound anchor) via
-:func:`split_rng`, which wraps numpy's SeedSequence spawning, so runs are
+estimation call (a fidelity repeat, a grid node, a bound anchor) with
+``Generator.spawn``, numpy's SeedSequence spawning, so runs are
 reproducible no matter how work is distributed.
 
 Both samplers draw only standard normals: a sphere point is a row of them
@@ -21,22 +21,12 @@ __all__ = [
     "sample_ball_uniform",
     "sample_sphere_uniform",
     "make_rng",
-    "split_rng",
 ]
 
 
 def make_rng(seed: int | None = None) -> np.random.Generator:
     """A 64-bit-seedable PCG64 generator."""
     return np.random.default_rng(seed)
-
-
-def split_rng(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """n independent child generators; one substream per estimation call.
-
-    Successive calls on one generator continue its key sequence, so a loop may
-    split per block and get the substreams that one up-front split would give.
-    """
-    return rng.spawn(n)
 
 
 def _checked_center(center, radius: float, n: int) -> np.ndarray:

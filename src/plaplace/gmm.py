@@ -19,7 +19,7 @@ import numpy as np
 
 from .estimators import PLaplaceEstimate
 from .fields import ScoreField, p_weight
-from .geometry import _checked_center, sample_ball_uniform
+from .geometry import _checked_center, make_rng, sample_ball_uniform
 
 # Rows per block of the dense reference: bounds its (rows, K, d) temporaries.
 CHUNK = 8192
@@ -92,7 +92,7 @@ def draw_gmm(
     seed: int = 0,
 ) -> GmmParams:
     """Equal-weight mixture with means drawn uniformly in [low, high]^dim from a seed."""
-    rng = np.random.default_rng(seed)
+    rng = make_rng(seed)
     means = rng.uniform(low, high, size=(n_components, dim))
     weights = np.full(n_components, 1.0 / n_components)
     return GmmParams(means=means, sigma2=sigma2, weights=weights)
@@ -212,9 +212,12 @@ def averaged_p_laplace_dense(
     gives (``_block_moments``, ``_moment_scale``), and the blocks are merged
     at the end (``_merged_estimate``).  No array spans every point: the
     working set is one block's, whatever n.  Returns one estimate per p, in
-    order; ``ValueError`` before any draw if a p is below 1, ``x0`` is not a
-    nonempty 1-d vector, the radius is not positive or n is below 1.
+    order; ``ValueError`` before any draw if ``p_values`` is empty or a p is
+    below 1, ``x0`` is not a nonempty 1-d vector, the radius is not positive
+    or n is below 1.
     """
+    if len(p_values) == 0:
+        raise ValueError("p_values must be nonempty")
     for p in p_values:
         if not p >= 1:
             raise ValueError(f"p must be >= 1, got {p}")

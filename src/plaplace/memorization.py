@@ -12,7 +12,6 @@ ROC area.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -20,12 +19,10 @@ import numpy as np
 from .estimators import EstimatorConfig, _flux_values, _sphere_blocks
 from .estimators import estimate_boundary  # noqa: F401  the benchmark tracer rebinds it by this module's name
 from .fields import ScoreField
-from .geometry import make_rng
 from .gmm import GmmParams, sample_gmm
 from .tables import write_table
 
 __all__ = [
-    "MemorizationScenario",
     "Grid",
     "build_scenario",
     "make_grid",
@@ -38,41 +35,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MemorizationScenario:
-    """Base draws plus one replicated point; the training set concatenates both."""
-
-    base_samples: np.ndarray
-    memorized_point: np.ndarray
-    n_replicas: int
-    seed: int
-
-    def training_set(self) -> np.ndarray:
-        replicas = np.tile(self.memorized_point, (self.n_replicas, 1))
-        return np.vstack([self.base_samples, replicas])
-
-    def to_dict(self) -> dict:
-        """JSON-ready record of the full scenario."""
-        return {
-            "seed": self.seed,
-            "n_replicas": self.n_replicas,
-            "memorized_point": self.memorized_point.tolist(),
-            "base_samples": self.base_samples.tolist(),
-        }
-
-
-def build_scenario(
-    gmm: GmmParams, n_base: int = 1000, n_replicas: int = 250, seed: int = 0
-) -> MemorizationScenario:
-    """Draw the base set, pick one point uniformly, and replicate it."""
+def build_scenario(gmm: GmmParams, n_base: int, n_replicas: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``(training_set, memorized)``: n_base mixture draws, then n_replicas copies of one of them picked uniformly."""
     if n_base < 1:
         raise ValueError(f"n_base must be >= 1, got {n_base}")
-    rng = make_rng(seed)
     base = sample_gmm(gmm, n_base, rng)
-    memorized = base[int(rng.integers(n_base))].copy()
-    return MemorizationScenario(
-        base_samples=base, memorized_point=memorized, n_replicas=n_replicas, seed=seed
-    )
+    memorized = base[int(rng.integers(n_base))]
+    return np.vstack([base, np.tile(memorized, (n_replicas, 1))]), memorized
 
 
 class Grid(NamedTuple):
@@ -164,7 +133,7 @@ def score_norm_criterion(field: ScoreField, x) -> float | np.ndarray:
     return float(norms[0]) if single else norms
 
 
-def write_grid_csv(path, grid: Grid, matrix: np.ndarray, header_comment: str | None = None) -> None:
+def write_grid_csv(path, grid: Grid, matrix: np.ndarray, header_comment: str) -> None:
     """Grid values as (x, y, value) rows, colormap-ready."""
     rows = ([x, y, matrix[iy, ix]] for iy, y in enumerate(grid.ys) for ix, x in enumerate(grid.xs))
     write_table(path, ["x", "y", "value"], rows, header_comment)

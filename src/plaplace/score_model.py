@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import SamplingError, TrainingDivergedError
 from .fields import ScoreField
-from .geometry import make_rng, split_rng
+from .geometry import make_rng
 
 logger = logging.getLogger(__name__)
 
@@ -289,7 +289,7 @@ def train(
     layers = (params[:split].reshape(in_dim + 1, hidden_width), params[split:].reshape(hidden_width + 1, d))
     updates = (grads[:split].reshape(in_dim + 1, hidden_width), grads[split:].reshape(hidden_width + 1, d))
     layers[0][:in_dim] = rng.uniform(-bound, bound, size=(in_dim, hidden_width))
-    t_rng, eps_rng = split_rng(rng, 2)
+    t_rng, eps_rng = rng.spawn(2)
 
     embeddings = sinusoidal_embed(np.arange(schedule.t_steps), embed_dim)
     signal = np.sqrt(1.0 - schedule.alphas)[:, None]

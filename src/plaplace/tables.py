@@ -25,11 +25,10 @@ def _cell(v) -> str:
     raise TypeError(f"no CSV cell format for {type(v).__name__}")
 
 
-def write_table(path, columns, rows, comment: str | None = None) -> None:
-    """Write rows (iterables of cells) under a header of column names."""
+def write_table(path, columns, rows, comment: str) -> None:
+    """Write rows (iterables of cells) under a comment line and a header of column names."""
     with open(path, "w", newline="") as f:
-        if comment is not None:
-            f.write(f"# {comment}\n")
+        f.write(f"# {comment}\n")
         writer = csv.writer(f)
         writer.writerow(columns)
         writer.writerows([_cell(v) for v in row] for row in rows)

@@ -16,7 +16,7 @@ import pytest
 
 from plaplace.bounds import bound_constant, validate_bound
 from plaplace.estimators import EstimatorConfig, _flux_values, estimate_boundary, estimate_volume
-from plaplace.geometry import make_rng, split_rng
+from plaplace.geometry import make_rng
 from plaplace.gmm import GmmParams, averaged_p_laplace_dense, log_density, perturb, sample_gmm, score
 from plaplace.gmm import score_field as gmm_score_field
 from plaplace.memorization import auc, build_scenario, grid_p_laplace, make_grid, percentile_rank
@@ -62,7 +62,7 @@ def test_criterion_1_estimator_correctness(default_gmm, schedule, trained_model)
                 for formulation, fn in (("boundary", estimate_boundary), ("volume", estimate_volume)):
                     cfg = EstimatorConfig(p=p)
                     values = np.array(
-                        [fn(field, anchor, cfg, r).value for r in split_rng(rep_master, 100)]
+                        [fn(field, anchor, cfg, r).value for r in rep_master.spawn(100)]
                     )
                     mean = values.mean()
                     se_mean = values.std(ddof=1) / 10.0
@@ -160,7 +160,7 @@ def test_criterion_3_divergence_theorem(default_gmm):
         worst_z = 0.0
         for p in P_VALUES:
             for x0 in anchors:
-                rb, rv = split_rng(rng, 2)
+                rb, rv = rng.spawn(2)
                 eb = estimate_boundary(field, x0, EstimatorConfig(p=p), rb)
                 ev = estimate_volume(field, x0, EstimatorConfig(p=p), rv)
                 z = abs(eb.value - ev.value) / np.hypot(eb.std_error, ev.std_error)
@@ -218,10 +218,9 @@ def test_criterion_5_memorization_detection(default_gmm, schedule, train_once):
 
         pct1, pct3, aucs = [], [], []
         for seed in seeds:
-            scenario = build_scenario(default_gmm, 1000, 250, seed)
-            model = train_once(scenario.training_set(), schedule, TrainConfig(seed=seed))
+            training_set, mem = build_scenario(default_gmm, 1000, 250, make_rng(seed))
+            model = train_once(training_set, schedule, TrainConfig(seed=seed))
             field = model_score_field(model, schedule, 0)
-            mem = scenario.memorized_point
 
             mat1, mat3 = grid_p_laplace(field, grid, [cfg1, cfg3], make_rng(seed + 100_000))
             val1 = estimate_boundary(field, mem, cfg1, make_rng(seed + 200_000)).value
@@ -231,7 +230,7 @@ def test_criterion_5_memorization_detection(default_gmm, schedule, train_once):
             pct3.append(percentile_rank(mat3, val3))
 
             background = sample_gmm(default_gmm, 50, make_rng(seed + 300_000))
-            bg_rngs = split_rng(make_rng(seed + 400_000), 50)
+            bg_rngs = make_rng(seed + 400_000).spawn(50)
             bg_vals = [estimate_boundary(field, b, cfg1, r).value for b, r in zip(background, bg_rngs)]
             aucs.append(auc([val1], bg_vals))
 
@@ -243,11 +242,11 @@ def test_criterion_5_memorization_detection(default_gmm, schedule, train_once):
 
         null_hits = 0
         for seed in seeds:
-            scenario = build_scenario(default_gmm, 1000, 0, seed)
-            model = train_once(scenario.training_set(), schedule, TrainConfig(seed=seed))
+            training_set, mem = build_scenario(default_gmm, 1000, 0, make_rng(seed))
+            model = train_once(training_set, schedule, TrainConfig(seed=seed))
             field = model_score_field(model, schedule, 0)
             [mat] = grid_p_laplace(field, grid, [cfg1], make_rng(seed + 100_000))
-            val = estimate_boundary(field, scenario.memorized_point, cfg1, make_rng(seed + 200_000)).value
+            val = estimate_boundary(field, mem, cfg1, make_rng(seed + 200_000)).value
             null_hits += percentile_rank(mat, val) < 10.0
         assert null_hits <= 2, f"null control placed {null_hits}/5 seeds in the bottom decile"
 

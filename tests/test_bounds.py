@@ -13,7 +13,7 @@ from plaplace.bounds import (
     write_bound_reports_csv,
 )
 from plaplace.estimators import SPHERE_BLOCK, EstimatorConfig, _flux_values
-from plaplace.geometry import make_rng, sample_sphere_uniform, split_rng
+from plaplace.geometry import make_rng, sample_sphere_uniform
 from plaplace.gmm import score_field
 from plaplace.score_model import reverse_sample
 from plaplace.score_model import score_field as model_score_field
@@ -175,7 +175,7 @@ class TestValidateBound:
 
         expected, vanishing = [], 0
         for cfg in cfgs:
-            for anchor, sub in zip(anchors, split_rng(make_rng(7), anchors.shape[0])):
+            for anchor, sub in zip(anchors, make_rng(7).spawn(anchors.shape[0])):
                 ys, normals = sample_sphere_uniform(anchor, cfg.radius, cfg.n_samples, sub)
                 sv, hv = oracle(ys), s_hat(ys)
                 flux_s, flux_h = _flux_values(sv, normals, cfg.p), _flux_values(hv, normals, cfg.p)
@@ -208,8 +208,8 @@ class TestValidateBound:
         reports = validate_bound(lambda x: x + 0.2, s_hat, anchors, cfgs, make_rng(2))
 
         assert isinstance(reports, np.recarray) and len(reports) == 2 * n
-        write_bound_reports_csv(tmp_path / "reports.csv", reports)
-        header = (tmp_path / "reports.csv").read_text().splitlines()[0].split(",")
+        write_bound_reports_csv(tmp_path / "reports.csv", reports, header_comment="test")
+        header = (tmp_path / "reports.csv").read_text().splitlines()[1].split(",")
         assert header == ["anchor_0", "anchor_1", *reports.dtype.names[1:]]
         assert reports.dtype.names == (
             "anchor", "p", "delta", "m", "M", "segment_min", "c_p", "empirical_error", "assumptions_ok",
@@ -316,7 +316,7 @@ class TestReportsAndSurface:
     def test_csv_of_no_reports_raises(self, tmp_path):
         reports = validate_bound(lambda x: x, lambda x: x + 0.01, [[0.0, 0.0]], [EstimatorConfig(p=2.0)], make_rng(0))
         with pytest.raises(ValueError, match="no reports to write"):
-            write_bound_reports_csv(tmp_path / "reports.csv", reports[:0])
+            write_bound_reports_csv(tmp_path / "reports.csv", reports[:0], header_comment="test")
 
     def test_surface_shape_and_values(self):
         deltas, ms, grid = bound_surface(1.0, 2, 1.0, (0.0, 1.0), (0.1, 1.0), M=2.0, n=8)

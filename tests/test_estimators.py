@@ -12,7 +12,7 @@ from plaplace.estimators import (
     write_estimates_csv,
 )
 from plaplace.fields import NORM_FLOOR, p_weight
-from plaplace.geometry import make_rng, sample_sphere_uniform, split_rng
+from plaplace.geometry import make_rng, sample_sphere_uniform
 from plaplace.gmm import GmmParams, _p_laplace_values, averaged_p_laplace_dense, draw_gmm, score_field
 
 
@@ -287,7 +287,7 @@ class TestBoundaryEstimator:
         anchors = rng.uniform(-4, 4, size=(6, 2))
         for p in (1.0, 2.0, 3.0):
             for x0 in anchors:
-                rb, rv = split_rng(rng, 2)
+                rb, rv = rng.spawn(2)
                 eb = estimate_boundary(oracle_field, x0, EstimatorConfig(p=p), rb)
                 ev = estimate_volume(oracle_field, x0, EstimatorConfig(p=p), rv)
                 assert abs(eb.value - ev.value) <= 3.0 * np.hypot(eb.std_error, ev.std_error)

@@ -8,7 +8,7 @@ from scipy import stats
 
 from plaplace.bounds import bound_constant
 from plaplace.estimators import EstimatorConfig, estimate_boundary
-from plaplace.geometry import make_rng, sample_ball_uniform, sample_sphere_uniform, split_rng
+from plaplace.geometry import make_rng, sample_ball_uniform, sample_sphere_uniform
 from plaplace.gmm import CHUNK, averaged_p_laplace_dense, draw_gmm
 
 
@@ -59,6 +59,14 @@ def test_samplers_reject_bad_ball(sampler, center, radius, n):
     rng = make_rng(0)
     with pytest.raises(ValueError):
         sampler(center, radius, n, rng)
+    assert rng.random() == make_rng(0).random()
+
+
+def test_dense_reference_rejects_empty_p_values():
+    """An empty list of p raises before the dense reference draws anything."""
+    rng = make_rng(0)
+    with pytest.raises(ValueError, match="p_values"):
+        averaged_p_laplace_dense(draw_gmm(), [0.0, 0.0], [], 1.0, 200_000, rng)
     assert rng.random() == make_rng(0).random()
 
 
@@ -157,8 +165,8 @@ class TestDeterminism:
         np.testing.assert_array_equal(b1, b2)
 
     def test_substreams_independent_and_reproducible(self):
-        streams1 = split_rng(make_rng(0), 3)
-        streams2 = split_rng(make_rng(0), 3)
+        streams1 = make_rng(0).spawn(3)
+        streams2 = make_rng(0).spawn(3)
         draws1 = [s.standard_normal(4) for s in streams1]
         draws2 = [s.standard_normal(4) for s in streams2]
         for d1, d2 in zip(draws1, draws2):
@@ -166,9 +174,9 @@ class TestDeterminism:
         assert not np.array_equal(draws1[0], draws1[1])
 
     def test_per_block_spawns_continue_one_split(self):
-        """Successive splits of one generator hand out consecutive keys, so splitting per block changes no stream."""
+        """Successive spawns from one generator hand out consecutive keys, so spawning per block changes no stream."""
         rng = make_rng(0)
-        per_block = split_rng(rng, 32) + split_rng(rng, 32) + split_rng(rng, 5)
-        up_front = split_rng(make_rng(0), 69)
+        per_block = rng.spawn(32) + rng.spawn(32) + rng.spawn(5)
+        up_front = make_rng(0).spawn(69)
         for a, b in zip(per_block, up_front, strict=True):
             np.testing.assert_array_equal(a.standard_normal(4), b.standard_normal(4))

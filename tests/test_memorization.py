@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from plaplace.estimators import SPHERE_BLOCK, EstimatorConfig, estimate_boundary
-from plaplace.geometry import make_rng, sample_sphere_uniform, split_rng
-from plaplace.gmm import GmmParams, score_field
+from plaplace.geometry import make_rng, sample_sphere_uniform
+from plaplace.gmm import GmmParams, sample_gmm, score_field
 from plaplace.memorization import (
     auc,
     boundary_at_points,
@@ -23,24 +23,41 @@ from plaplace.score_model import score_field as model_score_field
 
 class TestScenario:
     def test_default_sizes(self, default_gmm):
-        scenario = build_scenario(default_gmm, 1000, 250, seed=0)
-        assert scenario.training_set().shape == (1250, 2)
+        training_set, _ = build_scenario(default_gmm, 1000, 250, make_rng(0))
+        assert training_set.shape == (1250, 2)
 
     def test_zero_replicas_is_base(self, default_gmm):
-        scenario = build_scenario(default_gmm, 100, 0, seed=1)
-        np.testing.assert_array_equal(scenario.training_set(), scenario.base_samples)
+        training_set, _ = build_scenario(default_gmm, 100, 0, make_rng(1))
+        np.testing.assert_array_equal(training_set, sample_gmm(default_gmm, 100, make_rng(1)))
 
     def test_memorized_point_from_base(self, default_gmm):
-        scenario = build_scenario(default_gmm, 100, 10, seed=2)
-        assert any(np.array_equal(scenario.memorized_point, row) for row in scenario.base_samples)
-        replicas = scenario.training_set()[100:]
-        assert np.all(replicas == scenario.memorized_point)
+        training_set, memorized = build_scenario(default_gmm, 100, 10, make_rng(2))
+        assert any(np.array_equal(memorized, row) for row in training_set[:100])
+        assert np.all(training_set[100:] == memorized)
 
     def test_seed_reproducible(self, default_gmm):
-        s1 = build_scenario(default_gmm, 50, 5, seed=3)
-        s2 = build_scenario(default_gmm, 50, 5, seed=3)
-        np.testing.assert_array_equal(s1.training_set(), s2.training_set())
-        np.testing.assert_array_equal(s1.memorized_point, s2.memorized_point)
+        s1, m1 = build_scenario(default_gmm, 50, 5, make_rng(3))
+        s2, m2 = build_scenario(default_gmm, 50, 5, make_rng(3))
+        np.testing.assert_array_equal(s1, s2)
+        np.testing.assert_array_equal(m1, m2)
+
+    @pytest.mark.parametrize("n_base, n_replicas", [(1, 0), (7, 3), (200, 50)])
+    def test_draws_base_then_one_index_from_its_generator(self, default_gmm, n_base, n_replicas):
+        """The base rows are sample_gmm's, the memorized row is the next integer draw, and nothing else is drawn."""
+        rng, ref = make_rng(41), make_rng(41)
+        training_set, memorized = build_scenario(default_gmm, n_base, n_replicas, rng)
+        base = sample_gmm(default_gmm, n_base, ref)
+        np.testing.assert_array_equal(training_set[:n_base], base)
+        np.testing.assert_array_equal(memorized, base[ref.integers(n_base)])
+        assert training_set.shape == (n_base + n_replicas, 2)
+        assert np.all(training_set[n_base:] == memorized)
+        assert rng.random() == ref.random()
+
+    def test_rejects_empty_base(self, default_gmm):
+        rng = make_rng(5)
+        with pytest.raises(ValueError, match="n_base"):
+            build_scenario(default_gmm, 0, 3, rng)
+        assert rng.random() == make_rng(5).random()
 
 
 class TestGrid:
@@ -74,8 +91,8 @@ class TestGrid:
         assert mats.shape == (3, 7, 7)
         vanishing = 0
         for cfg, mat in zip(cfgs, mats):
-            for value, pt, sub, again in zip(mat.ravel(), grid.points, split_rng(make_rng(17), 49),
-                                             split_rng(make_rng(17), 49)):
+            for value, pt, sub, again in zip(mat.ravel(), grid.points, make_rng(17).spawn(49),
+                                             make_rng(17).spawn(49)):
                 expected = estimate_boundary(field, pt, cfg, sub)
                 assert (expected.n_used, expected.singular_hits) == (cfg.n_samples, 0)
                 assert value == expected.value
@@ -84,14 +101,14 @@ class TestGrid:
         assert vanishing > 0
 
     def test_points_match_per_point_estimates(self):
-        """One estimate_boundary per row and p, each row on its own split_rng substream in row order, in any dimension."""
+        """One estimate_boundary per row and p, each row on its own spawned substream in row order, in any dimension."""
         points = make_rng(3).normal(size=(SPHERE_BLOCK + 5, 3))
         field = lambda x: -x
         cfgs = [EstimatorConfig(p=p, n_samples=20) for p in (1.5, 3.0)]
         values = boundary_at_points(field, points, cfgs, make_rng(18))
         assert values.shape == (2, SPHERE_BLOCK + 5)
         for cfg, row in zip(cfgs, values):
-            subs = split_rng(make_rng(18), SPHERE_BLOCK + 5)
+            subs = make_rng(18).spawn(SPHERE_BLOCK + 5)
             np.testing.assert_array_equal(row, [estimate_boundary(field, x, cfg, r).value for x, r in zip(points, subs)])
 
     def test_configs_must_share_the_sphere(self, default_gmm):
@@ -111,12 +128,12 @@ class TestGrid:
         grid = make_grid(default_gmm, 20, 2.0)
         hits = 0
         for seed in range(3):
-            scenario = build_scenario(default_gmm, 1000, 250, seed)
-            model = train_once(scenario.training_set(), schedule, TrainConfig(seed=seed))
+            training_set, memorized = build_scenario(default_gmm, 1000, 250, make_rng(seed))
+            model = train_once(training_set, schedule, TrainConfig(seed=seed))
             field = model_score_field(model, schedule, 0)
             cfg = EstimatorConfig(p=1.0)
             [mat] = grid_p_laplace(field, grid, [cfg], make_rng(seed + 100))
-            mem_val = estimate_boundary(field, scenario.memorized_point, cfg, make_rng(seed + 200)).value
+            mem_val = estimate_boundary(field, memorized, cfg, make_rng(seed + 200)).value
             hits += percentile_rank(mat, mem_val) < 10.0
         assert hits >= 2
 

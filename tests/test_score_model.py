@@ -6,7 +6,7 @@ import pytest
 
 from plaplace import score_model
 from plaplace.errors import SamplingError, TrainingDivergedError
-from plaplace.geometry import make_rng, split_rng
+from plaplace.geometry import make_rng
 from plaplace.gmm import GmmParams, perturb, sample_gmm, score
 from plaplace.score_model import (
     PREDICT_BLOCK,
@@ -259,7 +259,7 @@ def textbook_train(data, schedule, cfg, hidden_width, embed_dim):
     bound = 1.0 / np.sqrt(in_dim)
     W1 = np.vstack([rng.uniform(-bound, bound, size=(in_dim, hidden_width)), np.zeros((1, hidden_width))])
     W2 = np.zeros((hidden_width + 1, d))
-    t_rng, eps_rng = split_rng(rng, 2)
+    t_rng, eps_rng = rng.spawn(2)
     batch = min(cfg.batch_size, n)
     epoch_means = []
     for epoch in range(cfg.epochs):
