@@ -34,11 +34,11 @@ __all__ = [
 
 def bound_constant(
     p: float, delta: float | np.ndarray, m: float | np.ndarray, M: float | np.ndarray, dim: int, radius: float
-) -> float | np.ndarray:
+) -> np.ndarray:
     """The flux-difference bound, surface/volume factor included.
 
-    ``delta``, ``m`` and ``M`` broadcast against each other; scalar inputs
-    give a float, with the bits of the same entry in an array call.
+    ``delta``, ``m`` and ``M`` broadcast against each other, and the result
+    has their shape; an entry has the same bits whatever the shape.
     Continuous in p at p = 2, where both branches reduce to (dim/radius) * delta.
     """
     if not p >= 1:
@@ -50,10 +50,8 @@ def bound_constant(
         raise ValueError(f"need 0 < m <= M, got m={m}, M={M}")
     factor = dim / radius
     if p >= 2:
-        c_p = factor * delta * M ** (p - 2.0) * (p - 1.0)
-    else:
-        c_p = factor * delta * m ** (p - 2.0) * (3.0 - p)
-    return float(c_p) if np.ndim(c_p) == 0 else c_p
+        return factor * delta * M ** (p - 2.0) * (p - 1.0)
+    return factor * delta * m ** (p - 2.0) * (3.0 - p)
 
 
 def _constants_from_values(sv: np.ndarray, hv: np.ndarray):
@@ -95,13 +93,16 @@ def validate_bound(
     correlated.  ``(delta, m, M, segment_min)`` is measured once per block of
     anchors and serves every p; ``bound_constant`` is called once per p.
 
-    The result is a read-only ``numpy.recarray`` of ``len(cfgs) * len(anchors)``
+    ``anchors`` is (n, d) (``ValueError`` otherwise).  The result is a
+    read-only ``numpy.recarray`` of ``len(cfgs) * len(anchors)``
     records with the fields ``anchor`` (shape ``(dim,)``), ``p``, ``delta``,
     ``m``, ``M``, ``segment_min``, ``c_p``, ``empirical_error`` and
     ``assumptions_ok`` (``m > 0``; otherwise ``c_p`` is inf), in that order;
     ``reshape(len(cfgs), -1)`` gives one table per p.
     """
-    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+    anchors = np.asarray(anchors, dtype=float)
+    if anchors.ndim != 2:
+        raise ValueError(f"anchors must have shape (n, d), got {anchors.shape}")
     n, dim = anchors.shape
     delta, m, M, segment_min = np.empty((4, n))
     errors = np.empty((len(cfgs), n))
@@ -128,14 +129,14 @@ def validate_bound(
 
 
 def bound_summary(reports: np.recarray) -> dict:
-    """Aggregate dominance statistics over a batch of ``validate_bound`` records."""
+    """Dominance statistics of ``validate_bound`` records; an ok row violates unless ``empirical_error <= c_p``."""
     ok = reports[reports.assumptions_ok]
     bounded = ok[ok.c_p > 0]  # identical fields give c_p = 0, with nothing to divide by
     return {
         "n_anchors": len(reports),
         "assumption_ok_fraction": len(ok) / len(reports) if len(reports) else 0.0,
         "max_error_bound_ratio": float(np.max(bounded.empirical_error / bounded.c_p, initial=0.0)),
-        "violations": int(np.count_nonzero(ok.empirical_error > ok.c_p)),
+        "violations": int(np.count_nonzero(~(ok.empirical_error <= ok.c_p))),
     }
 
 
@@ -146,11 +147,10 @@ def bound_surface(
     delta_range: tuple[float, float],
     m_range: tuple[float, float],
     M: float,
-    n: int = 40,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """c_p on a (delta, m) grid; rows index m, columns index delta."""
-    deltas = np.linspace(delta_range[0], delta_range[1], n)
-    ms = np.linspace(m_range[0], m_range[1], n)
+    """c_p on a 40 x 40 (delta, m) grid; rows index m, columns index delta."""
+    deltas = np.linspace(delta_range[0], delta_range[1], 40)
+    ms = np.linspace(m_range[0], m_range[1], 40)
     grid = bound_constant(p, deltas[None, :], ms[:, None], np.maximum(M, ms)[:, None], dim, radius)
     return deltas, ms, grid
 

@@ -43,15 +43,11 @@ def _load(args) -> dict:
     return cfg
 
 
-def _int_in(low: int, high: int):
-    """argparse type: a plain decimal integer from low to high."""
-
-    def parse(text: str) -> int:
-        if not text.isdecimal() or not low <= int(text) <= high:
-            raise argparse.ArgumentTypeError(f"must be an integer from {low} to {high}, got {text!r}")
-        return int(text)
-
-    return parse
+def _seed(text: str) -> int:
+    """argparse type: a plain decimal seed from 0 to ``MAX_SEED``."""
+    if not text.isdecimal() or int(text) > MAX_SEED:
+        raise argparse.ArgumentTypeError(f"must be an integer from 0 to {MAX_SEED}, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text, _) in _STUDIES.items():
         study = sub.add_parser(name, help=help_text)
         study.add_argument("--config", help="JSON config file; defaults used when omitted")
-        study.add_argument("--seed", type=_int_in(0, MAX_SEED), help="override: run this single seed")
+        study.add_argument("--seed", type=_seed, help="override: run this single seed")
         study.add_argument("--out", help="override: output directory")
     return parser
 

@@ -6,10 +6,11 @@ with its default; missing keys take it, and the fully resolved config is
 embedded in every artifact.
 
 ``_first_error`` reads the JSON Schema keywords the schema uses (``type``, ``enum``,
-``minimum``, ``exclusiveMinimum``, ``maximum``, ``exclusiveMaximum``, ``multipleOf``,
-``minItems``, ``uniqueItems``, ``items``, ``properties``, ``additionalProperties: false``),
-each on values of its own type, with three narrowings: a bool is never a number, an
-``integer`` is a Python int (not ``2.0``), and a ``number`` is finite and fits in a float.
+``minimum``, ``exclusiveMinimum``, ``maximum``, ``multipleOf``, ``minItems``, ``items``,
+``properties``, ``additionalProperties: false``), each on values of its own type, with
+three narrowings: a bool is never a number, an ``integer`` is a Python int (not ``2.0``),
+and a ``number`` is finite and fits in a float.  Distinct p values and seeds (by artifact
+name) and betas below 1 (by building the schedule) are checked after the keywords.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ _MAX_COUNT = 10**8
 MAX_SEED = 2**64 - 1
 _SEED = {"type": "integer", "minimum": 0, "maximum": MAX_SEED}
 _P_VALUES = {
-    "type": "array", "items": {"type": "number", "minimum": 1}, "minItems": 1, "uniqueItems": True,
-    "default": [1.0, 2.0, 3.0],
+    "type": "array", "items": {"type": "number", "minimum": 1}, "minItems": 1, "default": [1.0, 2.0, 3.0],
 }
 _SCHEMA = {
     "type": "object",
@@ -69,8 +69,8 @@ _SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "t_steps": {"type": "integer", "minimum": 1, "maximum": 100_000, "default": 100},
-                "beta_min": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1, "default": 1e-4},
-                "beta_max": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1, "default": 0.02},
+                "beta_min": {"type": "number", "exclusiveMinimum": 0, "default": 1e-4},
+                "beta_max": {"type": "number", "exclusiveMinimum": 0, "default": 0.02},
             },
         },
         "training": {
@@ -122,10 +122,7 @@ _SCHEMA = {
                 "p_values": _P_VALUES,
             },
         },
-        "seeds": {
-            "type": "array", "items": _SEED, "minItems": 1, "uniqueItems": True,
-            "default": [0, 1, 2, 3, 4],
-        },
+        "seeds": {"type": "array", "items": _SEED, "minItems": 1, "default": [0, 1, 2, 3, 4]},
         "output_dir": {"type": "string", "default": "out"},
     },
 }
@@ -141,8 +138,7 @@ def _defaults(node: dict):
 DEFAULT_CONFIG = _defaults(_SCHEMA)
 _TYPES = {"object": dict, "array": list, "string": str, "null": type(None), "integer": int, "number": (int, float)}
 # Each bound keyword: the comparison that breaks it, and the relation a value must keep.
-_BOUNDS = {"minimum": (operator.lt, ">="), "exclusiveMinimum": (operator.le, ">"), "maximum": (operator.gt, "<="),
-           "exclusiveMaximum": (operator.ge, "<")}
+_BOUNDS = {"minimum": (operator.lt, ">="), "exclusiveMinimum": (operator.le, ">"), "maximum": (operator.gt, "<=")}
 
 
 def _first_error(node: dict, value, path: tuple) -> str | None:
@@ -179,15 +175,12 @@ def _first_error(node: dict, value, path: tuple) -> str | None:
     for sub, key, item in children:
         if error := _first_error(sub, item, (*path, key)):
             return error
-    # Checked after the items, so each is a number: 1 and 1.0 are one value, as in JSON Schema.
-    if isinstance(value, list) and node.get("uniqueItems") and len(set(value)) < len(value):
-        return f"{where}: repeated item"
     return None
 
 
 def resolve_config(raw: dict) -> dict:
-    """Validate against the schema, fill in defaults for all missing keys, and check that the p values name distinct
-    artifacts and that the mixture and schedule build.
+    """Validate against the schema, fill in defaults for all missing keys, and check that p values and seeds name
+    distinct artifacts, that explicit means come without drawn-mixture keys, and that the mixture and schedule build.
 
     Raises :class:`ConfigError` naming the offending path.
     """
@@ -197,13 +190,18 @@ def resolve_config(raw: dict) -> dict:
     resolved = copy.deepcopy(DEFAULT_CONFIG)
     for key, value in copy.deepcopy(raw).items():
         resolved[key] = {**resolved[key], **value} if isinstance(value, dict) else value
-    # Artifacts and summary keys name each p as p{p:g}: two values with one name would overwrite each other.
-    for block in ("estimator", "bounds"):
-        named: dict[str, float] = {}
-        for p in resolved[block]["p_values"]:
-            first = named.setdefault(f"p{p:g}", p)
-            if first != p:
-                raise ConfigError(f"config invalid at {block}/p_values: {first} and {p} share the artifact name p{p:g}")
+    # Artifacts name each p as p{p:g} and each seed as seed_<seed>: two values with one name would overwrite each other.
+    for where, values, pattern in (("estimator/p_values", resolved["estimator"]["p_values"], "p{:g}"),
+                                   ("bounds/p_values", resolved["bounds"]["p_values"], "p{:g}"),
+                                   ("seeds", resolved["seeds"], "seed_{}")):
+        seen: dict[str, float] = {}
+        for value in values:
+            if (name := pattern.format(value)) in seen:
+                raise ConfigError(f"config invalid at {where}: {seen[name]} and {value} share the artifact name {name}")
+            seen[name] = value
+    drawn = sorted({"n_components", "dim", "low", "high", "seed"} & raw.get("gmm", {}).keys())
+    if drawn and raw["gmm"].get("means") is not None:
+        raise ConfigError(f"config invalid at gmm: {', '.join(drawn)} apply to drawn means, not to gmm.means")
     for block, build in (("gmm", build_gmm), ("schedule", build_schedule)):
         try:
             build(resolved)

@@ -25,7 +25,7 @@ _SMALLEST_NORMAL = np.finfo(float).tiny
 
 
 def p_weight(s: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """The p-Laplace integrand weight of score values, one entry per row.
+    """The p-Laplace integrand weight of score rows ``s`` of shape (..., n, d), one entry per row.
 
     Returns ``(norm, weight)``: the score norm floored at ``NORM_FLOOR``,
     and the weight |s|^(p-2).  The floor keeps ``norm**2`` a positive normal
@@ -42,7 +42,6 @@ def p_weight(s: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
     norm = np.maximum(norm, NORM_FLOOR)
     weight = norm ** (p - 2.0)
     if under.any():
-        weight = np.array(weight)  # writable, also when s is one (d,) row
         rows = s[under] * _RESCALE
         unfloored = np.sqrt(np.add.reduce(rows * rows, axis=-1)) / _RESCALE
         weight[under] = np.where(unfloored > 0, np.maximum(unfloored, _SMALLEST_NORMAL), NORM_FLOOR) ** (p - 2.0)

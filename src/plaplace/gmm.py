@@ -6,8 +6,8 @@ dense p-Laplace reference: the ground truth for learned score fields.  The
 exact operator is finite at every point for every p >= 1, so the reference
 averages every sample it draws.
 
-All evaluation functions are vectorized: ``x`` may be a single point of
-shape ``(d,)`` or a batch of shape ``(n, d)``.
+``log_density`` and ``score`` take points of shape ``(..., d)``: a single
+point ``(d,)`` or a batch ``(n, d)``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GmmParams:
-    """Mixture of K isotropic Gaussians N(mean_k, sigma2 * I) with the given weights."""
+    """Mixture of K isotropic Gaussians N(mean_k, sigma2 * I) with the given weights; ``means`` is (K, d)."""
 
     means: np.ndarray
     sigma2: float
@@ -46,7 +46,9 @@ class GmmParams:
 
     def __post_init__(self):
         # Frozen copies: the caller's arrays stay writable, these never are.
-        means = np.atleast_2d(np.array(self.means, dtype=float))
+        means = np.array(self.means, dtype=float)
+        if means.ndim != 2:
+            raise ValueError(f"means must have shape (K, d), got {means.shape}")
         weights = np.array(self.weights, dtype=float)
         means.setflags(write=False)
         weights.setflags(write=False)
@@ -117,10 +119,9 @@ def _responsibilities(g: GmmParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return diffs, resp / total, (top + np.log(total))[..., 0]
 
 
-def log_density(g: GmmParams, x) -> np.ndarray | float:
+def log_density(g: GmmParams, x) -> np.ndarray:
     """log of the mixture density, via the max-shifted log-sum-exp over components."""
-    out = _responsibilities(g, np.asarray(x, dtype=float))[2] - 0.5 * g.dim * np.log(2.0 * np.pi * g.sigma2)
-    return float(out) if out.ndim == 0 else out
+    return _responsibilities(g, np.asarray(x, dtype=float))[2] - 0.5 * g.dim * np.log(2.0 * np.pi * g.sigma2)
 
 
 def score(g: GmmParams, x) -> np.ndarray:

@@ -96,8 +96,6 @@ def grid_p_laplace(
     field: ScoreField, grid: Grid, cfgs: list[EstimatorConfig], rng: np.random.Generator
 ) -> np.ndarray:
     """:func:`boundary_at_points` over the grid nodes: one grid-shaped matrix per config, ``(len(cfgs), ny, nx)``."""
-    if grid.points.shape[1] != 2:
-        raise ValueError("grid evaluation is a 2-d diagnostic")
     return boundary_at_points(field, grid.points, cfgs, rng).reshape(-1, *grid.shape)
 
 
@@ -125,12 +123,9 @@ def auc(memorized_values, background_values) -> float:
     return float((wins + 0.5 * ties) / (mem.size * bg.size))
 
 
-def score_norm_criterion(field: ScoreField, x) -> float | np.ndarray:
-    """Score magnitude at x: the promptless baseline criterion."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    norms = np.linalg.norm(field(np.atleast_2d(x)), axis=1)
-    return float(norms[0]) if single else norms
+def score_norm_criterion(field: ScoreField, x: np.ndarray) -> np.ndarray:
+    """Score magnitude at each row of x, shape (n, d): the promptless baseline criterion."""
+    return np.linalg.norm(field(x), axis=1)
 
 
 def write_grid_csv(path, grid: Grid, matrix: np.ndarray, header_comment: str) -> None:

@@ -158,7 +158,7 @@ class MlpScoreModel:
         return self.W1.shape[0] - 1 - self.input_dim
 
     def predict_noise(self, x, t) -> np.ndarray:
-        """eps_hat(x, t); ``x`` is (d,) or (n, d) and ``t`` one timestep index for every row.
+        """eps_hat(x, t); ``x`` is (n, d) and ``t`` one timestep index for every row.
 
         The embedding's share of the first layer is the same for every row, so
         it is formed once per call as the bias row ``embed(t) @ W1[d:-1] + W1[-1]``;
@@ -173,10 +173,9 @@ class MlpScoreModel:
         """
         x = np.asarray(x, dtype=float)
         d = self.input_dim
-        if x.ndim not in (1, 2) or x.shape[-1] != d:
-            raise ValueError(f"x must have shape ({d},) or (n, {d}), got {x.shape}")
-        xb = np.atleast_2d(x)
-        n = xb.shape[0]
+        if x.ndim != 2 or x.shape[1] != d:
+            raise ValueError(f"x must have shape (n, {d}), got {x.shape}")
+        n = x.shape[0]
         a, w2, b2 = self.W1[:d], self.W2[:-1], self.W2[-1]
         row = sinusoidal_embed(operator.index(t), self.embed_dim) @ self.W1[d:-1] + self.W1[-1]
         h = np.empty((min(n, PREDICT_BLOCK), self.hidden_width))
@@ -184,18 +183,18 @@ class MlpScoreModel:
         for start in range(0, n, PREDICT_BLOCK):
             block = slice(start, start + PREDICT_BLOCK)
             hb = h[: min(n - start, PREDICT_BLOCK)]
-            np.tanh(np.add(np.matmul(xb[block], a, out=hb), row, out=hb), out=hb)
+            np.tanh(np.add(np.matmul(x[block], a, out=hb), row, out=hb), out=hb)
             np.add(np.matmul(hb, w2, out=y[block]), b2, out=y[block])
-        return y[0] if x.ndim == 1 else y
+        return y
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimization hyperparameters; a batch_size of at least the data size means full-batch steps.
 
-    The minibatch default matters: full-batch runs take one step per epoch
-    and leave the score direction visibly under-fit at the default epoch
-    budget.
+    The minibatch default matters: full-batch runs take one (permuted) step
+    per epoch and leave the score direction visibly under-fit at the default
+    epoch budget.
     """
 
     epochs: int = 500
@@ -254,8 +253,10 @@ def train(
 ) -> MlpScoreModel:
     """Fit the noise predictor with plain SGD on fresh (t, eps) draws each epoch.
 
-    Weight init is scaled-uniform fan-in for the hidden layer and zeros for
-    the output layer, so the untrained model predicts zero noise.  Raises
+    ``data`` is a nonempty (n, d) array (``ValueError`` otherwise), visited in
+    a fresh permutation every epoch, full-batch runs included.  Weight init is
+    scaled-uniform fan-in for the hidden layer and zeros for the output
+    layer, so the untrained model predicts zero noise.  Raises
     :class:`TrainingDivergedError` if the loss becomes non-finite.
 
     Everything a step cannot change is built once per call: the embedding
@@ -275,9 +276,9 @@ def train(
     the same streams; the working set does not grow with the data beyond
     the epoch's permutation.
     """
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    if data.size == 0:
-        raise ValueError("training data must be nonempty")
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2 or data.size == 0:
+        raise ValueError(f"training data must be a nonempty (n, d) array, got shape {data.shape}")
     n, d = data.shape
     rng = make_rng(cfg.seed)
 
@@ -321,10 +322,7 @@ def train(
     views = {size: batch_views(size) for size in {min(block, n - start) for start in range(0, n, block)}}
     n_batches = -(-n // batch)
     for epoch in range(cfg.epochs):
-        if batch == n:
-            order = np.arange(n)
-        else:
-            order = rng.permutation(n)
+        order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, block):
             size = min(block, n - start)

@@ -69,13 +69,13 @@ def scatter(path, groups, title: str, comment: str) -> None:
 
     ``groups`` is a list of (label, points, color) with points of shape (n, 2).
     """
-    all_pts = np.vstack([np.atleast_2d(pts) for _, pts, _ in groups])
+    all_pts = np.vstack([pts for _, pts, _ in groups])
     xlim = (all_pts[:, 0].min(), all_pts[:, 0].max())
     ylim = (all_pts[:, 1].min(), all_pts[:, 1].max())
     to_px = _axes_transform(xlim, ylim)
     body = []
     for k, (label, pts, color) in enumerate(groups):
-        for x, y in np.atleast_2d(pts):
+        for x, y in pts:
             px, py = to_px(x, y)
             body.append(f'<circle cx="{px:.1f}" cy="{py:.1f}" r="2.5" fill="{color}" fill-opacity="0.7"/>')
         body.append(f'<text x="{WIDTH - MARGIN}" y="{30 + 13 * k}" text-anchor="end" font-size="10" fill="{color}">{label}</text>')

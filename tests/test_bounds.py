@@ -319,12 +319,12 @@ class TestReportsAndSurface:
             write_bound_reports_csv(tmp_path / "reports.csv", reports[:0], header_comment="test")
 
     def test_surface_shape_and_values(self):
-        deltas, ms, grid = bound_surface(1.0, 2, 1.0, (0.0, 1.0), (0.1, 1.0), M=2.0, n=8)
-        assert grid.shape == (8, 8)
+        deltas, ms, grid = bound_surface(1.0, 2, 1.0, (0.0, 1.0), (0.1, 1.0), M=2.0)
+        assert grid.shape == (40, 40)
         assert grid[0, 0] == pytest.approx(bound_constant(1.0, deltas[0], ms[0], 2.0, 2, 1.0), rel=1e-12)
         for p in (1.0, 1.5, 3.0):  # the per-node loop is the reference, exactly
-            _, _, surface = bound_surface(p, 2, 1.0, (0.0, 1.0), (0.1, 3.0), M=2.0, n=8)
-            loop = [[bound_constant(p, d, m, max(2.0, m), 2, 1.0) for d in deltas] for m in np.linspace(0.1, 3.0, 8)]
+            _, _, surface = bound_surface(p, 2, 1.0, (0.0, 1.0), (0.1, 3.0), M=2.0)
+            loop = [[bound_constant(p, d, m, max(2.0, m), 2, 1.0) for d in deltas] for m in np.linspace(0.1, 3.0, 40)]
             np.testing.assert_array_equal(surface, loop)
         # nondecreasing along delta, nonincreasing along m for p < 2
         assert np.all(np.diff(grid, axis=1) >= 0)

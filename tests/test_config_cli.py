@@ -183,6 +183,27 @@ class TestConfigValidation:
         assert cfg["estimator"]["p_values"] == [1.0, 2.0]
         assert cfg["gmm"]["means"] == [[0.0, 0.0], [1.0, 1.0]]
 
+    @pytest.mark.parametrize("raw,message", [
+        ({"seeds": [0, 0]}, "seeds: 0 and 0 share the artifact name seed_0"),
+        ({"estimator": {"p_values": [2.0, 1.0, 2.0]}}, "estimator/p_values: 2.0 and 2.0 share the artifact name p2"),
+        ({"bounds": {"p_values": [1.0, 1]}}, "bounds/p_values: 1.0 and 1 share the artifact name p1"),
+        ({"schedule": {"beta_max": 1.5}}, r"schedule: betas must lie in \[0, 1\)"),
+        ({"schedule": {"beta_min": 1.0, "beta_max": 1.0}}, r"schedule: betas must lie in \[0, 1\)"),
+        ({"gmm": {"means": [[0, 0], [3, 3]], "n_components": 5, "dim": 7}},
+         "gmm: dim, n_components apply to drawn means, not to gmm.means"),
+        ({"gmm": {"means": [[0, 0]], "weights": [1.0], "low": -1, "high": 1, "seed": 3}},
+         "gmm: high, low, seed apply to drawn means"),
+    ], ids=["seeds", "estimator_p", "bounds_p", "beta_max", "betas_of_one", "means_and_drawn", "means_and_range"])
+    def test_each_rule_is_checked_once_while_resolving(self, raw, message):
+        """Repeats and betas of 1 or more have no schema keyword: the artifact names, the schedule and the means
+        rule reject them, each naming its path."""
+        with pytest.raises(ConfigError, match=message):
+            resolve_config(raw)
+
+    @pytest.mark.parametrize("gmm", [{"n_components": 2, "dim": 3}, {"means": None, "n_components": 2, "dim": 3}])
+    def test_drawn_keys_apply_without_explicit_means(self, gmm):
+        assert build_gmm(resolve_config({"gmm": gmm})).means.shape == (2, 3)
+
     def test_load_config_bad_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
@@ -356,6 +377,18 @@ class TestCli:
         assert summary["per_seed"] == {}
         assert summary["dominance_holds"] is None and summary["max_error_bound_ratio"] is None
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_bounds_summary_counts_a_nan_error_as_a_violation(self, small_config, tmp_path):
+        """At p = 400 one anchor's flux overflows: its row has c_p inf and a NaN error, which shows no dominance."""
+        path, cfg = small_config
+        path.write_text(json.dumps({**cfg, "training": {"epochs": 2, "n_train": 100}, "estimator": {},
+                                    "bounds": {"n_anchors": 5, "p_values": [1.0, 400.0]}}))
+        assert main(["bounds", "--config", str(path)]) == 0
+        summary = json.loads((tmp_path / "out" / "bounds" / "summary.json").read_text())
+        assert summary["per_seed"]["0"]["p400"]["violations"] == 1
+        assert summary["per_seed"]["0"]["p1"]["violations"] == 0
+        assert summary["dominance_holds"] is False
+
     def test_failed_seed_leaves_no_rows_in_aggregates(self, small_config, tmp_path, monkeypatch):
         """A seed that fails after writing some of its rows adds none of them to the study tables."""
         path, cfg = small_config
@@ -422,12 +455,15 @@ class TestCli:
         ("fidelity", {"training": {"epochs": 2.0}}),
         ("memorize", {"memorization": {"grid_size": 5.0}}),
         ("bounds", {"seeds": [1.0]}),
+        ("fidelity", {"schedule": {"beta_max": 1.5}}),
+        ("fidelity", {"gmm": {"means": [[0, 0], [3, 3]], "n_components": 5, "dim": 7}}),
     ], ids=["ragged_means", "weights_sum", "odd_embed_dim", "memorize_3d", "one_repeat", "experiment_mismatch",
             "weights_without_means", "negative_seed", "duplicate_p", "duplicate_bounds_p",
             "bounds_p_names_collide", "estimator_p_names_collide", "normalize_by_volume", "schedule_noise_reaches_one",
             "schedule_zero_least_noise", "duplicate_seeds", "null_batch_size", "nan_beta_min", "nan_mean",
             "radius_overflows", "radius_int_overflows", "int_past_digit_limit", "n_samples_past_maximum",
-            "seed_past_2_64", "infinite_low", "range_overflows", "float_epochs", "float_grid_size", "float_seed"])
+            "seed_past_2_64", "infinite_low", "range_overflows", "float_epochs", "float_grid_size", "float_seed",
+            "beta_max_past_one", "means_with_drawn_keys"])
     def test_bad_config_rejected_at_load(self, small_config, tmp_path, capsys, command, override):
         path, cfg = small_config
         if isinstance(override, str):

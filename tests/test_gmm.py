@@ -78,6 +78,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             GmmParams(means=[[0.0], [1.0]], sigma2=1.0, weights=[1.2, -0.2])
 
+    @pytest.mark.parametrize("means", [[0.0, 1.0], 0.0, [[[0.0, 1.0]]]], ids=["(K,)", "scalar", "(1, 1, 2)"])
+    def test_means_must_be_k_by_d(self, means):
+        """(K,) means are not one K-dimensional component: means must be (K, d)."""
+        with pytest.raises(ValueError, match=r"\(K, d\)"):
+            GmmParams(means=means, sigma2=1.0, weights=[1.0])
+
     def test_sigma2_positive(self):
         for sigma2 in (0.0, float("nan")):
             with pytest.raises(ValueError):
@@ -229,7 +235,8 @@ class TestPointwisePLaplace:
         """At a zero of the score, p = 2 gives the Laplacian and p > 2 gives 0: |s|^2 must not underflow to 0/0."""
         g = GmmParams(means=[[-1.0, 0.0], [1.0, 0.0]], sigma2=1.0, weights=[0.5, 0.5])
         assert np.array_equal(score(g, [0.0, 0.0]), [0.0, 0.0])
-        assert pointwise(g, [0.0, 0.0], p) == pytest.approx(expected, abs=1e-100)
+        [value] = pointwise(g, [[0.0, 0.0]], p)
+        assert value == pytest.approx(expected, abs=1e-100)
 
     def test_p2_equals_hessian_trace(self, random_gmm):
         xs = make_rng(8).uniform(-5, 5, size=(30, 2))

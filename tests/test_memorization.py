@@ -201,16 +201,18 @@ class TestAuc:
 
 class TestScoreNorm:
     def test_zero_field(self):
-        assert score_norm_criterion(np.zeros_like, np.zeros(2)) == 0.0
+        assert np.array_equal(score_norm_criterion(np.zeros_like, np.zeros((1, 2))), [0.0])
 
     def test_vanishes_at_mode(self):
         g = GmmParams(means=[[1.0, 1.0]], sigma2=2.0, weights=[1.0])
-        assert score_norm_criterion(score_field(g), np.array([1.0, 1.0])) == pytest.approx(0.0, abs=1e-12)
+        [value] = score_norm_criterion(score_field(g), np.array([[1.0, 1.0]]))
+        assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_closed_form_at_distance(self):
         g = GmmParams(means=[[0.0, 0.0]], sigma2=0.5, weights=[1.0])
-        x = np.array([0.6, 0.8])  # distance 1 from the mean
-        assert score_norm_criterion(score_field(g), x) == pytest.approx(1.0 / 0.5, rel=1e-12)
+        x = np.array([[0.6, 0.8]])  # distance 1 from the mean
+        [value] = score_norm_criterion(score_field(g), x)
+        assert value == pytest.approx(1.0 / 0.5, rel=1e-12)
 
     def test_batch_shape(self, default_gmm):
         vals = score_norm_criterion(score_field(default_gmm), np.zeros((5, 2)))

@@ -241,6 +241,11 @@ class TestTraining:
         with pytest.raises(ValueError):
             train(np.empty((0, 2)), schedule, TrainConfig())
 
+    def test_one_d_data_rejected(self, schedule):
+        """50 scalars are not one 50-dimensional point: data must be (n, d)."""
+        with pytest.raises(ValueError, match=r"\(n, d\)"):
+            train(np.linspace(-1, 1, 50), schedule, TrainConfig(epochs=1))
+
 
 def textbook_train(data, schedule, cfg, hidden_width, embed_dim):
     """The plain per-batch SGD loop ``train`` must match bit for bit.
@@ -263,7 +268,7 @@ def textbook_train(data, schedule, cfg, hidden_width, embed_dim):
     batch = min(cfg.batch_size, n)
     epoch_means = []
     for epoch in range(cfg.epochs):
-        order = np.arange(n) if batch == n else rng.permutation(n)
+        order = rng.permutation(n)
         losses = []
         for start in range(0, n, batch):
             idx = order[start : start + batch]
@@ -350,7 +355,7 @@ def concatenated_predict(model, x, t):
 def test_predict_noise_is_bitwise_the_folded_path(trained_model, t):
     x = make_rng(4).standard_normal((5, 2))
     np.testing.assert_array_equal(trained_model.predict_noise(x, t), folded_predict(trained_model, x, t))
-    np.testing.assert_array_equal(trained_model.predict_noise(x[2], t), folded_predict(trained_model, x[2], t)[0])
+    np.testing.assert_array_equal(trained_model.predict_noise(x[2:3], t), folded_predict(trained_model, x[2:3], t))
 
 
 @pytest.mark.parametrize("t,block,n", [(7, PREDICT_BLOCK, 2 * PREDICT_BLOCK + 17), (7, 4, 3200), (7, 100, 3200)],
@@ -393,10 +398,10 @@ def test_predict_noise_does_not_depend_on_memory_layout(trained_model, n):
         np.testing.assert_array_equal(trained_model.predict_noise(view, 3), expected)
 
 
-@pytest.mark.parametrize("shape", [(3, 1), (1,), (), (3, 3), (2, 2, 2)])
+@pytest.mark.parametrize("shape", [(3, 1), (1,), (), (3, 3), (2, 2, 2), (2,)])
 def test_predict_noise_rejects_points_of_the_wrong_shape(trained_model, shape):
-    """A 2-d model takes (2,) or (n, 2); any other shape would broadcast into a wrong answer."""
-    with pytest.raises(ValueError, match=r"\(2,\) or \(n, 2\)"):
+    """A 2-d model takes (n, 2) rows, so one point is a (1, 2) batch; any other shape raises."""
+    with pytest.raises(ValueError, match=r"\(n, 2\)"):
         trained_model.predict_noise(np.ones(shape), 0)
 
 
