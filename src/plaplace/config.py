@@ -22,6 +22,7 @@ import operator
 
 from .errors import ConfigError
 from .estimators import EstimatorConfig
+from .geometry import make_rng
 from .gmm import GmmParams, draw_gmm
 from .score_model import NoiseSchedule
 
@@ -237,7 +238,7 @@ def build_gmm(cfg: dict) -> GmmParams:
         sigma2=block["sigma2"],
         low=block["low"],
         high=block["high"],
-        seed=block["seed"],
+        rng=make_rng(block["seed"]),
     )
 
 

@@ -69,13 +69,11 @@ def _write_result(out: str, cfg: dict, result: dict) -> dict:
     return result
 
 
-def _train(cfg: dict, data: np.ndarray, schedule, seed: int):
-    """Score model trained on data with the config's training recipe and this seed."""
+def _train(cfg: dict, data: np.ndarray, schedule, rng: np.random.Generator):
+    """Score model trained on data with the config's training recipe, drawing from rng."""
     block = cfg["training"]
-    train_cfg = TrainConfig(
-        epochs=block["epochs"], learning_rate=block["learning_rate"], batch_size=block["batch_size"], seed=seed
-    )
-    return train(data, schedule, train_cfg, hidden_width=block["hidden_width"], embed_dim=block["embed_dim"])
+    train_cfg = TrainConfig(epochs=block["epochs"], learning_rate=block["learning_rate"], batch_size=block["batch_size"])
+    return train(data, schedule, train_cfg, rng, hidden_width=block["hidden_width"], embed_dim=block["embed_dim"])
 
 
 def fidelity_anchors(gmm) -> tuple[np.ndarray, list[str]]:
@@ -139,7 +137,7 @@ def run_fidelity(cfg: dict) -> dict:
     def one_seed(seed: int) -> None:
         seed_out = _outdir(cfg, "fidelity", f"seed_{seed}")
         header = config_header(cfg, seed)
-        model = _train(cfg, sample_gmm(gmm, cfg["training"]["n_train"], make_rng(seed)), schedule, seed)
+        model = _train(cfg, sample_gmm(gmm, cfg["training"]["n_train"], make_rng(seed)), schedule, make_rng(seed))
         fields = {"oracle": gmm_score_field(gmm), "learned": model_score_field(model, schedule, 0)}
 
         cos, ratio = _field_error_stats(gmm, model, schedule, make_rng(10_000 + seed))
@@ -208,7 +206,7 @@ def run_memorization(cfg: dict) -> dict:
         scenario = {"seed": seed, "n_replicas": mem_cfg["n_replicas"], "memorized_point": mem_pt.tolist(),
                     "base_samples": base.tolist()}
         _write_json(os.path.join(seed_out, "scenario.json"), {"config": cfg, "scenario": scenario})
-        model = _train(cfg, training_set, schedule, seed)
+        model = _train(cfg, training_set, schedule, make_rng(seed))
         field = model_score_field(model, schedule, 0)
 
         svgplot.scatter(
@@ -274,7 +272,7 @@ def run_bounds(cfg: dict) -> dict:
     def one_seed(seed: int) -> dict:
         seed_out = _outdir(cfg, "bounds", f"seed_{seed}")
         header = config_header(cfg, seed)
-        model = _train(cfg, sample_gmm(gmm, cfg["training"]["n_train"], make_rng(seed)), schedule, seed)
+        model = _train(cfg, sample_gmm(gmm, cfg["training"]["n_train"], make_rng(seed)), schedule, make_rng(seed))
         anchors = reverse_sample(model, schedule, cfg["bounds"]["n_anchors"], make_rng(seed + 700_000))
         learned = model_score_field(model, schedule, 0)
         summaries = {}
@@ -306,7 +304,7 @@ def run_bounds(cfg: dict) -> dict:
     dominance = {str(seed): summaries for seed, summaries in outputs.items()}
     # With no completed seed there is no evidence either way: both fields are null.
     every_p = [summary for per_p in dominance.values() for summary in per_p.values()]
-    worst = max((summary["max_error_bound_ratio"] for summary in every_p), default=None)
+    worst = float(np.max([summary["max_error_bound_ratio"] for summary in every_p])) if every_p else None
     _write_json(
         os.path.join(out, "summary.json"),
         {"per_seed": dominance, "max_error_bound_ratio": worst,

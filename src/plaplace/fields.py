@@ -40,7 +40,7 @@ def p_weight(s: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
     norm = np.sqrt(np.add.reduce(s * s, axis=-1))  # np.linalg.norm's arithmetic, without its conjugate copy of s
     under = norm < NORM_FLOOR
     norm = np.maximum(norm, NORM_FLOOR)
-    weight = norm ** (p - 2.0)
+    weight = np.asarray(norm ** (p - 2.0))  # an array even for one (d,) row, so its entry can be assigned
     if under.any():
         rows = s[under] * _RESCALE
         unfloored = np.sqrt(np.add.reduce(rows * rows, axis=-1)) / _RESCALE

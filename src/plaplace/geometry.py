@@ -1,10 +1,10 @@
 """Uniform sampling on and in d-balls, and the generators that drive it.
 
-Randomness policy: every sampling function takes an explicit
-``numpy.random.Generator``.  Harnesses derive one child generator per
-estimation call (a fidelity repeat, a grid node, a bound anchor) with
-``Generator.spawn``, numpy's SeedSequence spawning, so runs are
-reproducible no matter how work is distributed.
+Randomness policy: every function that draws takes its ``numpy.random.Generator``;
+integers become generators (``make_rng``) only in the study drivers and in
+``config.build_gmm``.  Harnesses derive one child generator per estimation call
+(a fidelity repeat, a grid node, a bound anchor) with ``Generator.spawn``, numpy's
+SeedSequence spawning, so runs are reproducible however work is distributed.
 
 Both samplers draw only standard normals: a sphere point is a row of them
 over its norm, and a ball point in d dimensions is the first d coordinates of
@@ -24,8 +24,8 @@ __all__ = [
 ]
 
 
-def make_rng(seed: int | None = None) -> np.random.Generator:
-    """A 64-bit-seedable PCG64 generator."""
+def make_rng(seed: int) -> np.random.Generator:
+    """The PCG64 generator of an integer seed; there is no entropy-seeded default."""
     return np.random.default_rng(seed)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .estimators import PLaplaceEstimate
 from .fields import ScoreField, p_weight
-from .geometry import _checked_center, make_rng, sample_ball_uniform
+from .geometry import _checked_center, sample_ball_uniform
 
 # Rows per block of the dense reference: bounds its (rows, K, d) temporaries.
 CHUNK = 8192
@@ -91,10 +91,10 @@ def draw_gmm(
     sigma2: float = 1.0,
     low: float = -5.0,
     high: float = 5.0,
-    seed: int = 0,
+    *,
+    rng: np.random.Generator,
 ) -> GmmParams:
-    """Equal-weight mixture with means drawn uniformly in [low, high]^dim from a seed."""
-    rng = make_rng(seed)
+    """Equal-weight mixture with means drawn uniformly in [low, high]^dim from ``rng``."""
     means = rng.uniform(low, high, size=(n_components, dim))
     weights = np.full(n_components, 1.0 / n_components)
     return GmmParams(means=means, sigma2=sigma2, weights=weights)

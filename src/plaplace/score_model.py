@@ -7,7 +7,7 @@ predict the noise.  The learned score at noise level t is
 denoising step (t = 0, the smallest trained noise level).
 
 Everything is plain numpy with hand-written backpropagation; training is
-deterministic given (data, config, seed).  The model is its two layers,
+deterministic given (data, config, generator).  The model is its two layers,
 each stacked with its bias as a last row, ``W1 = [w1; b1]`` and
 ``W2 = [w2; b2]``: training fits them in that layout, the model holds them
 and inference reads its blocks of them in place, so nothing converts
@@ -35,7 +35,6 @@ import numpy as np
 
 from .errors import SamplingError, TrainingDivergedError
 from .fields import ScoreField
-from .geometry import make_rng
 
 logger = logging.getLogger(__name__)
 
@@ -200,7 +199,6 @@ class TrainConfig:
     epochs: int = 500
     learning_rate: float = 1e-3
     batch_size: int = 32
-    seed: int = 0
 
     def __post_init__(self):
         if not (self.epochs > 0 and self.learning_rate > 0 and self.batch_size > 0):
@@ -248,6 +246,7 @@ def train(
     data,
     schedule: NoiseSchedule,
     cfg: TrainConfig,
+    rng: np.random.Generator,
     hidden_width: int = 128,
     embed_dim: int = 32,
 ) -> MlpScoreModel:
@@ -264,11 +263,11 @@ def train(
     block buffers of at most ``TRAIN_BLOCK`` rows (whole batches, at least
     one) with each batch's views into them, and one flat parameter and
     gradient buffer that the stacked layers ``W1`` and ``W2`` view; the
-    model is built on them.  After the w1 init the generator spawns a
-    timestep stream and a noise stream; it keeps the epoch permutations.  Each block draws its
-    timesteps in one call and its noise in one call, then builds the
-    corrupted inputs and embedding columns of all its rows in one pass
-    (the input buffer's last column of ones is written once).  Each step
+    model is built on them.  ``rng`` draws the w1 init, spawns a timestep
+    stream and a noise stream, then draws the epoch permutations.  Each
+    block draws its timesteps in one call and its noise in one call, then
+    builds the corrupted inputs and embedding columns of all its rows in one
+    pass (the input buffer's last column of ones is written once).  Each step
     then runs the kernel with the residual scaled by 2 * lr / m, so the
     gradient buffer holds the update, and subtracts it from the parameters.
     Splitting a draw leaves its values unchanged, so the weights do not
@@ -280,7 +279,6 @@ def train(
     if data.ndim != 2 or data.size == 0:
         raise ValueError(f"training data must be a nonempty (n, d) array, got shape {data.shape}")
     n, d = data.shape
-    rng = make_rng(cfg.seed)
 
     in_dim = d + embed_dim
     bound = 1.0 / np.sqrt(in_dim)

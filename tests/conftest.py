@@ -9,7 +9,7 @@ from plaplace import NoiseSchedule, TrainConfig, draw_gmm, make_rng, sample_gmm,
 @pytest.fixture(scope="session")
 def default_gmm():
     """The standard experiment density: 3 equal-weight components, unit variance."""
-    return draw_gmm(seed=7)
+    return draw_gmm(rng=make_rng(7))
 
 
 @pytest.fixture(scope="session")
@@ -19,15 +19,15 @@ def schedule():
 
 @pytest.fixture(scope="session")
 def train_once():
-    """``train``, memoized for the session: a model is immutable, so tests that fit the same data with
-    the same betas, ``TrainConfig`` and widths share one fit."""
+    """``train`` on ``make_rng(seed)``, memoized for the session: a model is immutable, so tests that fit the
+    same data with the same betas, ``TrainConfig``, seed and widths share one fit."""
     models = {}
 
-    def fit(data, schedule, cfg, hidden_width=128, embed_dim=32):
+    def fit(data, schedule, cfg, seed, hidden_width=128, embed_dim=32):
         data = np.ascontiguousarray(data, dtype=float)
-        key = (data.shape, data.tobytes(), schedule.betas.tobytes(), cfg, hidden_width, embed_dim)
+        key = (data.shape, data.tobytes(), schedule.betas.tobytes(), cfg, seed, hidden_width, embed_dim)
         if key not in models:
-            models[key] = train(data, schedule, cfg, hidden_width, embed_dim)
+            models[key] = train(data, schedule, cfg, make_rng(seed), hidden_width, embed_dim)
         return models[key]
 
     return fit
@@ -37,7 +37,7 @@ def train_once():
 def trained_model(default_gmm, schedule, train_once):
     """Default-recipe model on 1000 mixture draws; shared across tests."""
     data = sample_gmm(default_gmm, 1000, make_rng(0))
-    return train_once(data, schedule, TrainConfig(seed=0))
+    return train_once(data, schedule, TrainConfig(), 0)
 
 
 @pytest.fixture

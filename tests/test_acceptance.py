@@ -174,7 +174,7 @@ def test_criterion_4_bound_dominance(default_gmm, schedule, train_once):
     with report("4 bound-dominance") as info:
         t0 = time.monotonic()
         data = sample_gmm(default_gmm, 1000, make_rng(0))
-        model = train_once(data, schedule, TrainConfig(seed=0))
+        model = train_once(data, schedule, TrainConfig(), 0)
         anchors = reverse_sample(model, schedule, 50, make_rng(99))
         oracle = gmm_score_field(default_gmm)
         learned = model_score_field(model, schedule, 0)
@@ -219,7 +219,7 @@ def test_criterion_5_memorization_detection(default_gmm, schedule, train_once):
         pct1, pct3, aucs = [], [], []
         for seed in seeds:
             training_set, mem = build_scenario(default_gmm, 1000, 250, make_rng(seed))
-            model = train_once(training_set, schedule, TrainConfig(seed=seed))
+            model = train_once(training_set, schedule, TrainConfig(), seed)
             field = model_score_field(model, schedule, 0)
 
             mat1, mat3 = grid_p_laplace(field, grid, [cfg1, cfg3], make_rng(seed + 100_000))
@@ -243,7 +243,7 @@ def test_criterion_5_memorization_detection(default_gmm, schedule, train_once):
         null_hits = 0
         for seed in seeds:
             training_set, mem = build_scenario(default_gmm, 1000, 0, make_rng(seed))
-            model = train_once(training_set, schedule, TrainConfig(seed=seed))
+            model = train_once(training_set, schedule, TrainConfig(), seed)
             field = model_score_field(model, schedule, 0)
             [mat] = grid_p_laplace(field, grid, [cfg1], make_rng(seed + 100_000))
             val = estimate_boundary(field, mem, cfg1, make_rng(seed + 200_000)).value

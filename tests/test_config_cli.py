@@ -378,15 +378,18 @@ class TestCli:
         assert summary["dominance_holds"] is None and summary["max_error_bound_ratio"] is None
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_bounds_summary_counts_a_nan_error_as_a_violation(self, small_config, tmp_path):
-        """At p = 400 one anchor's flux overflows: its row has c_p inf and a NaN error, which shows no dominance."""
+    @pytest.mark.parametrize("p_values", [[1.0, 400.0], [400.0, 1.0]], ids=["p1_first", "p400_first"])
+    def test_bounds_summary_counts_a_nan_error_as_a_violation(self, small_config, tmp_path, p_values):
+        """At p = 400 one anchor's flux overflows: its row has c_p inf and a NaN error, which shows no dominance.
+        The top-level ratio is NaN in either order of p values: a NaN after a number is not dropped."""
         path, cfg = small_config
         path.write_text(json.dumps({**cfg, "training": {"epochs": 2, "n_train": 100}, "estimator": {},
-                                    "bounds": {"n_anchors": 5, "p_values": [1.0, 400.0]}}))
+                                    "bounds": {"n_anchors": 5, "p_values": p_values}}))
         assert main(["bounds", "--config", str(path)]) == 0
         summary = json.loads((tmp_path / "out" / "bounds" / "summary.json").read_text())
         assert summary["per_seed"]["0"]["p400"]["violations"] == 1
         assert summary["per_seed"]["0"]["p1"]["violations"] == 0
+        assert math.isnan(summary["max_error_bound_ratio"])
         assert summary["dominance_holds"] is False
 
     def test_failed_seed_leaves_no_rows_in_aggregates(self, small_config, tmp_path, monkeypatch):

@@ -107,13 +107,16 @@ class TestFluxDensity:
 
     def test_p_weight_under_the_floor(self):
         """Under the floor the norm stays floored, s = 0 keeps the floor's weight, and the exact operator's
-        quad / |s|^2 stays finite (any RuntimeWarning fails the test)."""
+        quad / |s|^2 stays finite (any RuntimeWarning fails the test).  Each row passed alone as a (d,) point
+        gives its row's norm and weight."""
         s = np.array([[0.0, 0.0], [1e-160, 0.0], [0.0, -1e-300], [3e-200, 4e-200]])
         for p in (1.0, 1.5, 2.0, 3.0):
             norm, weight = p_weight(s, p)
             np.testing.assert_array_equal(norm, NORM_FLOOR)
             np.testing.assert_allclose(weight, np.array([NORM_FLOOR, 1e-160, 1e-300, 5e-200]) ** (p - 2.0), rtol=1e-12)
             assert np.all(np.isfinite(_p_laplace_values(s, np.full(4, -2.0), np.full(4, 1e-320), p)))
+            for row, row_norm, row_weight in zip(s, norm, weight):
+                assert p_weight(row, p) == (row_norm, row_weight)
 
     def test_p1_bit_stable_under_positive_rescale(self, oracle_field):
         """Pointwise rescaling by a positive function never moves p=1 flux values."""
@@ -328,7 +331,7 @@ class TestHomogeneity:
 
 
 class TestTranslationEquivariance:
-    _field = staticmethod(score_field(draw_gmm(seed=7)))
+    _field = staticmethod(score_field(draw_gmm(rng=make_rng(7))))
     _coord = st.floats(-6.0, 6.0)
 
     @given(

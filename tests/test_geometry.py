@@ -43,7 +43,7 @@ class TestMeasures:
 
 
 def _dense_reference(center, radius, n, rng):
-    return averaged_p_laplace_dense(draw_gmm(), center, [1.0, 2.0], radius, n, rng)
+    return averaged_p_laplace_dense(draw_gmm(rng=make_rng(0)), center, [1.0, 2.0], radius, n, rng)
 
 
 @pytest.mark.parametrize("sampler", [sample_sphere_uniform, sample_ball_uniform, _dense_reference])
@@ -66,7 +66,7 @@ def test_dense_reference_rejects_empty_p_values():
     """An empty list of p raises before the dense reference draws anything."""
     rng = make_rng(0)
     with pytest.raises(ValueError, match="p_values"):
-        averaged_p_laplace_dense(draw_gmm(), [0.0, 0.0], [], 1.0, 200_000, rng)
+        averaged_p_laplace_dense(draw_gmm(rng=make_rng(0)), [0.0, 0.0], [], 1.0, 200_000, rng)
     assert rng.random() == make_rng(0).random()
 
 

@@ -22,7 +22,7 @@ from plaplace.gmm import (
 
 @pytest.fixture(scope="module")
 def random_gmm():
-    return draw_gmm(n_components=3, seed=21)
+    return draw_gmm(n_components=3, rng=make_rng(21))
 
 
 def single(mean, sigma2=1.0):
@@ -192,7 +192,7 @@ class TestScore:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_equals_shared_kernel_score(self, d, k, sigma2, one_point):
         """score and the Hessian/p-Laplace kernel share one route, so their scores agree bit for bit."""
-        g = draw_gmm(n_components=k, dim=d, sigma2=sigma2, seed=d + 10 * k)
+        g = draw_gmm(n_components=k, dim=d, sigma2=sigma2, rng=make_rng(d + 10 * k))
         xs = make_rng(8).uniform(-4, 4, size=(25, d))
         x = xs[0] if one_point else xs
         np.testing.assert_array_equal(score(g, x), _p_laplace_parts(g, x)[0])
@@ -214,7 +214,7 @@ class TestHessian:
         quadratic form in s is s^T H s."""
         for d in (1, 2, 3):
             for k in (1, 3):
-                g = draw_gmm(n_components=k, dim=d, sigma2=0.7, seed=d + 10 * k)
+                g = draw_gmm(n_components=k, dim=d, sigma2=0.7, rng=make_rng(d + 10 * k))
                 xs = make_rng(7).uniform(-4, 4, size=(25, d))
                 for x in (xs, xs[0]):
                     s, lap, quad = _p_laplace_parts(g, x)
@@ -312,7 +312,7 @@ class TestSamplingAndSerialization:
         np.testing.assert_allclose(xs.mean(axis=0), expected_mean, atol=0.03)
 
     def test_draw_gmm_deterministic(self):
-        np.testing.assert_array_equal(draw_gmm(seed=7).means, draw_gmm(seed=7).means)
+        np.testing.assert_array_equal(draw_gmm(rng=make_rng(7)).means, draw_gmm(rng=make_rng(7)).means)
 
 
 class TestDenseAverage:

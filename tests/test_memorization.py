@@ -129,7 +129,7 @@ class TestGrid:
         hits = 0
         for seed in range(3):
             training_set, memorized = build_scenario(default_gmm, 1000, 250, make_rng(seed))
-            model = train_once(training_set, schedule, TrainConfig(seed=seed))
+            model = train_once(training_set, schedule, TrainConfig(), seed)
             field = model_score_field(model, schedule, 0)
             cfg = EstimatorConfig(p=1.0)
             [mat] = grid_p_laplace(field, grid, [cfg], make_rng(seed + 100))

@@ -48,7 +48,7 @@ def test_model_layer_shapes_checked(W1_shape, W2_shape, match):
 
 def test_model_sizes_are_read_off_the_layers(schedule):
     """A trained model's sizes are those train was given, and its layers hold the biases as last rows."""
-    model = train(make_rng(1).standard_normal((20, 3)), schedule, TrainConfig(epochs=1), hidden_width=5,
+    model = train(make_rng(1).standard_normal((20, 3)), schedule, TrainConfig(epochs=1), make_rng(0), hidden_width=5,
                   embed_dim=6)
     assert (model.input_dim, model.hidden_width, model.embed_dim) == (3, 5, 6)
     assert (model.W1.shape, model.W2.shape) == ((10, 5), (6, 3))
@@ -196,9 +196,9 @@ class TestBackprop:
 class TestTraining:
     def test_deterministic(self, schedule):
         data = make_rng(5).standard_normal((50, 2))
-        cfg = TrainConfig(epochs=20, seed=9)
-        m1 = train(data, schedule, cfg, hidden_width=16, embed_dim=8)
-        m2 = train(data, schedule, cfg, hidden_width=16, embed_dim=8)
+        cfg = TrainConfig(epochs=20)
+        m1 = train(data, schedule, cfg, make_rng(9), hidden_width=16, embed_dim=8)
+        m2 = train(data, schedule, cfg, make_rng(9), hidden_width=16, embed_dim=8)
         np.testing.assert_array_equal(m1.W1, m2.W1)
         np.testing.assert_array_equal(m1.W2, m2.W2)
 
@@ -206,7 +206,7 @@ class TestTraining:
         gmm = GmmParams(means=[[2.0, 0.0], [-2.0, 0.0]], sigma2=1.0, weights=[0.5, 0.5])
         data = sample_gmm(gmm, 300, make_rng(6))
         with caplog.at_level(logging.DEBUG, logger="plaplace.score_model"):
-            train(data, schedule, TrainConfig(epochs=80, seed=0), hidden_width=32, embed_dim=8)
+            train(data, schedule, TrainConfig(epochs=80), make_rng(0), hidden_width=32, embed_dim=8)
         losses = [float(r.message.split("loss ")[1]) for r in caplog.records if "loss" in r.message]
         assert len(losses) == 80
         assert losses[-1] < losses[0]
@@ -214,7 +214,7 @@ class TestTraining:
     def test_single_point_dataset_pulls_to_origin(self, schedule):
         """Trained on one replicated point, the learned score points at it."""
         data = np.zeros((256, 2))
-        model = train(data, schedule, TrainConfig(seed=0))
+        model = train(data, schedule, TrainConfig(), make_rng(0))
         theta = np.linspace(0, 2 * np.pi, 100, endpoint=False)
         ring = 0.5 * np.column_stack([np.cos(theta), np.sin(theta)])
         learned = learned_score(model, schedule, ring, 0)
@@ -228,26 +228,26 @@ class TestTraining:
     def test_divergence_raises(self, schedule):
         """Training stops at the same step as the textbook loop: the first non-finite step loss, before its update."""
         data = make_rng(8).standard_normal((64, 2)) * 5
-        cfg = TrainConfig(epochs=50, learning_rate=1e12, seed=0)
+        cfg = TrainConfig(epochs=50, learning_rate=1e12)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError) as got:
-                train(data, schedule, cfg, hidden_width=16, embed_dim=8)
+                train(data, schedule, cfg, make_rng(0), hidden_width=16, embed_dim=8)
             with pytest.raises(TrainingDivergedError) as expected:
-                textbook_train(data, schedule, cfg, hidden_width=16, embed_dim=8)
+                textbook_train(data, schedule, cfg, 0, hidden_width=16, embed_dim=8)
         assert got.value.epoch == expected.value.epoch > 0
         np.testing.assert_equal(got.value.loss, expected.value.loss)
 
     def test_empty_data_rejected(self, schedule):
         with pytest.raises(ValueError):
-            train(np.empty((0, 2)), schedule, TrainConfig())
+            train(np.empty((0, 2)), schedule, TrainConfig(), make_rng(0))
 
     def test_one_d_data_rejected(self, schedule):
         """50 scalars are not one 50-dimensional point: data must be (n, d)."""
         with pytest.raises(ValueError, match=r"\(n, d\)"):
-            train(np.linspace(-1, 1, 50), schedule, TrainConfig(epochs=1))
+            train(np.linspace(-1, 1, 50), schedule, TrainConfig(epochs=1), make_rng(0))
 
 
-def textbook_train(data, schedule, cfg, hidden_width, embed_dim):
+def textbook_train(data, schedule, cfg, seed, hidden_width, embed_dim):
     """The plain per-batch SGD loop ``train`` must match bit for bit.
 
     The layers are stacked with their biases as last rows, W1 = [w1; b1] and W2 = [w2; b2].  After the w1 init
@@ -259,7 +259,7 @@ def textbook_train(data, schedule, cfg, hidden_width, embed_dim):
     Returns the layers (W1, W2) and each epoch's mean step loss; raises ``TrainingDivergedError`` at the first
     non-finite step loss, before that step's update."""
     n, d = data.shape
-    rng = make_rng(cfg.seed)
+    rng = make_rng(seed)
     in_dim = d + embed_dim
     bound = 1.0 / np.sqrt(in_dim)
     W1 = np.vstack([rng.uniform(-bound, bound, size=(in_dim, hidden_width)), np.zeros((1, hidden_width))])
@@ -305,10 +305,10 @@ def test_train_is_bitwise_the_textbook_loop(schedule, monkeypatch, caplog, n, d,
     if train_block is not None:
         monkeypatch.setattr(score_model, "TRAIN_BLOCK", train_block)
     data = make_rng(11).standard_normal((n, d))
-    cfg = TrainConfig(epochs=15, learning_rate=1e-2, batch_size=batch_size, seed=3)
+    cfg = TrainConfig(epochs=15, learning_rate=1e-2, batch_size=batch_size)
     with caplog.at_level(logging.DEBUG, logger="plaplace.score_model"):
-        model = train(data, schedule, cfg, hidden_width=16, embed_dim=embed_dim)
-    expected, epoch_means = textbook_train(data, schedule, cfg, hidden_width=16, embed_dim=embed_dim)
+        model = train(data, schedule, cfg, make_rng(3), hidden_width=16, embed_dim=embed_dim)
+    expected, epoch_means = textbook_train(data, schedule, cfg, 3, hidden_width=16, embed_dim=embed_dim)
     assert np.array_equal(model.W1, expected[0]) and np.array_equal(model.W2, expected[1])
     assert caplog.messages == [f"epoch {epoch}: loss {mean:.6f}" for epoch, mean in enumerate(epoch_means)]
 
@@ -317,20 +317,21 @@ def test_train_does_not_depend_on_train_block(schedule, monkeypatch):
     """Each block draws its timesteps and its noise in one call, and split draws give the same values, so blocks
     of 4096 rows (the whole epoch), 96 rows (with a ragged last block) and one batch give the same weights."""
     data = make_rng(13).standard_normal((300, 2))
-    cfg = TrainConfig(epochs=5, learning_rate=1e-2, batch_size=32, seed=4)
+    cfg = TrainConfig(epochs=5, learning_rate=1e-2, batch_size=32)
     models = []
     for block in (4096, 96, 32):
         monkeypatch.setattr(score_model, "TRAIN_BLOCK", block)
-        models.append(train(data, schedule, cfg, hidden_width=16, embed_dim=8))
+        models.append(train(data, schedule, cfg, make_rng(4), hidden_width=16, embed_dim=8))
     for model in models[1:]:
         assert np.array_equal(model.W1, models[0].W1) and np.array_equal(model.W2, models[0].W2)
 
 
 def test_train_working_set_is_bounded(schedule, traced_peak):
     """Inputs are built a block at a time: quadrupling n adds only the epoch permutation's 8 bytes per row."""
-    cfg = TrainConfig(epochs=1, batch_size=256, seed=0)
+    cfg = TrainConfig(epochs=1, batch_size=256)
     small, big = (make_rng(12).standard_normal((k * TRAIN_BLOCK, 2)) for k in (2, 8))
-    grown = traced_peak(train, big, schedule, cfg, 4, 4) - traced_peak(train, small, schedule, cfg, 4, 4)
+    grown = (traced_peak(train, big, schedule, cfg, make_rng(0), 4, 4)
+             - traced_peak(train, small, schedule, cfg, make_rng(0), 4, 4))
     assert grown <= 8 * (big.shape[0] - small.shape[0]) + 16_384
 
 
@@ -452,7 +453,7 @@ class TestLearnedScore:
         """Direction agreement with the analytic corrupted-Gaussian score."""
         g = GmmParams(means=[[1.0, -2.0]], sigma2=1.0, weights=[1.0])
         data = sample_gmm(g, 1000, make_rng(0))
-        model = train(data, schedule, TrainConfig(seed=0))
+        model = train(data, schedule, TrainConfig(), make_rng(0))
         pts = sample_gmm(g, 300, make_rng(1))
         learned = learned_score(model, schedule, pts, 0)
         oracle = score(perturb(g, schedule.alphas[0]), pts)

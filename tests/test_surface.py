@@ -92,6 +92,23 @@ def test_a_shared_name_is_not_a_use(tmp_path):
     assert unused_definitions(tmp_path) == ["a.x", "b.g"]
 
 
+def test_seeds_become_generators_only_in_the_drivers_and_config():
+    """Every function that draws takes its generator: only the study drivers and ``build_gmm`` turn an integer
+    seed into one, and ``geometry`` defines the factory.  Neither a seedless generator nor a training seed
+    exists."""
+    makers = {"make_rng", "default_rng"}
+    seeding = set()
+    for path in (ROOT / "src" / "plaplace").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and {getattr(node.func, "id", None), getattr(node.func, "attr", None)} & makers:
+                seeding.add(path.stem)
+    assert seeding <= {"experiments", "config", "geometry"}
+    with pytest.raises(TypeError):
+        plaplace.make_rng()
+    with pytest.raises(TypeError):
+        plaplace.TrainConfig(seed=0)
+
+
 def test_readme_cli_block_names_every_subcommand():
     """The README's CLI block shows one line per subcommand: exactly those the parser accepts, in its order."""
     section = re.search(r"^## CLI\n(.*?)^## ", README.read_text(), re.S | re.M)
