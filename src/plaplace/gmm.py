@@ -7,7 +7,11 @@ exact operator is finite at every point for every p >= 1, so the reference
 averages every sample it draws.
 
 ``log_density`` and ``score`` take points of shape ``(..., d)``: a single
-point ``(d,)`` or a batch ``(n, d)``.
+point ``(d,)`` or a batch ``(n, d)``.  The kernels copy the points once into
+contiguous (d, n) columns, hold diffs and pulls as (K, d, n) and
+responsibilities as (K, n), and reduce over leading axes, so every sum is a
+run of whole-vector adds.  ``score`` returns the transposed view of its
+columns: for ``(n, d)`` points, an F-ordered array.
 """
 
 from __future__ import annotations
@@ -101,54 +105,52 @@ def draw_gmm(
 
 
 def _responsibilities(g: GmmParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one mixture kernel: diffs, responsibilities and the log-normalizer.
+    """The one mixture kernel: diffs, responsibilities and the log-normalizer of n points, as columns.
 
     With l_k = log w_k - |mean_k - x|^2 / (2 sigma2) (the Gaussian constant
-    dropped), returns diffs = mean_k - x with shape (..., K, d), the
-    responsibilities r_k = exp(l_k) / sum_j exp(l_j), and
-    log sum_k exp(l_k).  Both exponentiate l_k - max_j l_j, so neither
-    underflows to 0 / 0 or log(0) far from every mean.
+    dropped), returns diffs = mean_k - x as (K, d, n), the responsibilities
+    r_k = exp(l_k) / sum_j exp(l_j) as (K, n), and log sum_k exp(l_k) as (n,).
+    Both exponentiate l_k - max_j l_j, so neither underflows to 0 / 0 or
+    log(0) far from every mean.
     """
     if x.ndim < 1 or x.shape[-1] != g.dim:
         raise ValueError(f"points must have shape (..., {g.dim}), got {x.shape}")
-    diffs = g.means - x[..., None, :]
-    log_resp = np.log(g.weights) - 0.5 * np.einsum("...kd,...kd->...k", diffs, diffs) / g.sigma2
-    top = log_resp.max(axis=-1, keepdims=True)
+    diffs = g.means[:, :, None] - np.ascontiguousarray(x.reshape(-1, g.dim).T)
+    log_resp = np.log(g.weights)[:, None] - 0.5 * np.add.reduce(diffs * diffs, axis=1) / g.sigma2
+    top = log_resp.max(axis=0)
     resp = np.exp(log_resp - top)
-    total = resp.sum(axis=-1, keepdims=True)
-    return diffs, resp / total, (top + np.log(total))[..., 0]
+    total = np.add.reduce(resp, axis=0)
+    return diffs, resp / total, top + np.log(total)
 
 
 def log_density(g: GmmParams, x) -> np.ndarray:
     """log of the mixture density, via the max-shifted log-sum-exp over components."""
-    return _responsibilities(g, np.asarray(x, dtype=float))[2] - 0.5 * g.dim * np.log(2.0 * np.pi * g.sigma2)
+    x = np.asarray(x, dtype=float)
+    return _responsibilities(g, x)[2].reshape(x.shape[:-1]) - 0.5 * g.dim * np.log(2.0 * np.pi * g.sigma2)
 
 
 def score(g: GmmParams, x) -> np.ndarray:
-    """Gradient of the log-density: responsibility-weighted pull toward the means."""
-    return _moments(g, np.asarray(x, dtype=float))[2]
+    """Gradient of the log-density, the responsibility-weighted pull toward the means: a transposed view."""
+    x = np.asarray(x, dtype=float)
+    return _moments(g, x)[2].T.reshape(x.shape)
 
 
 def _moments(g: GmmParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Responsibilities r_k, pulls g_k = (mean_k - x)/sigma2, and the score s = sum_k r_k g_k."""
-    diffs, resp, _ = _responsibilities(g, x)
-    gk = diffs / g.sigma2
-    return resp, gk, np.einsum("...k,...kd->...d", resp, gk)
+    """Responsibilities r_k (K, n), pulls g_k = (mean_k - x)/sigma2 (K, d, n) and the score s = sum_k r_k g_k (d, n)."""
+    gk, resp, _ = _responsibilities(g, x)
+    gk /= g.sigma2  # the diffs become the pulls in place: one (K, d, n) array fewer at the peak
+    return resp, gk, np.add.reduce(resp[:, None] * gk, axis=0)
 
 
 def _p_laplace_parts(g: GmmParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Score s, Laplacian, and quadratic form s^T H s, all batched."""
+    """Score s (shaped as ``x``, like ``score``), Laplacian, and quadratic form s^T H s (shaped ``x.shape[:-1]``)."""
     resp, gk, s = _moments(g, x)
-    s_sq = np.einsum("...d,...d->...", s, s)
-    lap = np.einsum("...k,...kd,...kd->...", resp, gk, gk) - g.dim / g.sigma2 - s_sq
+    s_sq = np.add.reduce(s * s, axis=0)
+    lap = np.add.reduce(resp[:, None] * gk * gk, axis=(0, 1)) - g.dim / g.sigma2 - s_sq
     # H s = sum_k r_k g_k (g_k . s) - s/sigma2 - s * |s|^2
-    gk_dot_s = np.einsum("...kd,...d->...k", gk, s)
-    hs = (
-        np.einsum("...k,...kd->...d", resp * gk_dot_s, gk)
-        - s / g.sigma2
-        - s * s_sq[..., None]
-    )
-    return s, lap, np.einsum("...d,...d->...", s, hs)
+    gk_dot_s = np.add.reduce(gk * s, axis=1)
+    hs = np.add.reduce((resp * gk_dot_s)[:, None] * gk, axis=0) - s / g.sigma2 - s * s_sq
+    return s.T.reshape(x.shape), lap.reshape(x.shape[:-1]), np.add.reduce(s * hs, axis=0).reshape(x.shape[:-1])
 
 
 def _p_laplace_values(s: np.ndarray, lap: np.ndarray, quad: np.ndarray, p: float) -> np.ndarray:

@@ -49,7 +49,7 @@ __all__ = [
     "reverse_sample",
 ]
 
-# Rows per block of the inference forward pass: bounds its (rows, hidden) scratch.
+# Rows per block of the inference forward pass (a multiple of 4): bounds its (rows, hidden) scratch.
 PREDICT_BLOCK = 256
 
 # Rows of training inputs built per pass, rounded down to whole batches (at least one batch).
@@ -163,7 +163,8 @@ class MlpScoreModel:
         it is formed once per call as the bias row ``embed(t) @ W1[d:-1] + W1[-1]``;
         each block of ``PREDICT_BLOCK`` rows then multiplies only its points by
         ``W1[:d]``, reading them where they lie (no input scratch), and its
-        hidden activations by ``W2[:-1]`` before adding ``W2[-1]``.  At d = 2
+        hidden activations by ``W2[:-1]`` before adding ``W2[-1]``; a last block
+        of one row takes the 4 rows before it, as one pass rounds.  At d = 2
         that first-layer GEMM is small enough that OpenBLAS keeps it on one
         thread.  One hidden scratch array is allocated per call and each block
         is written into the output, so the working set does not grow with n.
@@ -177,13 +178,15 @@ class MlpScoreModel:
         n = x.shape[0]
         a, w2, b2 = self.W1[:d], self.W2[:-1], self.W2[-1]
         row = sinusoidal_embed(operator.index(t), self.embed_dim) @ self.W1[d:-1] + self.W1[-1]
-        h = np.empty((min(n, PREDICT_BLOCK), self.hidden_width))
+        bounds = [*range(0, n, PREDICT_BLOCK), n]
+        if n > PREDICT_BLOCK and n % PREDICT_BLOCK == 1:
+            bounds[-2] -= 4  # a one-row GEMM takes another BLAS path, so that row's block takes the 4 rows before it
+        h = np.empty((np.max(np.diff(bounds), initial=0), self.hidden_width))
         y = np.empty((n, d))
-        for start in range(0, n, PREDICT_BLOCK):
-            block = slice(start, start + PREDICT_BLOCK)
-            hb = h[: min(n - start, PREDICT_BLOCK)]
-            np.tanh(np.add(np.matmul(x[block], a, out=hb), row, out=hb), out=hb)
-            np.add(np.matmul(hb, w2, out=y[block]), b2, out=y[block])
+        for start, stop in zip(bounds, bounds[1:]):
+            hb = h[: stop - start]
+            np.tanh(np.add(np.matmul(x[start:stop], a, out=hb), row, out=hb), out=hb)
+            np.add(np.matmul(hb, w2, out=y[start:stop]), b2, out=y[start:stop])
         return y
 
 

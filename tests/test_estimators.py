@@ -7,6 +7,7 @@ from plaplace.estimators import (
     EstimatorConfig,
     _divergence_values,
     _flux_values,
+    _reduce,
     estimate_boundary,
     estimate_volume,
     write_estimates_csv,
@@ -314,6 +315,26 @@ class TestBoundaryEstimator:
         assert 0 < np.count_nonzero(ys[:, 0] > 0) < cfg.n_samples
         assert (est.n_used, est.singular_hits) == (cfg.n_samples, 0)
         assert est.value == 2.0 / cfg.radius * float(np.where(ys[:, 0] > 0, normals[:, 0], 0.0).mean())
+
+
+class TestReduce:
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    @pytest.mark.parametrize("n", [2, 3, 100, 4097])
+    def test_is_bitwise_numpys_mean_and_std(self, n, scale):
+        """The mean and standard error take numpy's own arithmetic in its order: the bits of ``factor * mean()`` and
+        ``|factor| * std(ddof=1) / sqrt(n)``, also where the squared deviations underflow (1e-200) or overflow to an
+        infinite error (1e200)."""
+        vals = scale * (make_rng(n).standard_normal(n) + 0.5)
+        for factor in (1.0, -2.5, 0.37):
+            with np.errstate(over="ignore"):
+                est = _reduce(vals, factor)
+                std_error = abs(factor) * float(vals.std(ddof=1) / np.sqrt(n))
+            assert (est.value, est.std_error) == (factor * float(vals.mean()), std_error)
+            assert (est.n_used, est.singular_hits) == (n, 0)
+
+    def test_one_sample_has_an_infinite_error(self):
+        est = _reduce(np.array([3.0]), -2.0)
+        assert (est.value, est.std_error, est.n_used) == (-6.0, np.inf, 1)
 
 
 class TestHomogeneity:

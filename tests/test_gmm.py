@@ -58,6 +58,27 @@ def assert_block_merge_of_one_piece(g, x0, chunk, n):
     return dense
 
 
+def einsum_kernels(g, x):
+    """Score, Laplacian, s^T H s and log-density by einsum over (..., K, d) rows: the column kernels' reference."""
+    diffs = g.means - x[..., None, :]
+    log_resp = np.log(g.weights) - 0.5 * np.einsum("...kd,...kd->...k", diffs, diffs) / g.sigma2
+    top = log_resp.max(axis=-1, keepdims=True)
+    resp = np.exp(log_resp - top)
+    total = resp.sum(axis=-1, keepdims=True)
+    resp, gk = resp / total, diffs / g.sigma2
+    s = np.einsum("...k,...kd->...d", resp, gk)
+    s_sq = np.einsum("...d,...d->...", s, s)
+    lap = np.einsum("...k,...kd,...kd->...", resp, gk, gk) - g.dim / g.sigma2 - s_sq
+    gk_dot_s = np.einsum("...kd,...d->...k", gk, s)
+    hs = np.einsum("...k,...kd->...d", resp * gk_dot_s, gk) - s / g.sigma2 - s * s_sq[..., None]
+    log_dens = (top + np.log(total))[..., 0] - 0.5 * g.dim * np.log(2.0 * np.pi * g.sigma2)
+    return s, lap, np.einsum("...d,...d->...", s, hs), log_dens
+
+
+def column_kernels(g, x):
+    return (*_p_laplace_parts(g, x), log_density(g, x))
+
+
 def fd_hessian(g, x, h=1e-5):
     """Central difference of the analytic score: entry [..., i, j] is d s_i / d x_j."""
     return np.stack([(score(g, x + e) - score(g, x - e)) / (2 * h) for e in h * np.eye(g.dim)], axis=-1)
@@ -196,6 +217,46 @@ class TestScore:
         xs = make_rng(8).uniform(-4, 4, size=(25, d))
         x = xs[0] if one_point else xs
         np.testing.assert_array_equal(score(g, x), _p_laplace_parts(g, x)[0])
+
+
+class TestColumnKernels:
+    """The kernels reduce (K, d, n) columns over leading axes; the einsum row forms are the reference."""
+
+    @pytest.mark.parametrize("shape", [(CHUNK, 2), (2,), (4, 5, 2)], ids=["block", "point", "batch"])
+    def test_bitwise_einsum_at_d2(self, random_gmm, shape):
+        """At d = 2 every leading-axis add runs in the einsum loops' order, so every part keeps its bits."""
+        x = make_rng(30).uniform(-6, 6, size=shape)
+        for got, ref in zip(column_kernels(random_gmm, x), einsum_kernels(random_gmm, x)):
+            assert np.shape(got) == ref.shape
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("center", ["mean", "midpoint"])
+    @pytest.mark.parametrize("d", [8, 32])
+    def test_close_to_einsum_at_higher_d(self, d, center):
+        """Past d = 2 the d-term sums run in another order.  The log-density moves by at most 1e-15 relative (4.7e-16
+        here).  Near a mean, where one component dominates, the score, Laplacian and s^T H s move by at most 1e-15 of
+        the block's largest magnitude (6.7e-16 here, s^T H s at d = 8).  Between two means the responsibilities inherit
+        the rounding of |x - mean_k|^2 / (2 sigma2), which reaches the hundreds at d = 32, so the parts move by up to
+        5.0e-14 there; the test allows 1e-12."""
+        g = draw_gmm(n_components=3, dim=d, rng=make_rng(d))
+        x0 = g.means[0] if center == "mean" else 0.5 * (g.means[0] + g.means[1])
+        x = sample_ball_uniform(x0, 1.0, CHUNK, make_rng(31))
+        *parts, log_dens = column_kernels(g, x)
+        *ref_parts, ref_log_dens = einsum_kernels(g, x)
+        np.testing.assert_allclose(log_dens, ref_log_dens, rtol=1e-15, atol=0)
+        for got, ref in zip(parts, ref_parts):
+            assert np.max(np.abs(got - ref)) <= (1e-15 if center == "mean" else 1e-12) * np.max(np.abs(ref))
+
+    def test_score_bits_do_not_depend_on_input_layout(self, random_gmm):
+        """C-ordered, F-ordered and strided-view points give the same bits; the result is the F-ordered transposed view
+        of the kernel's columns."""
+        x = make_rng(32).uniform(-6, 6, size=(400, 2))
+        wide = np.zeros((800, 3))
+        wide[::2, 1:] = x
+        ref = score(random_gmm, x)
+        assert ref.flags.f_contiguous and not ref.flags.c_contiguous
+        for pts in (np.asfortranarray(x), wide[::2, 1:]):
+            np.testing.assert_array_equal(score(random_gmm, pts), ref)
 
 
 class TestHessian:

@@ -359,17 +359,24 @@ def test_predict_noise_is_bitwise_the_folded_path(trained_model, t):
     np.testing.assert_array_equal(trained_model.predict_noise(x[2:3], t), folded_predict(trained_model, x[2:3], t))
 
 
-@pytest.mark.parametrize("t,block,n", [(7, PREDICT_BLOCK, 2 * PREDICT_BLOCK + 17), (7, 4, 3200), (7, 100, 3200)],
-                         ids=["scalar-t", "block4", "block100"])
+@pytest.mark.parametrize("t,block,n", [(7, PREDICT_BLOCK, 2 * PREDICT_BLOCK + 17), (7, 4, 3200), (7, 100, 3200),
+                                       (7, 4, 9), (7, 4, 25)]
+                         + [(t, PREDICT_BLOCK, n) for n in (257, 513, 3073) for t in (0, 7, 99)],
+                         ids=["scalar-t", "block4", "block100", "block4-tail1-9", "block4-tail1-25"]
+                         + [f"tail1-{n}-t{t}" for n in (257, 513, 3073) for t in (0, 7, 99)])
 def test_predict_noise_blocks_are_bitwise_one_pass(trained_model, monkeypatch, t, block, n):
     """The row-blocked forward equals one pass over all rows and its own per-block calls: over a 17-row ragged last
-    block, and over the 3,200 rows of the studies' largest call in blocks of 4 rows and of 100 (the studies'
-    per-center call), which keep every row in the place it takes in the one pass's 4-row GEMM tiles."""
+    block, over the 3,200 rows of the studies' largest call in blocks of 4 rows and of 100 (the studies'
+    per-center call), which keep every row in the place it takes in the one pass's 4-row GEMM tiles, and where the
+    last block would hold one row, whose one-row GEMM rounds otherwise: that block takes the 4 rows before it."""
     monkeypatch.setattr(score_model, "PREDICT_BLOCK", block)
     x = make_rng(5).standard_normal((n, 2))
     got = trained_model.predict_noise(x, t)
     np.testing.assert_array_equal(got, folded_predict(trained_model, x, t))
-    per_block = [trained_model.predict_noise(x[i : i + block], t) for i in range(0, n, block)]
+    bounds = [*range(0, n, block), n]
+    if n > block and n % block == 1:
+        bounds[-2] -= 4
+    per_block = [trained_model.predict_noise(x[i:j], t) for i, j in zip(bounds, bounds[1:])]
     np.testing.assert_array_equal(got, np.concatenate(per_block))
 
 
